@@ -5,11 +5,13 @@ backward closure on the implicit tape (the creation-ordered graph of Array
 nodes), so `backward` on a scalar loss fills `.grad` on every reachable
 parameter. There is no implicit broadcasting: each op states the exact shapes
 it accepts and raises DimensionError otherwise. Forward outputs are checked
-for NaN/Inf on creation.
+for NaN/Inf on creation. Under `no_grad()` ops still run every check but
+record nothing on the tape, for forward passes that nothing differentiates.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 
@@ -25,6 +27,21 @@ from .errors import (
 )
 
 _ids = itertools.count()
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within the block, op results keep no parents and no backward closure,
+    so they hold no reference to their inputs and `backward` cannot reach
+    through them. Shape and finiteness checks still run."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Array:
@@ -44,9 +61,14 @@ class Array:
             raise NonFiniteError(f"non-finite values entering op '{_op}'")
         self.data = arr
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
-        self._parents = _parents
-        self._backward = _backward
+        if _grad_enabled:
+            self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+            self._parents = _parents
+            self._backward = _backward
+        else:
+            self.requires_grad = requires_grad
+            self._parents = ()
+            self._backward = None
         self._op = _op
         self._id = next(_ids)
 

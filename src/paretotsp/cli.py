@@ -111,24 +111,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_actors(workdir: Path):
-    cfg, completed = dec.load_manifest(workdir)
-    if len(completed) != cfg.m_sub:
-        raise ContractError(
-            f"checkpoint directory {workdir} holds {len(completed)}/{cfg.m_sub} "
-            "subproblems; finish training (or --resume) first")
-    actors = []
-    for i in range(1, cfg.m_sub + 1):
-        actor, _ = dec.load_models(workdir / dec.checkpoint_name(i), cfg)
-        actors.append(actor)
-    return cfg, actors
-
-
 def cmd_solve(args) -> int:
     if bool(args.instance) == bool(args.tsplib):
         raise ContractError("give exactly one of --instance or --tsplib A B")
     workdir = _resolve_workdir(args.ckpt)
-    cfg, actors = _load_actors(workdir)
+    actors = dec.TrainedActors(workdir)
+    cfg = actors.cfg
     if args.instance:
         inst = load_native(args.instance)
     else:

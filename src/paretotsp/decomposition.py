@@ -242,9 +242,8 @@ def pack_models(actor: ActorParams, critic: CriticParams) -> dict[str, np.ndarra
 
 def unpack_models(arrays: dict[str, np.ndarray], cfg: RunConfig,
                   dtype=np.float32) -> tuple[ActorParams, CriticParams]:
-    rng = np.random.default_rng(0)
-    actor = ActorParams.init(cfg.model_config(), rng, dtype=dtype)
-    critic = CriticParams.init(rng, dtype=dtype)
+    actor = ActorParams.zeros(cfg.model_config(), dtype=dtype)
+    critic = CriticParams.zeros(dtype=dtype)
     actor_arrays = {k[len("actor."):]: v for k, v in arrays.items() if k.startswith("actor.")}
     critic_arrays = {k[len("critic."):]: v for k, v in arrays.items() if k.startswith("critic.")}
     if len(actor_arrays) + len(critic_arrays) != len(arrays):
@@ -315,6 +314,32 @@ def load_manifest(workdir) -> tuple[RunConfig, list[int]]:
     return cfg, completed
 
 
+class TrainedActors:
+    """The M final actors of a finished run directory, in subproblem order.
+
+    Construction reads only the manifest and fails unless all M subproblems
+    are complete. Iterating reads each `model_<i>.ckpt` only when it reaches
+    it, so a consumer that keeps only part of each actor never holds all M
+    at once. Every new iteration reads the files again.
+    """
+
+    def __init__(self, workdir):
+        self.workdir = Path(workdir)
+        self.cfg, completed = load_manifest(self.workdir)
+        if len(completed) != self.cfg.m_sub:
+            raise ContractError(
+                f"checkpoint directory {self.workdir} holds {len(completed)}/{self.cfg.m_sub} "
+                "subproblems; finish training (or --resume) first")
+
+    def __len__(self) -> int:
+        return self.cfg.m_sub
+
+    def __iter__(self):
+        for i in range(1, self.cfg.m_sub + 1):
+            actor, _ = load_models(self.workdir / checkpoint_name(i), self.cfg)
+            yield actor
+
+
 # ---------------------------------------------------------------------------
 # schedule runner
 
@@ -377,8 +402,4 @@ def run_schedule(cfg: RunConfig, workdir, resume: bool = False,
         completed.append(i)
         write_manifest(workdir, cfg, completed)
 
-    actors = []
-    for i in range(1, sched.m_sub + 1):
-        a, _ = load_models(workdir / checkpoint_name(i), cfg)
-        actors.append(a)
-    return actors
+    return list(TrainedActors(workdir))

@@ -153,20 +153,16 @@ class HvConfig:
 def approximate_pf(inst: MotspInstance, models) -> ParetoArchive:
     """Greedy rollout of every model on `inst`, kept if nondominated.
 
-    The archive records which model produced each survivor, as a 1-based
+    `models` is any iterable of actors; all of them decode together in one
+    loop (`model.greedy_tours`), and each is released once encoded. The
+    archive records which model produced each survivor, as a 1-based
     position matching the subproblem numbering of checkpoints.
     """
-    from .model import rollout
+    from .model import greedy_tours
 
-    if not models:
-        raise ContractError("approximate_pf needs at least one model")
-    tours = []
-    rows = []
-    for actor in models:
-        tour, _ = rollout(inst, actor, mode="greedy")
-        tours.append(tour)
-        rows.append(evaluate_objectives(inst, tour))
-    return ParetoArchive.from_candidates(tours, np.stack(rows), list(range(1, len(models) + 1)))
+    tours = [Tour(order) for order in greedy_tours(inst.features, models)]
+    rows = np.stack([evaluate_objectives(inst, tour) for tour in tours])
+    return ParetoArchive.from_candidates(tours, rows, list(range(1, len(tours) + 1)))
 
 
 def union_bounds(archives) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,9 @@ The critic maps raw node features through four kernel-1 convolution stages
 Training works on batches: node embeddings live in (B*n, d_h) arrays so batch
 norm statistics run over the node dimension of the whole batch, and attention
 uses per-instance (B, n, ...) views. The single-instance API wraps batches of
-one with batch norm in inference mode.
+one with batch norm in inference mode. `greedy_tours` decodes one instance
+under many actors at once: their decoder inputs are stacked on a leading
+model axis, so the actors are the batch rows of a single decode.
 """
 
 from __future__ import annotations
@@ -50,8 +52,18 @@ class ModelConfig:
 
 
 def _linear(x: ad.Array, w: ad.Array, b: ad.Array | None = None) -> ad.Array:
-    """x (rows, in) with w stored (out, in) as in the math; optional bias."""
-    h = ad.matmul(x, ad.transpose_last2(w))
+    """x (rows, in) with w stored (out, in) as in the math; optional bias.
+
+    A 3-D w (rows, out, in) holds one weight per row of x, and row r is the
+    matrix-vector product w[r] @ x[r]; that form needs no transposed view of
+    the stacked weights, whose finiteness check would cost a full pass over
+    them on every call.
+    """
+    if w.data.ndim == 3:
+        rows, out, d_in = w.shape
+        h = ad.reshape(ad.bmm(w, ad.reshape(x, (rows, d_in, 1))), (rows, out))
+    else:
+        h = ad.matmul(x, ad.transpose_last2(w))
     return ad.add_bias(h, b) if b is not None else h
 
 
@@ -75,9 +87,19 @@ class ActorParams:
 
     @classmethod
     def init(cls, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> "ActorParams":
-        self = cls(cfg, dtype)
         bound = 1.0 / math.sqrt(cfg.d_h)
-        u = lambda *shape: rng.uniform(-bound, bound, shape)
+        return cls._build(cfg, dtype, lambda *shape: rng.uniform(-bound, bound, shape))
+
+    @classmethod
+    def zeros(cls, cfg: ModelConfig, dtype=np.float32) -> "ActorParams":
+        """Every array at its shape, zero-filled: a target for `load_state`
+        that draws no random numbers."""
+        return cls._build(cfg, dtype, lambda *shape: np.zeros(shape, dtype))
+
+    @classmethod
+    def _build(cls, cfg: ModelConfig, dtype, u) -> "ActorParams":
+        """Arrays filled by `u(*shape)`, called in a fixed order."""
+        self = cls(cfg, dtype)
         d_h, d_k, d_ff = cfg.d_h, cfg.d_k, cfg.d_ff
 
         self._add("enc.init.W", u(d_h, cfg.d_x))
@@ -136,7 +158,7 @@ class ActorParams:
             state.running_var = np.asarray(arrays[f"{name}.running_var"], dtype=self.dtype)
 
     def copy(self) -> "ActorParams":
-        dup = ActorParams.init(self.cfg, np.random.default_rng(0), self.dtype)
+        dup = ActorParams.zeros(self.cfg, self.dtype)
         dup.load_state({k: v.copy() for k, v in self.state_arrays().items()})
         return dup
 
@@ -152,11 +174,21 @@ class CriticParams:
     @classmethod
     def init(cls, rng: np.random.Generator, dtype=np.float32,
              channels=DEFAULT_CRITIC_CHANNELS) -> "CriticParams":
+        return cls._build(channels, dtype, lambda bound, shape: rng.uniform(-bound, bound, shape))
+
+    @classmethod
+    def zeros(cls, dtype=np.float32, channels=DEFAULT_CRITIC_CHANNELS) -> "CriticParams":
+        """Every array at its shape, zero-filled: a target for `load_state`."""
+        return cls._build(channels, dtype, lambda bound, shape: np.zeros(shape, dtype))
+
+    @classmethod
+    def _build(cls, channels, dtype, u) -> "CriticParams":
+        """Arrays filled by `u(bound, shape)`, called in a fixed order."""
         self = cls(channels, dtype)
         for k, (c_in, c_out) in enumerate(self.channels, start=1):
             bound = 1.0 / math.sqrt(c_in)
-            self.params[f"conv{k}.W"] = ad.param(rng.uniform(-bound, bound, (c_out, c_in)), dtype=dtype)
-            self.params[f"conv{k}.b"] = ad.param(rng.uniform(-bound, bound, c_out), dtype=dtype)
+            self.params[f"conv{k}.W"] = ad.param(u(bound, (c_out, c_in)), dtype=dtype)
+            self.params[f"conv{k}.b"] = ad.param(u(bound, c_out), dtype=dtype)
         return self
 
     def trainable(self) -> list[ad.Array]:
@@ -179,7 +211,7 @@ class CriticParams:
             p.data = arr
 
     def copy(self) -> "CriticParams":
-        dup = CriticParams.init(np.random.default_rng(0), self.dtype, self.channels)
+        dup = CriticParams.zeros(self.dtype, self.channels)
         dup.load_state({k: v.copy() for k, v in self.state_arrays().items()})
         return dup
 
@@ -273,6 +305,20 @@ class _DecoderCache:
             self.values.append(ad.reshape(_linear(enc.nodes2d, p[f"dec.head{a}.Wv"]), (batch, n, cfg.d_k)))
         self.final_keys = ad.reshape(_linear(enc.nodes2d, p["dec.final.Wk"]), (batch, n, cfg.d_h))
 
+    @classmethod
+    def stack(cls, caches: list["_DecoderCache"]) -> "_DecoderCache":
+        """One cache whose batch rows are the rows of `caches`, in order."""
+        out = cls.__new__(cls)
+        out.keys = [_stack_rows([c.keys[h] for c in caches]) for h in range(len(caches[0].keys))]
+        out.values = [_stack_rows([c.values[h] for c in caches]) for h in range(len(caches[0].values))]
+        out.final_keys = _stack_rows([c.final_keys for c in caches])
+        return out
+
+
+def _stack_rows(parts: list[ad.Array]) -> ad.Array:
+    """Concatenate along the leading axis, outside the tape."""
+    return ad.constant(np.concatenate([p.data for p in parts]))
+
 
 class BatchDecodeState:
     def __init__(self, enc: EncodedBatch, cache: _DecoderCache):
@@ -294,7 +340,8 @@ class BatchDecodeState:
         self.t += 1
 
 
-def _decode_step_batch(state: BatchDecodeState, actor: ActorParams, want_logits: bool = False):
+def _decode_step_batch(state: BatchDecodeState, actor: "ActorParams | _StackedDecoder",
+                       want_logits: bool = False):
     cfg = actor.cfg
     p = actor.params
     enc, cache = state.enc, state.cache
@@ -305,9 +352,11 @@ def _decode_step_batch(state: BatchDecodeState, actor: ActorParams, want_logits:
     inv_sqrt_dk = 1.0 / math.sqrt(d_k)
 
     if state.t == 1:
-        zeros = np.zeros(batch, dtype=np.intp)
-        first = ad.gather_rows(ad.reshape(p["dec.v1"], (1, d_h)), zeros)
-        last = ad.gather_rows(ad.reshape(p["dec.vf"], (1, d_h)), zeros)
+        # A (d_h,) placeholder serves every row; a stacked (rows, d_h) one
+        # gives each row its own.
+        own = np.arange(batch) if p["dec.v1"].data.ndim == 2 else np.zeros(batch, dtype=np.intp)
+        first = ad.gather_rows(ad.reshape(p["dec.v1"], (-1, d_h)), own)
+        last = ad.gather_rows(ad.reshape(p["dec.vf"], (-1, d_h)), own)
     else:
         base = np.arange(batch) * n
         first = ad.gather_rows(enc.nodes2d, base + state.first)
@@ -364,6 +413,13 @@ def rollout_batch(features: np.ndarray, actor: ActorParams, mode: str,
             raise DimensionError(f"forced_tours must be ({batch}, {n}), got {forced_tours.shape}")
     enc = encode_batch(feats, actor, bn_mode)
     state = BatchDecodeState(enc, _DecoderCache(enc, actor))
+    return _decode(state, actor, mode, rng, want_step_probs, forced_tours)
+
+
+def _decode(state: BatchDecodeState, actor, mode: str, rng=None, want_step_probs: bool = False,
+            forced_tours: np.ndarray | None = None):
+    """The n decode steps of `rollout_batch` from a fresh state."""
+    batch, n = state.enc.batch, state.enc.n
     tours = np.empty((batch, n), dtype=np.intp)
     rows = np.arange(batch)
     logp = None
@@ -384,6 +440,50 @@ def rollout_batch(features: np.ndarray, actor: ActorParams, mode: str,
         tours[:, t] = chosen
         state.advance(chosen)
     return tours, logp, step_probs
+
+
+@dataclass
+class _StackedDecoder:
+    """The weights a decode step reads, one leading row per actor."""
+
+    cfg: ModelConfig
+    params: dict[str, ad.Array]
+
+
+def greedy_tours(features: np.ndarray, actors) -> np.ndarray:
+    """(M, n) greedy tours of one instance, row i under the i-th of `actors`.
+
+    `actors` is any iterable of actors sharing one config and dtype. Each is
+    encoded without a tape as soon as it is drawn; only its encodings, its
+    key/value caches and the decoder weights are kept. These are stacked on a
+    leading model axis, so the M actors are the batch rows of one
+    `BatchDecodeState` and one n-step loop decodes them all. Row i equals the
+    tour of `rollout_batch(features[None], actor_i, "greedy")`.
+    """
+    feats = np.asarray(features)[None, :, :]
+    cfg = dtype = None
+    encs, caches, weights = [], [], []
+    with ad.no_grad():
+        for actor in actors:
+            if cfg is None:
+                cfg, dtype = actor.cfg, actor.dtype
+            elif (actor.cfg, actor.dtype) != (cfg, dtype):
+                raise ContractError("greedy_tours needs actors of one model config and dtype")
+            enc = encode_batch(feats, actor, "infer")
+            encs.append(enc)
+            caches.append(_DecoderCache(enc, actor))
+            # The key/value projections are in the cache; the rest is read per step.
+            weights.append({name: p.data for name, p in actor.params.items()
+                            if name.startswith("dec.") and not name.endswith(("Wk", "Wv"))})
+        if cfg is None:
+            raise ContractError("greedy_tours needs at least one actor")
+        enc = EncodedBatch(_stack_rows([e.nodes2d for e in encs]), _stack_rows([e.graph for e in encs]),
+                           len(encs), feats.shape[1])
+        state = BatchDecodeState(enc, _DecoderCache.stack(caches))
+        decoder = _StackedDecoder(cfg, {name: ad.constant(np.stack([w[name] for w in weights]))
+                                        for name in weights[0]})
+        tours, _, _ = _decode(state, decoder, "greedy")
+    return tours
 
 
 class DecodeState:

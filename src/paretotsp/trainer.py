@@ -108,13 +108,6 @@ class Adam:
             v += (1.0 - b2) * g * g
             p.data = p.data - (self.lr / bias1) * m / (np.sqrt(v / bias2) + self.eps)
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {"t": np.array([self.t], dtype=np.float64)}
-        for i, (m, v) in enumerate(zip(self.m, self.v)):
-            out[f"m{i}"] = m
-            out[f"v{i}"] = v
-        return out
-
 
 def clip_gradients(params: list[ad.Array], max_norm: float) -> float:
     """Scale all gradients so their global norm is at most max_norm.

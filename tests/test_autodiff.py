@@ -218,6 +218,56 @@ def test_composite_matmul_relu_mean_gradient():
 
 
 # ---------------------------------------------------------------------------
+# no_grad
+
+
+def test_no_grad_records_nothing():
+    p = ad.param(np.array([[1.0, -2.0], [3.0, 0.5]]))
+    with ad.no_grad():
+        h = ad.relu(ad.matmul(p, p))
+        loss = to_scalar(h)
+    assert p.requires_grad
+    for out in (h, loss):
+        assert out._parents == ()
+        assert out._backward is None
+        assert not out.requires_grad
+    np.testing.assert_array_equal(h.data, np.maximum(p.data @ p.data, 0.0))
+
+
+def test_no_grad_restores_state_after_nesting_and_errors():
+    p = ad.param(np.ones(2))
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        assert not ad.scale(p, 2.0).requires_grad
+    assert ad.scale(p, 2.0).requires_grad
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("boom")
+    out = ad.scale(p, 2.0)
+    assert out.requires_grad and out._parents == (p,)
+
+
+def test_no_grad_still_checks_values_and_shapes():
+    big = ad.param(np.array([1e200, 1.0]))
+    with ad.no_grad(), np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError):
+            ad.mul(big, big)
+        with pytest.raises(NonFiniteError):
+            ad.constant(np.array([np.nan]))
+        with pytest.raises(DimensionError):
+            ad.matmul(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 3))))
+
+
+def test_backward_through_grad_free_result_leaves_params_untouched():
+    p = ad.param(np.array([1.0, 2.0]))
+    with ad.no_grad():
+        loss = to_scalar(ad.mul(p, p))
+    ad.backward(loss)
+    assert p.grad is None
+
+
+# ---------------------------------------------------------------------------
 # finite differences for every op, many seeds
 
 

@@ -6,7 +6,8 @@ from paretotsp.cli import CKPT_ROOT_ENV, main, parse_config_file
 from paretotsp.decomposition import (MANIFEST_NAME, RunConfig,
                                      checkpoint_name, write_manifest)
 from paretotsp.errors import ParseError
-from paretotsp.instances import Tour, evaluate_objectives, load_native
+from paretotsp.instances import (MotspInstance, Tour, evaluate_objectives,
+                                 load_native, save_native)
 
 TINY_CONFIG = """\
 # tiny smoke-test run
@@ -232,6 +233,17 @@ def test_solve_rejects_unfinished_checkpoints(tmp_path, capsys):
                  "--instance", str(tmp_path / "rand_n4_s0_0.motsp"),
                  "--out", str(tmp_path / "pf.csv")]) == 2
     assert "0/2" in capsys.readouterr().err
+
+
+def test_solve_checks_instance_before_reading_checkpoints(tmp_path, capsys):
+    cfg = RunConfig(d_h=8, n_heads=2, d_ff=16, n_nodes=4, batch_size=4,
+                    dataset_size=8, m_sub=2, seed=3)
+    # a complete manifest whose checkpoint files do not exist
+    write_manifest(tmp_path, cfg, [1, 2])
+    save_native(MotspInstance(np.random.default_rng(0).random((4, 6))), tmp_path / "wide.motsp")
+    assert main(["solve", "--ckpt", str(tmp_path), "--instance", str(tmp_path / "wide.motsp"),
+                 "--out", str(tmp_path / "pf.csv")]) == 2
+    assert "d_x=6" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from paretotsp.decomposition import (MANIFEST_NAME, RunConfig,
-                                     SubproblemSchedule, checkpoint_name,
+                                     SubproblemSchedule, TrainedActors,
+                                     checkpoint_name,
                                      config_hash, load_manifest, load_models,
                                      make_schedule, make_weights,
                                      metrics_name, pack_models,
@@ -313,3 +314,32 @@ def test_resume_rejects_missing_listed_checkpoint(tmp_path):
     (tmp_path / checkpoint_name(2)).unlink()
     with pytest.raises(ContractError):
         run_schedule(cfg, tmp_path, resume=True)
+
+
+def test_trained_actors_reads_checkpoints_one_at_a_time(tmp_path):
+    cfg = RunConfig(**TINY)
+    rng = np.random.default_rng(8)
+    saved = []
+    for i in range(1, cfg.m_sub + 1):
+        actor = ActorParams.init(cfg.model_config(), rng)
+        save_models(tmp_path / checkpoint_name(i), actor, CriticParams.init(rng))
+        saved.append(actor)
+    write_manifest(tmp_path, cfg, list(range(1, cfg.m_sub + 1)))
+    actors = TrainedActors(tmp_path)
+    assert len(actors) == cfg.m_sub
+    it = iter(actors)
+    for want in saved[:2]:
+        got = next(it)
+        for k, v in want.state_arrays().items():
+            np.testing.assert_array_equal(got.state_arrays()[k], v)
+    # the last file is read only when iteration reaches it
+    (tmp_path / checkpoint_name(cfg.m_sub)).unlink()
+    with pytest.raises(FileNotFoundError):
+        next(it)
+
+
+def test_trained_actors_rejects_unfinished_runs(tmp_path):
+    cfg = RunConfig(**TINY)
+    write_manifest(tmp_path, cfg, [1])
+    with pytest.raises(ContractError, match="1/3"):
+        TrainedActors(tmp_path)

@@ -12,8 +12,10 @@ from paretotsp.evaluation import (ArchiveEntry, HvConfig, ParetoArchive,
                                   normalize, pareto_filter,
                                   pareto_filter_indices, read_pf_csv,
                                   union_bounds, write_hv_report, write_pf_csv)
-from paretotsp.instances import Tour, generate_random
-from paretotsp.model import ActorParams, ModelConfig
+from paretotsp import decomposition as dec
+from paretotsp.cli import main
+from paretotsp.instances import Tour, evaluate_objectives, generate_random, save_native
+from paretotsp.model import ActorParams, CriticParams, ModelConfig, rollout
 
 from oracles import hv_grid, pareto_brute
 
@@ -218,6 +220,71 @@ def test_approximate_pf_size_bounded_and_order_invariant():
 def test_approximate_pf_needs_models():
     with pytest.raises(ContractError):
         approximate_pf(generate_random(5, seed=1), [])
+    with pytest.raises(ContractError):
+        approximate_pf(generate_random(5, seed=1), iter([]))
+
+
+def _per_model_front(inst, actors) -> ParetoArchive:
+    """Reference: one tape-path greedy rollout per model, filtered."""
+    tours = [rollout(inst, a, mode="greedy")[0] for a in actors]
+    rows = np.stack([evaluate_objectives(inst, t) for t in tours])
+    return ParetoArchive.from_candidates(tours, rows, list(range(1, len(actors) + 1)))
+
+
+def _assert_same_front(got: ParetoArchive, want: ParetoArchive):
+    assert [e.subproblem for e in got.entries] == [e.subproblem for e in want.entries]
+    assert [e.tour.order for e in got.entries] == [e.tour.order for e in want.entries]
+    np.testing.assert_array_equal(got.points(), want.points())
+
+
+DESK_MODEL = ModelConfig(d_h=16, n_heads=2, d_ff=64)
+FULL_MODEL = ModelConfig()
+
+
+@pytest.mark.parametrize("cfg,n", [(DESK_MODEL, 10), (FULL_MODEL, 20)], ids=["desk", "full"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_approximate_pf_matches_per_model_rollouts(cfg, n, seed):
+    rng = np.random.default_rng(seed)
+    actors = [ActorParams.init(cfg, rng) for _ in range(6)]
+    inst = generate_random(n, seed=50 + seed)
+    _assert_same_front(approximate_pf(inst, actors), _per_model_front(inst, actors))
+
+
+def test_approximate_pf_repeated_actor_matches_per_model():
+    inst = generate_random(10, seed=4)
+    actor = ActorParams.init(DESK_MODEL, np.random.default_rng(7))
+    _assert_same_front(approximate_pf(inst, [actor] * 5), _per_model_front(inst, [actor] * 5))
+
+
+def test_approximate_pf_accepts_a_generator():
+    inst = generate_random(10, seed=5)
+    actors = [ActorParams.init(DESK_MODEL, np.random.default_rng(20 + i)) for i in range(4)]
+    _assert_same_front(approximate_pf(inst, (a for a in actors)), _per_model_front(inst, actors))
+
+
+def test_approximate_pf_rejects_mixed_configs():
+    inst = generate_random(6, seed=0)
+    mixed = [ActorParams.init(DESK_MODEL, np.random.default_rng(0)),
+             ActorParams.init(ModelConfig(d_h=8, n_heads=2, d_ff=16), np.random.default_rng(1))]
+    with pytest.raises(ContractError):
+        approximate_pf(inst, mixed)
+
+
+def test_solve_csv_matches_per_model_reference(tmp_path):
+    cfg = dec.RunConfig(d_h=16, n_heads=2, d_ff=64, n_nodes=10, m_sub=5, seed=9)
+    rng = np.random.default_rng(9)
+    actors = []
+    for i in range(1, cfg.m_sub + 1):
+        actor = ActorParams.init(cfg.model_config(), rng)
+        dec.save_models(tmp_path / dec.checkpoint_name(i), actor, CriticParams.init(rng))
+        actors.append(dec.load_models(tmp_path / dec.checkpoint_name(i), cfg)[0])
+    dec.write_manifest(tmp_path, cfg, list(range(1, cfg.m_sub + 1)))
+    inst = generate_random(10, seed=11)
+    save_native(inst, tmp_path / "inst.motsp")
+    assert main(["solve", "--ckpt", str(tmp_path), "--instance", str(tmp_path / "inst.motsp"),
+                 "--out", str(tmp_path / "pf.csv")]) == 0
+    write_pf_csv(tmp_path / "ref.csv", _per_model_front(inst, actors), cfg.schedule().weights)
+    assert (tmp_path / "pf.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -425,3 +425,14 @@ def test_copies_are_independent():
     cdup = critic.copy()
     cdup.params["conv1.W"].data = cdup.params["conv1.W"].data * 2.0
     assert not np.array_equal(critic.params["conv1.W"].data, cdup.params["conv1.W"].data)
+
+
+def test_zeros_constructors_lay_out_like_init():
+    rng = np.random.default_rng(45)
+    cfg = ModelConfig(d_h=16, n_heads=2, d_ff=64)
+    for empty, drawn in [(ActorParams.zeros(cfg), ActorParams.init(cfg, rng)),
+                         (CriticParams.zeros(), CriticParams.init(rng))]:
+        got, want = empty.state_arrays(), drawn.state_arrays()
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert got[name].shape == arr.shape and got[name].dtype == arr.dtype
