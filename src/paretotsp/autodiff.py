@@ -175,7 +175,13 @@ def bmm(a: Array, b: Array) -> Array:
     out_data = a.data @ b.data
 
     def back(g):
-        return g @ np.swapaxes(b.data, 1, 2), np.swapaxes(a.data, 1, 2) @ g
+        if a.shape[1] == 1:
+            # One row per batch item: a.T @ g is an outer product, which
+            # broadcasting computes far faster than a stacked matmul.
+            gb = a.data[:, 0, :, None] * g
+        else:
+            gb = np.swapaxes(a.data, 1, 2) @ g
+        return g @ np.swapaxes(b.data, 1, 2), gb
 
     return Array(out_data, _parents=(a, b), _backward=back, _op="bmm")
 
@@ -299,6 +305,19 @@ def transpose_last2(x: Array) -> Array:
         return (np.swapaxes(g, -1, -2),)
 
     return Array(np.swapaxes(x.data, -1, -2), _parents=(x,), _backward=back, _op="transpose_last2")
+
+
+def permute(x: Array, axes) -> Array:
+    """Reorder the axes of x (numpy transpose); backward applies the inverse order."""
+    axes = tuple(int(a) for a in axes)
+    if sorted(axes) != list(range(x.data.ndim)):
+        raise DimensionError(f"permute axes {axes} do not reorder the {x.data.ndim} axes of {x.shape}")
+    inverse = tuple(int(a) for a in np.argsort(axes))
+
+    def back(g):
+        return (np.transpose(g, inverse),)
+
+    return Array(np.transpose(x.data, axes), _parents=(x,), _backward=back, _op="permute")
 
 
 def gather_rows(x: Array, idx) -> Array:

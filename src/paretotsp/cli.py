@@ -95,9 +95,6 @@ def _resolve_workdir(flag_value) -> Path:
 
 
 def cmd_train(args) -> int:
-    if args.workers != 1:
-        print(f"note: only single-worker execution is implemented; ignoring --workers {args.workers}",
-              file=sys.stderr)
     cfg = dec.RunConfig.from_mapping(parse_config_file(args.config))
     workdir = _resolve_workdir(args.out)
     started = time.perf_counter()
@@ -191,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help=f"checkpoint directory (default ${CKPT_ROOT_ENV})")
     p.add_argument("--resume", action="store_true",
                    help="continue after the last completed subproblem")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("solve", help="approximate the Pareto front of one instance")

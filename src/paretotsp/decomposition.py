@@ -5,10 +5,11 @@ uniform weight sweep λ_i = ((i-1)/(M-1), 1-(i-1)/(M-1)). Subproblem 1 trains
 from fresh initialization for its own epoch budget; every later subproblem
 starts from an exact copy of its predecessor's final parameters and trains
 briefly. Each subproblem's finished model is persisted as `model_<i>.ckpt`
-(named float32 little-endian arrays behind a versioned header) next to a
+(named float32 little-endian arrays behind a versioned header; v1 files of
+the per-head attention layout still load, fused on reading) next to a
 `manifest.json` carrying the full run configuration, its hash, the seeds,
 and the list of completed subproblems — enough to resume or to reproduce the
-run bit for bit in single-worker mode.
+run bit for bit.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ import numpy as np
 
 from .errors import ContractError, ParseError
 from .instances import PRNG_NAME
-from .model import ActorParams, CriticParams, ModelConfig
+from .model import ActorParams, CriticParams, ModelConfig, fuse_v1_arrays
 from .trainer import TrainConfig, train_subproblem
 
 log = logging.getLogger(__name__)
 
 CKPT_MAGIC = "paretotsp-ckpt"
-CKPT_VERSION = "v1"
+CKPT_VERSION = "v2"
+CKPT_V1 = "v1"          # per-head attention arrays; read and fused, never written
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "paretotsp-manifest v1"
 
@@ -178,6 +180,11 @@ def write_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
+    """The named arrays of a checkpoint file, in the current layout.
+
+    A v1 file's per-head attention blocks come back fused. Malformed files and
+    arrays holding NaN or Inf raise ParseError naming the file.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
         data = fh.read()
@@ -200,7 +207,7 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
             fail("non-ascii header line")
 
     header = read_line()
-    if header != f"{CKPT_MAGIC} {CKPT_VERSION}":
+    if header not in (f"{CKPT_MAGIC} {CKPT_VERSION}", f"{CKPT_MAGIC} {CKPT_V1}"):
         fail(f"bad checkpoint header {header!r}")
     count_line = read_line()
     if not count_line.startswith("count="):
@@ -228,9 +235,16 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         if pos + nbytes > len(data):
             fail(f"truncated data for array {name!r}")
         arrays[name] = np.frombuffer(data[pos:pos + nbytes], dtype="<f4").reshape(dims).copy()
+        if not np.isfinite(arrays[name]).all():
+            fail(f"array {name!r} holds NaN or Inf")
         pos += nbytes
     if pos != len(data):
         fail(f"{len(data) - pos} trailing bytes after the last array")
+    if header == f"{CKPT_MAGIC} {CKPT_V1}":
+        try:
+            return fuse_v1_arrays(arrays)
+        except ContractError as exc:
+            fail(str(exc))
     return arrays
 
 
@@ -383,11 +397,9 @@ def run_schedule(cfg: RunConfig, workdir, resume: bool = False,
         weights = sched.weights[i - 1]
         epochs = sched.epochs[i - 1]
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
-        partial = workdir / (checkpoint_name(i) + ".partial")
         metrics_path = workdir / metrics_name(i)
 
         def persist_epoch(epoch, a, c, report):
-            save_models(partial, a, c)
             report.write_csv(metrics_path)
 
         log.info("subproblem %d/%d: weights (%.6f, %.6f), %d epoch(s)",
@@ -396,9 +408,8 @@ def run_schedule(cfg: RunConfig, workdir, resume: bool = False,
             progress(i, sched.m_sub, weights)
         report = train_subproblem(weights, actor, critic, cfg.train_config(epochs),
                                   rng=rng, epoch_callback=persist_epoch)
-        save_models(partial, actor, critic)
         report.write_csv(metrics_path)
-        os.replace(partial, workdir / checkpoint_name(i))
+        save_models(workdir / checkpoint_name(i), actor, critic)
         completed.append(i)
         write_manifest(workdir, cfg, completed)
 

@@ -11,6 +11,11 @@ single-head attention; visited nodes get probability exactly 0.
 The critic maps raw node features through four kernel-1 convolution stages
 (per-node linear layers) and averages the per-node scalars into a baseline.
 
+Each attention projection is one fused matrix whose rows (columns for the
+output projection) hold the H heads' blocks in head order; attention splits
+the heads by reshaping to (B*H, n, d_k), so it costs the same number of tape
+ops whatever H is.
+
 Training works on batches: node embeddings live in (B*n, d_h) arrays so batch
 norm statistics run over the node dimension of the whole batch, and attention
 uses per-instance (B, n, ...) views. The single-instance API wraps batches of
@@ -22,6 +27,7 @@ model axis, so the actors are the batch rows of a single decode.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +73,44 @@ def _linear(x: ad.Array, w: ad.Array, b: ad.Array | None = None) -> ad.Array:
     return ad.add_bias(h, b) if b is not None else h
 
 
+# The axis along which a fused projection stacks its H per-head blocks.
+_FUSED_AXIS = {"Wq": 0, "Wk": 0, "Wv": 0, "Wo": 1}
+_V1_HEAD_NAME = re.compile(r"^(?P<layer>.*)\.head(?P<head>[1-9][0-9]*)\.(?P<proj>W[qkvo])$")
+
+
+def fuse_v1_arrays(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Named arrays of the v1 per-head layout in the fused layout of `_build`.
+
+    The blocks `<layer>.head<a>.W<p>` for a = 1..H become one array
+    `<layer>.W<p>`, stacked in head order along `_FUSED_AXIS`; that is exact.
+    Every other array passes through under its own name, whatever the prefix.
+    """
+    out: dict[str, np.ndarray | None] = {}
+    heads: dict[str, dict[int, np.ndarray]] = {}
+    for name, arr in arrays.items():
+        m = _V1_HEAD_NAME.match(name)
+        fused = name if m is None else f"{m['layer']}.{m['proj']}"
+        # A fused name comes either from per-head blocks or from one array.
+        if fused in out and (m is None) == (fused in heads):
+            raise ContractError(f"v1 arrays hold both {fused} and its per-head blocks")
+        if m is None:
+            out[name] = arr
+        else:
+            out[fused] = None               # keeps the first block's position
+            heads.setdefault(fused, {})[int(m["head"])] = arr
+    for fused, blocks in heads.items():
+        if sorted(blocks) != list(range(1, len(blocks) + 1)):
+            raise ContractError(f"v1 heads of {fused} are not numbered 1..H: {sorted(blocks)}")
+        try:
+            out[fused] = np.concatenate([blocks[a] for a in range(1, len(blocks) + 1)],
+                                        axis=_FUSED_AXIS[fused.rsplit(".", 1)[1]])
+        except ValueError as exc:
+            raise DimensionError(f"v1 heads of {fused} do not stack: {exc}") from exc
+    return out
+
+
 class ActorParams:
-    """All trainable arrays of one encoder+decoder, keyed by layer/head names."""
+    """All trainable arrays of one encoder+decoder, keyed by layer names."""
 
     def __init__(self, cfg: ModelConfig, dtype=np.float32):
         self.cfg = cfg
@@ -98,18 +140,29 @@ class ActorParams:
 
     @classmethod
     def _build(cls, cfg: ModelConfig, dtype, u) -> "ActorParams":
-        """Arrays filled by `u(*shape)`, called in a fixed order."""
+        """Arrays filled by `u(*shape)`, called in a fixed order.
+
+        The per-head blocks of each attention sublayer are drawn head by head,
+        Wq, Wk, Wv, Wo within a head, and stacked into the fused matrices, so
+        a fused actor equals `fuse_v1_arrays` of the v1 per-head draw.
+        """
         self = cls(cfg, dtype)
         d_h, d_k, d_ff = cfg.d_h, cfg.d_k, cfg.d_ff
+
+        def attention(layer: str, d_q: int) -> None:
+            blocks = {"Wq": [], "Wk": [], "Wv": [], "Wo": []}
+            for _ in range(cfg.n_heads):
+                blocks["Wq"].append(u(d_k, d_q))
+                blocks["Wk"].append(u(d_k, d_h))
+                blocks["Wv"].append(u(d_k, d_h))
+                blocks["Wo"].append(u(d_h, d_k))
+            for proj, parts in blocks.items():
+                self._add(f"{layer}.{proj}", np.concatenate(parts, axis=_FUSED_AXIS[proj]))
 
         self._add("enc.init.W", u(d_h, cfg.d_x))
         self._add("enc.init.b", u(d_h))
         for l in range(1, cfg.n_layers + 1):
-            for a in range(1, cfg.n_heads + 1):
-                self._add(f"enc.l{l}.head{a}.Wq", u(d_k, d_h))
-                self._add(f"enc.l{l}.head{a}.Wk", u(d_k, d_h))
-                self._add(f"enc.l{l}.head{a}.Wv", u(d_k, d_h))
-                self._add(f"enc.l{l}.head{a}.Wo", u(d_h, d_k))
+            attention(f"enc.l{l}", d_h)
             self._add_bn(f"enc.l{l}.bn1")
             self._add(f"enc.l{l}.ff.W0", u(d_ff, d_h))
             self._add(f"enc.l{l}.ff.b0", u(d_ff))
@@ -118,11 +171,7 @@ class ActorParams:
             self._add_bn(f"enc.l{l}.bn2")
         self._add("dec.v1", u(d_h))
         self._add("dec.vf", u(d_h))
-        for a in range(1, cfg.n_heads + 1):
-            self._add(f"dec.head{a}.Wq", u(d_k, 3 * d_h))
-            self._add(f"dec.head{a}.Wk", u(d_k, d_h))
-            self._add(f"dec.head{a}.Wv", u(d_k, d_h))
-            self._add(f"dec.head{a}.Wo", u(d_h, d_k))
+        attention("dec", 3 * d_h)
         self._add("dec.final.Wq", u(d_h, d_h))
         self._add("dec.final.Wk", u(d_h, d_h))
         return self
@@ -235,6 +284,18 @@ class EncodedBatch:
         self.n = n
 
 
+def _split_heads(x2d: ad.Array, batch: int, heads: int, axes) -> ad.Array:
+    """(B*n, H*d_k) rows, head-major in each row, as (B*H, ., .) per-head blocks.
+
+    `axes` orders (B, H, n, d_k): (0, 2, 1, 3) gives (B*H, n, d_k) and
+    (0, 2, 3, 1) the transposed (B*H, d_k, n).
+    """
+    n = x2d.shape[0] // batch
+    d_k = x2d.shape[1] // heads
+    blocks = ad.permute(ad.reshape(x2d, (batch, n, heads, d_k)), axes)
+    return ad.reshape(blocks, (batch * heads,) + blocks.shape[2:])
+
+
 def encode_batch(features: np.ndarray, actor: ActorParams, mode: str) -> EncodedBatch:
     cfg = actor.cfg
     feats = np.asarray(features)
@@ -244,22 +305,20 @@ def encode_batch(features: np.ndarray, actor: ActorParams, mode: str) -> Encoded
     if n < 2:
         raise ContractError("encoder needs n >= 2 nodes")
     p = actor.params
-    d_h, d_k = cfg.d_h, cfg.d_k
-    inv_sqrt_dk = 1.0 / math.sqrt(d_k)
+    d_h, heads = cfg.d_h, cfg.n_heads
+    inv_sqrt_dk = 1.0 / math.sqrt(cfg.d_k)
 
     x = ad.constant(feats.reshape(batch * n, cfg.d_x), dtype=actor.dtype)
     h = _linear(x, p["enc.init.W"], p["enc.init.b"])
     for l in range(1, cfg.n_layers + 1):
-        mha = None
-        for a in range(1, cfg.n_heads + 1):
-            q = ad.reshape(_linear(h, p[f"enc.l{l}.head{a}.Wq"]), (batch, n, d_k))
-            k = ad.reshape(_linear(h, p[f"enc.l{l}.head{a}.Wk"]), (batch, n, d_k))
-            v = ad.reshape(_linear(h, p[f"enc.l{l}.head{a}.Wv"]), (batch, n, d_k))
-            compat = ad.scale(ad.bmm(q, ad.transpose_last2(k)), inv_sqrt_dk)
-            weights = ad.softmax(compat)                      # (B, n, n)
-            mixed = ad.reshape(ad.bmm(weights, v), (batch * n, d_k))
-            head_out = _linear(mixed, p[f"enc.l{l}.head{a}.Wo"])
-            mha = head_out if mha is None else ad.add(mha, head_out)
+        q = _split_heads(_linear(h, p[f"enc.l{l}.Wq"]), batch, heads, (0, 2, 1, 3))
+        keys_t = _split_heads(_linear(h, p[f"enc.l{l}.Wk"]), batch, heads, (0, 2, 3, 1))
+        v = _split_heads(_linear(h, p[f"enc.l{l}.Wv"]), batch, heads, (0, 2, 1, 3))
+        weights = ad.softmax(ad.scale(ad.bmm(q, keys_t), inv_sqrt_dk))     # (B*H, n, n)
+        mixed = ad.bmm(weights, v)                                          # (B*H, n, d_k)
+        merged = ad.reshape(ad.permute(ad.reshape(mixed, (batch, heads, n, cfg.d_k)), (0, 2, 1, 3)),
+                            (batch * n, d_h))
+        mha = _linear(merged, p[f"enc.l{l}.Wo"])
         h = ad.batch_norm(ad.add(h, mha), actor.bn[f"enc.l{l}.bn1"], mode)
         ff = _linear(ad.relu(_linear(h, p[f"enc.l{l}.ff.W0"], p[f"enc.l{l}.ff.b0"])),
                      p[f"enc.l{l}.ff.W1"], p[f"enc.l{l}.ff.b1"])
@@ -292,26 +351,29 @@ def encode(inst: MotspInstance, actor: ActorParams, mode: str = "infer") -> Enco
 
 
 class _DecoderCache:
-    """Per-rollout key/value projections; they depend only on the encodings."""
+    """Per-rollout key/value projections; they depend only on the encodings.
+
+    `keys_t` (B*H, d_k, n) and `values` (B*H, n, d_k) hold the glimpse's heads,
+    `final_keys_t` (B, d_h, n) the pointer's keys; the keys are transposed here,
+    once per rollout.
+    """
 
     def __init__(self, enc: EncodedBatch, actor: ActorParams):
         cfg = actor.cfg
         p = actor.params
-        batch, n = enc.batch, enc.n
-        self.keys = []
-        self.values = []
-        for a in range(1, cfg.n_heads + 1):
-            self.keys.append(ad.reshape(_linear(enc.nodes2d, p[f"dec.head{a}.Wk"]), (batch, n, cfg.d_k)))
-            self.values.append(ad.reshape(_linear(enc.nodes2d, p[f"dec.head{a}.Wv"]), (batch, n, cfg.d_k)))
-        self.final_keys = ad.reshape(_linear(enc.nodes2d, p["dec.final.Wk"]), (batch, n, cfg.d_h))
+        batch, heads = enc.batch, cfg.n_heads
+        self.keys_t = _split_heads(_linear(enc.nodes2d, p["dec.Wk"]), batch, heads, (0, 2, 3, 1))
+        self.values = _split_heads(_linear(enc.nodes2d, p["dec.Wv"]), batch, heads, (0, 2, 1, 3))
+        self.final_keys_t = ad.transpose_last2(
+            ad.reshape(_linear(enc.nodes2d, p["dec.final.Wk"]), (batch, enc.n, cfg.d_h)))
 
     @classmethod
     def stack(cls, caches: list["_DecoderCache"]) -> "_DecoderCache":
         """One cache whose batch rows are the rows of `caches`, in order."""
         out = cls.__new__(cls)
-        out.keys = [_stack_rows([c.keys[h] for c in caches]) for h in range(len(caches[0].keys))]
-        out.values = [_stack_rows([c.values[h] for c in caches]) for h in range(len(caches[0].values))]
-        out.final_keys = _stack_rows([c.final_keys for c in caches])
+        out.keys_t = _stack_rows([c.keys_t for c in caches])
+        out.values = _stack_rows([c.values for c in caches])
+        out.final_keys_t = _stack_rows([c.final_keys_t for c in caches])
         return out
 
 
@@ -327,6 +389,7 @@ class BatchDecodeState:
         self.visited = np.zeros((enc.batch, enc.n), dtype=bool)
         self.first = np.zeros(enc.batch, dtype=np.intp)
         self.last = np.zeros(enc.batch, dtype=np.intp)
+        self.first_rows: ad.Array | None = None     # embeddings of `first`, gathered once
         self.t = 1
 
     def advance(self, chosen: np.ndarray) -> None:
@@ -348,8 +411,8 @@ def _decode_step_batch(state: BatchDecodeState, actor: "ActorParams | _StackedDe
     batch, n = enc.batch, enc.n
     if state.visited.all(axis=1).any():
         raise NoFeasibleActionError("decode_step: all nodes already visited")
-    d_k, d_h = cfg.d_k, cfg.d_h
-    inv_sqrt_dk = 1.0 / math.sqrt(d_k)
+    d_h, heads = cfg.d_h, cfg.n_heads
+    inv_sqrt_dk = 1.0 / math.sqrt(cfg.d_k)
 
     if state.t == 1:
         # A (d_h,) placeholder serves every row; a stacked (rows, d_h) one
@@ -359,22 +422,20 @@ def _decode_step_batch(state: BatchDecodeState, actor: "ActorParams | _StackedDe
         last = ad.gather_rows(ad.reshape(p["dec.vf"], (-1, d_h)), own)
     else:
         base = np.arange(batch) * n
-        first = ad.gather_rows(enc.nodes2d, base + state.first)
+        if state.first_rows is None:
+            state.first_rows = ad.gather_rows(enc.nodes2d, base + state.first)
+        first = state.first_rows
         last = ad.gather_rows(enc.nodes2d, base + state.last)
     context = ad.concat([enc.graph, first, last], axis=1)     # (B, 3*d_h)
 
-    glimpse = None
-    for a in range(1, cfg.n_heads + 1):
-        q = ad.reshape(_linear(context, p[f"dec.head{a}.Wq"]), (batch, 1, d_k))
-        compat = ad.reshape(ad.bmm(q, ad.transpose_last2(cache.keys[a - 1])), (batch, n))
-        compat = ad.scale(compat, inv_sqrt_dk)
-        attn = ad.masked_softmax(compat, state.visited)
-        mixed = ad.reshape(ad.bmm(ad.reshape(attn, (batch, 1, n)), cache.values[a - 1]), (batch, d_k))
-        head_out = _linear(mixed, p[f"dec.head{a}.Wo"])
-        glimpse = head_out if glimpse is None else ad.add(glimpse, head_out)
+    q = ad.reshape(_linear(context, p["dec.Wq"]), (batch * heads, 1, cfg.d_k))
+    compat = ad.scale(ad.reshape(ad.bmm(q, cache.keys_t), (batch, heads, n)), inv_sqrt_dk)
+    attn = ad.masked_softmax(compat, np.broadcast_to(state.visited[:, None, :], (batch, heads, n)))
+    mixed = ad.bmm(ad.reshape(attn, (batch * heads, 1, n)), cache.values)    # (B*H, 1, d_k)
+    glimpse = _linear(ad.reshape(mixed, (batch, d_h)), p["dec.Wo"])
 
     q_final = ad.reshape(_linear(glimpse, p["dec.final.Wq"]), (batch, 1, d_h))
-    raw = ad.reshape(ad.bmm(q_final, ad.transpose_last2(cache.final_keys)), (batch, n))
+    raw = ad.reshape(ad.bmm(q_final, cache.final_keys_t), (batch, n))
     logits = ad.scale(ad.tanh(raw), cfg.clip)
     probs = ad.masked_softmax(logits, state.visited)
     if want_logits:

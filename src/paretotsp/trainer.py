@@ -173,8 +173,7 @@ def train_subproblem(weights, actor: ActorParams, critic: CriticParams,
     """E epochs of T = D/B iterations on one weight vector; mutates the params.
 
     `epoch_callback(epoch, actor, critic, report)` runs after each epoch —
-    the hook for checkpoint persistence. Deterministic for a fixed rng state
-    in single-worker execution.
+    the hook for per-epoch metrics. Deterministic for a fixed rng state.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)

@@ -187,3 +187,115 @@ def best_weighted_cost(features: np.ndarray, weights) -> float:
     """Exact optimum of the weighted-sum objective by exhaustive enumeration."""
     _, objs = enumerate_objectives(features)
     return float((objs @ np.asarray(weights, dtype=np.float64)).min())
+
+
+# ---------------------------------------------------------------------------
+# per-head attention actor (the v1 checkpoint layout)
+
+
+def v1_actor_arrays(rng, d_x: int, d_h: int, n_heads: int, d_ff: int,
+                    n_layers: int = 1) -> dict[str, np.ndarray]:
+    """Actor arrays under the v1 per-head names, drawn uniform(±1/sqrt(d_h))
+    in the v1 order; batch norms start at scale 1, shift 0, mean 0, var 1."""
+    bound = 1.0 / math.sqrt(d_h)
+    d_k = d_h // n_heads
+    out: dict[str, np.ndarray] = {}
+
+    def draw(name, *shape):
+        out[name] = rng.uniform(-bound, bound, shape)
+
+    def bn(name):
+        out[f"{name}.scale"] = np.ones(d_h)
+        out[f"{name}.shift"] = np.zeros(d_h)
+        out[f"{name}.running_mean"] = np.zeros(d_h)
+        out[f"{name}.running_var"] = np.ones(d_h)
+
+    draw("enc.init.W", d_h, d_x)
+    draw("enc.init.b", d_h)
+    for l in range(1, n_layers + 1):
+        for a in range(1, n_heads + 1):
+            draw(f"enc.l{l}.head{a}.Wq", d_k, d_h)
+            draw(f"enc.l{l}.head{a}.Wk", d_k, d_h)
+            draw(f"enc.l{l}.head{a}.Wv", d_k, d_h)
+            draw(f"enc.l{l}.head{a}.Wo", d_h, d_k)
+        bn(f"enc.l{l}.bn1")
+        draw(f"enc.l{l}.ff.W0", d_ff, d_h)
+        draw(f"enc.l{l}.ff.b0", d_ff)
+        draw(f"enc.l{l}.ff.W1", d_h, d_ff)
+        draw(f"enc.l{l}.ff.b1", d_h)
+        bn(f"enc.l{l}.bn2")
+    draw("dec.v1", d_h)
+    draw("dec.vf", d_h)
+    for a in range(1, n_heads + 1):
+        draw(f"dec.head{a}.Wq", d_k, 3 * d_h)
+        draw(f"dec.head{a}.Wk", d_k, d_h)
+        draw(f"dec.head{a}.Wv", d_k, d_h)
+        draw(f"dec.head{a}.Wo", d_h, d_k)
+    draw("dec.final.Wq", d_h, d_h)
+    draw("dec.final.Wk", d_h, d_h)
+    return out
+
+
+def _softmax_rows(u: np.ndarray) -> np.ndarray:
+    e = np.exp(u - u.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def per_head_encode(features: np.ndarray, arrays: dict, n_heads: int,
+                    n_layers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(n, d_h) node and (d_h,) graph embeddings of one instance in float64,
+    one attention head at a time, batch norm on its running statistics."""
+    A = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
+
+    def bn(x, name):
+        return (A[f"{name}.scale"] * (x - A[f"{name}.running_mean"])
+                / np.sqrt(A[f"{name}.running_var"] + 1e-5) + A[f"{name}.shift"])
+
+    h = np.asarray(features, dtype=np.float64) @ A["enc.init.W"].T + A["enc.init.b"]
+    for l in range(1, n_layers + 1):
+        mha = np.zeros_like(h)
+        for a in range(1, n_heads + 1):
+            q = h @ A[f"enc.l{l}.head{a}.Wq"].T
+            k = h @ A[f"enc.l{l}.head{a}.Wk"].T
+            v = h @ A[f"enc.l{l}.head{a}.Wv"].T
+            w = _softmax_rows(q @ k.T / math.sqrt(q.shape[1]))
+            mha += (w @ v) @ A[f"enc.l{l}.head{a}.Wo"].T
+        h = bn(h + mha, f"enc.l{l}.bn1")
+        ff = np.maximum(h @ A[f"enc.l{l}.ff.W0"].T + A[f"enc.l{l}.ff.b0"], 0.0)
+        h = bn(h + ff @ A[f"enc.l{l}.ff.W1"].T + A[f"enc.l{l}.ff.b1"], f"enc.l{l}.bn2")
+    return h, h.mean(axis=0)
+
+
+def per_head_decode_step(nodes: np.ndarray, graph: np.ndarray, arrays: dict, n_heads: int,
+                         visited: np.ndarray, first=None, last=None, clip: float = 10.0) -> np.ndarray:
+    """Next-node probabilities in float64; `first`/`last` None means the
+    first step, which reads the learned placeholders dec.v1 / dec.vf."""
+    A = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
+    f = A["dec.v1"] if first is None else nodes[first]
+    g = A["dec.vf"] if last is None else nodes[last]
+    context = np.concatenate([graph, f, g])
+    glimpse = np.zeros(nodes.shape[1])
+    for a in range(1, n_heads + 1):
+        q = A[f"dec.head{a}.Wq"] @ context
+        k = nodes @ A[f"dec.head{a}.Wk"].T
+        v = nodes @ A[f"dec.head{a}.Wv"].T
+        u = np.where(visited, -np.inf, k @ q / math.sqrt(q.shape[0]))
+        glimpse += A[f"dec.head{a}.Wo"] @ (_softmax_rows(u) @ v)
+    logits = clip * np.tanh((nodes @ A["dec.final.Wk"].T) @ (A["dec.final.Wq"] @ glimpse))
+    return _softmax_rows(np.where(visited, -np.inf, logits))
+
+
+def per_head_greedy(features: np.ndarray, arrays: dict, n_heads: int,
+                    n_layers: int = 1) -> tuple[list[int], float]:
+    """Greedy tour (ties to the lowest index) and its log-probability."""
+    nodes, graph = per_head_encode(features, arrays, n_heads, n_layers)
+    visited = np.zeros(nodes.shape[0], dtype=bool)
+    tour, logp = [], 0.0
+    for _ in range(nodes.shape[0]):
+        probs = per_head_decode_step(nodes, graph, arrays, n_heads, visited,
+                                     tour[0] if tour else None, tour[-1] if tour else None)
+        node = int(np.argmax(probs))
+        logp += math.log(probs[node])
+        tour.append(node)
+        visited[node] = True
+    return tour, logp

@@ -40,6 +40,14 @@ def test_matmul_shape_error_names_both_shapes():
     assert "(3, 4)" in str(err.value) and "(5, 2)" in str(err.value)
 
 
+def test_permute_rejects_axes_that_are_not_a_reordering():
+    x = ad.constant(np.zeros((2, 3, 4)))
+    assert ad.permute(x, (2, 0, 1)).shape == (4, 2, 3)
+    for axes in [(0, 1), (0, 1, 1), (0, 1, 3)]:
+        with pytest.raises(DimensionError):
+            ad.permute(x, axes)
+
+
 def test_relu_forward():
     out = ad.relu(ad.constant(np.array([-1.0, 0.0, 2.0])))
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
@@ -346,6 +354,12 @@ def _op_cases(rng):
     cases.append(("batch_norm_infer", bn_infer,
                   [rng.standard_normal((4, 3)), rng.uniform(0.5, 1.5, 3),
                    rng.standard_normal(3)]))
+    w2413 = ad.constant(rng.standard_normal((2, 4, 1, 3)))
+    cases.append(("permute", lambda v: to_scalar(ad.mul(ad.permute(v[0], (0, 3, 2, 1)), w2413)),
+                  [rng.standard_normal((2, 3, 1, 4))]))
+    w214 = ad.constant(rng.standard_normal((2, 1, 4)))
+    cases.append(("bmm_one_row", lambda v: to_scalar(ad.mul(ad.bmm(v[0], v[1]), w214)),
+                  [rng.standard_normal((2, 1, 5)), rng.standard_normal((2, 5, 4))]))
     return cases
 
 

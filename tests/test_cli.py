@@ -1,10 +1,13 @@
+import shutil
+
 import numpy as np
 import pytest
 
 from paretotsp import evaluation as ev
 from paretotsp.cli import CKPT_ROOT_ENV, main, parse_config_file
 from paretotsp.decomposition import (MANIFEST_NAME, RunConfig,
-                                     checkpoint_name, write_manifest)
+                                     checkpoint_name, read_checkpoint,
+                                     write_checkpoint, write_manifest)
 from paretotsp.errors import ParseError
 from paretotsp.instances import (MotspInstance, Tour, evaluate_objectives,
                                  load_native, save_native)
@@ -150,14 +153,6 @@ def test_train_manifest_rerun_is_bitwise_identical(trained, tmp_path):
             (trained["ckpt"] / checkpoint_name(i)).read_bytes()
 
 
-def test_train_workers_note(tmp_path, capsys):
-    config = tmp_path / "run.conf"
-    config.write_text(TINY_CONFIG)
-    assert main(["train", "--config", str(config), "--out", str(tmp_path / "w"),
-                 "--workers", "4"]) == 0
-    assert "single-worker" in capsys.readouterr().err
-
-
 def test_train_workdir_from_environment(tmp_path, monkeypatch, capsys):
     config = tmp_path / "run.conf"
     config.write_text(TINY_CONFIG)
@@ -244,6 +239,19 @@ def test_solve_checks_instance_before_reading_checkpoints(tmp_path, capsys):
     assert main(["solve", "--ckpt", str(tmp_path), "--instance", str(tmp_path / "wide.motsp"),
                  "--out", str(tmp_path / "pf.csv")]) == 2
     assert "d_x=6" in capsys.readouterr().err
+
+
+def test_solve_rejects_non_finite_checkpoint(trained, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(trained["ckpt"], ckpt)
+    arrays = read_checkpoint(ckpt / checkpoint_name(2))
+    arrays["actor.dec.Wq"][0, 0] = np.nan
+    write_checkpoint(ckpt / checkpoint_name(2), arrays)
+    assert main(["gen", "--n", "4", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert main(["solve", "--ckpt", str(ckpt), "--instance", str(tmp_path / "rand_n4_s0_0.motsp"),
+                 "--out", str(tmp_path / "pf.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "model_2.ckpt" in err and "actor.dec.Wq" in err
 
 
 # ---------------------------------------------------------------------------

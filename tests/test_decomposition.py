@@ -14,7 +14,9 @@ from paretotsp.decomposition import (MANIFEST_NAME, RunConfig,
                                      write_checkpoint, write_manifest)
 from paretotsp.errors import ContractError, ParseError
 from paretotsp.instances import MotspInstance
-from paretotsp.model import ActorParams, CriticParams, rollout
+from paretotsp.model import ActorParams, CriticParams, rollout, rollout_batch
+
+from oracles import per_head_greedy, v1_actor_arrays
 
 TINY = dict(d_h=8, n_heads=2, d_ff=16, n_nodes=4, batch_size=4,
             dataset_size=8, m_sub=3, epochs_first=1, epochs_rest=1, seed=5)
@@ -152,8 +154,49 @@ def test_checkpoint_duplicate_name(tmp_path):
         read_checkpoint(path)
 
 
+def test_checkpoint_rejects_non_finite_arrays(tmp_path):
+    path = tmp_path / "m.ckpt"
+    for bad in (np.nan, np.inf, -np.inf):
+        write_checkpoint(path, {"ok": np.ones(2), "w": np.array([[1.0, bad]])})
+        with pytest.raises(ParseError) as err:
+            read_checkpoint(path)
+        assert err.value.path == str(path)
+        assert "'w'" in str(err.value) and "NaN or Inf" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # model (de)serialization
+
+
+def test_v1_checkpoint_loads_fused_and_saves_v2(tmp_path):
+    """A v1 file of per-head arrays loads into the fused layout, decodes like
+    the per-head oracle, and is written back as v2."""
+    cfg = RunConfig(**dict(TINY, d_h=16, d_ff=32, n_nodes=8))
+    rng = np.random.default_rng(70)
+    v1 = v1_actor_arrays(rng, 4, 16, 2, 32)
+    arrays = {f"actor.{k}": v for k, v in v1.items()}
+    arrays.update({f"critic.{k}": v for k, v in CriticParams.init(rng).state_arrays().items()})
+    v1_path = tmp_path / "v1.ckpt"
+    write_checkpoint(v1_path, arrays)
+    body = v1_path.read_bytes()
+    assert body.startswith(b"paretotsp-ckpt v2\n")
+    v1_path.write_bytes(b"paretotsp-ckpt v1\n" + body.split(b"\n", 1)[1])
+
+    actor, critic = load_models(v1_path, cfg)
+    stored = {k: v.astype(np.float32) for k, v in v1.items()}   # what the file holds
+    feats = rng.random((4, 8, 4))
+    tours, logp, _ = rollout_batch(feats, actor, mode="greedy")
+    for b in range(4):
+        tour, lp = per_head_greedy(feats[b], stored, 2)
+        assert list(tours[b]) == tour
+        np.testing.assert_allclose(logp.data[b], lp, rtol=1e-6)
+
+    v2_path = tmp_path / "v2.ckpt"
+    save_models(v2_path, actor, critic)
+    assert v2_path.read_bytes().startswith(b"paretotsp-ckpt v2\n")
+    again, _ = load_models(v2_path, cfg)
+    for name, arr in actor.state_arrays().items():
+        np.testing.assert_array_equal(again.state_arrays()[name], arr)
 
 
 def test_models_round_trip_bitwise(tmp_path):

@@ -10,10 +10,11 @@ from paretotsp.instances import MotspInstance, Tour, generate_random
 from paretotsp.model import (ActorParams, BatchDecodeState, CriticParams,
                              DecodeState, ModelConfig, _decode_step_batch,
                              _DecoderCache, critic_batch, critic_value,
-                             decode_step, encode, encode_batch, rollout,
-                             rollout_batch, validate_critic_chain)
+                             decode_step, encode, encode_batch, fuse_v1_arrays,
+                             rollout, rollout_batch, validate_critic_chain)
 
-from oracles import check_gradients
+from oracles import (check_gradients, per_head_decode_step, per_head_encode,
+                     v1_actor_arrays)
 
 TINY = ModelConfig(d_h=8, n_heads=2, d_ff=16)
 
@@ -92,16 +93,16 @@ def test_encoder_matches_hand_computation():
 
     p = {k: v.data for k, v in actor.params.items()}
     h0 = feats @ p["enc.init.W"].T + p["enc.init.b"]
-    q = h0 @ p["enc.l1.head1.Wq"].T
-    k = h0 @ p["enc.l1.head1.Wk"].T
-    v = h0 @ p["enc.l1.head1.Wv"].T
+    q = h0 @ p["enc.l1.Wq"].T
+    k = h0 @ p["enc.l1.Wk"].T
+    v = h0 @ p["enc.l1.Wv"].T
     u = np.empty((3, 3))
     for i in range(3):
         for j in range(3):
             u[i, j] = q[i] @ k[j] / math.sqrt(4)
     w = np.exp(u - u.max(axis=1, keepdims=True))
     w /= w.sum(axis=1, keepdims=True)
-    mha = (w @ v) @ p["enc.l1.head1.Wo"].T
+    mha = (w @ v) @ p["enc.l1.Wo"].T
 
     def bn_infer(x, name):
         state = actor.bn[name]
@@ -340,7 +341,7 @@ def test_pipeline_gradient_matches_finite_differences():
     tours, _, _ = rollout_batch(feats, base, mode="sample",
                                 rng=np.random.default_rng(1), bn_mode="train")
     advantage = np.array([0.7, -0.3, 1.1])
-    checked = ["enc.init.W", "enc.l1.head1.Wq", "dec.final.Wk", "dec.v1"]
+    checked = ["enc.init.W", "enc.l1.Wq", "dec.final.Wk", "dec.v1"]
 
     worst = 0.0
     for name in checked:
@@ -436,3 +437,68 @@ def test_zeros_constructors_lay_out_like_init():
         assert list(got) == list(want)
         for name, arr in want.items():
             assert got[name].shape == arr.shape and got[name].dtype == arr.dtype
+
+
+# ---------------------------------------------------------------------------
+# fused attention against the per-head (v1) layout
+
+
+def test_init_is_the_fused_v1_draw():
+    cfg = ModelConfig(d_h=16, n_heads=4, d_ff=32, n_layers=2)
+    for seed in range(3):
+        fused = ActorParams.init(cfg, np.random.default_rng(seed), dtype=np.float64)
+        v1 = fuse_v1_arrays(v1_actor_arrays(np.random.default_rng(seed), 4, 16, 4, 32, n_layers=2))
+        got = fused.state_arrays()
+        assert sorted(got) == sorted(v1)
+        for name, arr in v1.items():
+            np.testing.assert_array_equal(got[name], arr, err_msg=name)
+    assert len(fused.params) == 22 + 12   # 12 more arrays for the second encoder layer
+
+
+def test_fused_model_matches_per_head_oracle():
+    """H=2, so a wrong head split or merge would show; encoder plus decode steps."""
+    cfg = ModelConfig(d_h=16, n_heads=2, d_ff=32)
+    rng = np.random.default_rng(60)
+    v1 = v1_actor_arrays(rng, 4, 16, 2, 32)
+    for bn in ("enc.l1.bn1", "enc.l1.bn2"):
+        v1[f"{bn}.running_mean"] = rng.standard_normal(16) * 0.1
+        v1[f"{bn}.running_var"] = rng.uniform(0.8, 1.2, 16)
+        v1[f"{bn}.scale"] = rng.uniform(0.5, 1.5, 16)
+        v1[f"{bn}.shift"] = rng.standard_normal(16) * 0.1
+    actor = ActorParams.zeros(cfg, dtype=np.float64)
+    actor.load_state(fuse_v1_arrays(v1))
+    feats = rng.random((3, 7, 4))
+
+    enc = encode_batch(feats, actor, "infer")
+    state = BatchDecodeState(enc, _DecoderCache(enc, actor))
+    picks = [np.array([2, 0, 6]), np.array([5, 3, 1]), np.array([0, 4, 2])]
+    nodes2d = enc.nodes2d.data.reshape(3, 7, 16)
+    oracle = [per_head_encode(feats[b], v1, 2) for b in range(3)]
+    for b in range(3):
+        np.testing.assert_allclose(nodes2d[b], oracle[b][0], rtol=0, atol=1e-6)
+        np.testing.assert_allclose(enc.graph.data[b], oracle[b][1], rtol=0, atol=1e-6)
+    for step in range(len(picks) + 1):
+        probs = _decode_step_batch(state, actor).data
+        for b in range(3):
+            chosen = [int(p[b]) for p in picks[:step]]
+            visited = np.isin(np.arange(7), chosen)
+            want = per_head_decode_step(oracle[b][0], oracle[b][1], v1, 2, visited,
+                                        chosen[0] if chosen else None,
+                                        chosen[-1] if chosen else None)
+            np.testing.assert_allclose(probs[b], want, rtol=0, atol=1e-6)
+        if step < len(picks):
+            state.advance(picks[step])
+
+
+def test_fuse_v1_arrays_rejects_broken_head_sets():
+    v1 = v1_actor_arrays(np.random.default_rng(0), 4, 8, 2, 16)
+    missing = dict(v1)
+    missing.pop("dec.head1.Wq")
+    with pytest.raises(ContractError):
+        fuse_v1_arrays(missing)
+    clash = dict(v1, **{"dec.Wq": np.zeros((8, 24))})
+    with pytest.raises(ContractError):
+        fuse_v1_arrays(clash)
+    ragged = dict(v1, **{"dec.head2.Wo": np.zeros((7, 4))})
+    with pytest.raises(DimensionError):
+        fuse_v1_arrays(ragged)
