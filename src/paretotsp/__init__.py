@@ -16,13 +16,11 @@ from .errors import (BatchTooSmallError, BoundsError, ContractError,
                      ParseError, TrainingDivergedError)
 from .evaluation import (ArchiveEntry, HvConfig, ParetoArchive, approximate_pf,
                          compute_hv_protocol, dominates, hypervolume_2d,
-                         normalize, pareto_filter, read_pf_csv, write_hv_report,
-                         write_pf_csv)
+                         normalize, read_pf_csv, write_hv_report, write_pf_csv)
 from .instances import (MotspInstance, Tour, evaluate_objectives,
                         generate_random, load_native, load_tsplib_pair,
-                        save_native, weighted_sum)
-from .model import (ActorParams, CriticParams, DecodeState, EncodedGraph,
-                    ModelConfig, critic_value, decode_step, encode, rollout)
+                        save_native)
+from .model import ActorParams, CriticParams, ModelConfig, rollout
 from .trainer import (Adam, TrainConfig, TrainReport, reinforce_iteration,
                       train_subproblem)
 
@@ -30,16 +28,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActorParams", "Adam", "ArchiveEntry", "Array", "BatchTooSmallError",
-    "BoundsError", "ContractError", "CriticParams", "DecodeState",
-    "DimensionError", "EncodedGraph", "HvConfig", "ModelConfig",
-    "MotspInstance", "NoFeasibleActionError", "NonFiniteError",
-    "ParetoArchive", "ParseError", "RunConfig", "SubproblemSchedule", "Tour",
-    "TrainConfig", "TrainReport", "TrainingDivergedError", "approximate_pf",
-    "backward", "compute_hv_protocol", "constant", "critic_value",
-    "decode_step", "dominates", "encode", "evaluate_objectives",
+    "BoundsError", "ContractError", "CriticParams", "DimensionError",
+    "HvConfig", "ModelConfig", "MotspInstance", "NoFeasibleActionError",
+    "NonFiniteError", "ParetoArchive", "ParseError", "RunConfig",
+    "SubproblemSchedule", "Tour", "TrainConfig", "TrainReport",
+    "TrainingDivergedError", "approximate_pf", "backward",
+    "compute_hv_protocol", "constant", "dominates", "evaluate_objectives",
     "generate_random", "hypervolume_2d", "load_models", "load_native",
     "load_tsplib_pair", "make_schedule", "make_weights", "normalize", "param",
-    "pareto_filter", "read_pf_csv", "reinforce_iteration", "rollout",
-    "run_schedule", "save_models", "save_native", "train_subproblem",
-    "weighted_sum", "write_hv_report", "write_pf_csv",
+    "read_pf_csv", "reinforce_iteration", "rollout", "run_schedule",
+    "save_models", "save_native", "train_subproblem", "write_hv_report",
+    "write_pf_csv",
 ]

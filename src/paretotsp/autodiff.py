@@ -364,19 +364,18 @@ def softmax(logits: Array) -> Array:
     return masked_softmax(logits, np.zeros(logits.shape, dtype=bool))
 
 
+BN_EPS = 1e-5           # added to the variance before the square root
+BN_MOMENTUM = 0.1       # weight of the batch statistics in the running EMA
+
+
 class BatchNormState:
     """Learnable scale/shift plus running statistics for one normalization layer."""
 
-    def __init__(self, dim: int, dtype=np.float64, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, dim: int, dtype=np.float64):
         self.scale = param(np.ones(dim), dtype=dtype)
         self.shift = param(np.zeros(dim), dtype=dtype)
         self.running_mean = np.zeros(dim, dtype=dtype)
         self.running_var = np.ones(dim, dtype=dtype)
-        self.eps = eps
-        self.momentum = momentum
-
-    def params(self):
-        return [self.scale, self.shift]
 
 
 def batch_norm(x: Array, state: BatchNormState, mode: str) -> Array:
@@ -392,16 +391,15 @@ def batch_norm(x: Array, state: BatchNormState, mode: str) -> Array:
     if mode not in ("train", "infer"):
         raise ContractError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
     rows = x.shape[0]
-    eps = state.eps
 
     if mode == "train":
         if rows < 2:
             raise BatchTooSmallError("batch_norm train mode needs at least 2 rows")
         mean = x.data.mean(axis=0)
         var = x.data.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x.data - mean) * inv_std
-        m = state.momentum
+        m = BN_MOMENTUM
         state.running_mean = (1.0 - m) * state.running_mean + m * mean
         state.running_var = (1.0 - m) * state.running_var + m * var * (rows / (rows - 1))
 
@@ -413,7 +411,7 @@ def batch_norm(x: Array, state: BatchNormState, mode: str) -> Array:
             return gx, gscale, gshift
 
     else:
-        inv_std = 1.0 / np.sqrt(state.running_var + eps)
+        inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
         xhat = (x.data - state.running_mean) * inv_std
 
         def back(g):

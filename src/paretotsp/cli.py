@@ -21,8 +21,8 @@ import numpy as np
 from . import decomposition as dec
 from . import evaluation as ev
 from .errors import ContractError, ParseError, TrainingDivergedError
-from .instances import (MotspInstance, evaluate_objectives_raw, load_native,
-                        load_tsplib_pair, save_native)
+from .instances import (MotspInstance, load_native, load_tsplib_pair,
+                        save_native, tour_costs_batch)
 
 CKPT_ROOT_ENV = "PARETOTSP_CKPT_ROOT"
 
@@ -126,9 +126,12 @@ def cmd_solve(args) -> int:
     weights = cfg.schedule().weights
     ev.write_pf_csv(args.out, archive, weights)
     if inst.raw_coords is not None:
-        raw = ev.ParetoArchive([
-            ev.ArchiveEntry(e.tour, evaluate_objectives_raw(inst, e.tour), e.subproblem)
-            for e in archive.entries])
+        # Min-max scaling stretches the two axes of a file differently, so a
+        # point of the scaled front can be dominated on the raw coordinates.
+        tours = [e.tour for e in archive.entries]
+        coords = np.broadcast_to(inst.raw_coords, (len(tours),) + inst.raw_coords.shape)
+        rows = tour_costs_batch(coords, np.array([t.order for t in tours], dtype=np.intp))
+        raw = ev.ParetoArchive.from_candidates(tours, rows, [e.subproblem for e in archive.entries])
         out = Path(args.out)
         ev.write_pf_csv(out.with_name(out.stem + "_unscaled" + out.suffix), raw, weights)
     print(f"{len(archive)} nondominated point(s) from {len(actors)} model(s) "

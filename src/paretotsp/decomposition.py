@@ -36,6 +36,9 @@ CKPT_VERSION = "v2"
 CKPT_V1 = "v1"          # per-head attention arrays; read and fused, never written
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "paretotsp-manifest v1"
+# Config keys of older manifests that nothing read. They are accepted and
+# ignored on input; an older manifest's hash still covers them.
+RETIRED_KEYS = ("ref1", "ref2")
 
 
 def make_weights(m_sub: int, m_obj: int = 2) -> np.ndarray:
@@ -109,8 +112,6 @@ class RunConfig:
     epochs_rest: int = 1
     direction: str = "asc"
     seed: int = 0
-    ref1: float = 1.2
-    ref2: float = 1.2
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(d_x=self.d_x, d_h=self.d_h, n_layers=self.n_layers,
@@ -138,6 +139,8 @@ class RunConfig:
         fields = {f.name: f.type for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, raw in mapping.items():
+            if key in RETIRED_KEYS:
+                continue
             if key not in fields:
                 raise ContractError(f"unknown config key {key!r}")
             typ = fields[key]
@@ -320,7 +323,8 @@ def load_manifest(workdir) -> tuple[RunConfig, list[int]]:
     if doc.get("prng") != PRNG_NAME:
         raise ContractError(f"manifest prng {doc.get('prng')!r} != {PRNG_NAME!r}")
     cfg = RunConfig.from_mapping(doc["config"])
-    if config_hash(cfg.to_mapping()) != doc.get("config_hash"):
+    retired = {k: str(v) for k, v in doc["config"].items() if k in RETIRED_KEYS}
+    if config_hash({**cfg.to_mapping(), **retired}) != doc.get("config_hash"):
         raise ContractError("manifest config hash does not match its config")
     completed = sorted(int(i) for i in doc.get("completed", []))
     if completed != list(range(1, len(completed) + 1)):

@@ -57,12 +57,6 @@ def pareto_filter_indices(points) -> np.ndarray:
     return np.asarray(keep, dtype=np.intp)
 
 
-def pareto_filter(points) -> np.ndarray:
-    """The nondominated subset as a (k', m) array, first-occurrence order."""
-    pts = np.asarray(points, dtype=np.float64)
-    return pts[pareto_filter_indices(pts)]
-
-
 def normalize(points, ideal, nadir) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     ideal = np.asarray(ideal, dtype=np.float64)
@@ -70,15 +64,6 @@ def normalize(points, ideal, nadir) -> np.ndarray:
     if np.any(nadir <= ideal):
         raise ContractError(f"degenerate bounds: nadir {nadir} must exceed ideal {ideal} per objective")
     return (pts - ideal) / (nadir - ideal)
-
-
-def denormalize(points, ideal, nadir) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    ideal = np.asarray(ideal, dtype=np.float64)
-    nadir = np.asarray(nadir, dtype=np.float64)
-    if np.any(nadir <= ideal):
-        raise ContractError(f"degenerate bounds: nadir {nadir} must exceed ideal {ideal} per objective")
-    return pts * (nadir - ideal) + ideal
 
 
 def hypervolume_2d(points, ref=DEFAULT_REF_POINT) -> float:
@@ -146,8 +131,6 @@ class ParetoArchive:
 @dataclass(frozen=True)
 class HvConfig:
     ref: tuple[float, ...] = DEFAULT_REF_POINT
-    ideal: np.ndarray | None = None
-    nadir: np.ndarray | None = None
 
 
 def approximate_pf(inst: MotspInstance, models) -> ParetoArchive:
@@ -179,19 +162,11 @@ def union_bounds(archives) -> tuple[np.ndarray, np.ndarray]:
 
 
 def compute_hv_protocol(archives, cfg: HvConfig = HvConfig()) -> list[float]:
-    """HV of each archive under shared normalization bounds and a common ref.
-
-    Bounds default to the ideal/nadir of the union of the archives; pass
-    explicit bounds in `cfg` to score against a fixed scale.
-    """
+    """HV of each archive under the ideal/nadir bounds of the union of the
+    archives and a common ref."""
     if not archives:
         raise ContractError("compute_hv_protocol needs at least one archive")
-    if cfg.ideal is not None and cfg.nadir is not None:
-        ideal, nadir = np.asarray(cfg.ideal, np.float64), np.asarray(cfg.nadir, np.float64)
-        if np.any(nadir <= ideal):
-            raise ContractError("degenerate explicit bounds")
-    else:
-        ideal, nadir = union_bounds(archives)
+    ideal, nadir = union_bounds(archives)
     out = []
     for archive in archives:
         if not len(archive):
@@ -209,10 +184,13 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+PF_CSV_HEADER = "subproblem,lambda1,lambda2,f1,f2,tour"
+
+
 def write_pf_csv(path, archive: ParetoArchive, weights) -> None:
     """One row per archive entry: 1-based source subproblem, its weights,
     objectives, and the tour as dash-separated 0-based node indices."""
-    lines = ["subproblem,lambda1,lambda2,f1,f2,tour"]
+    lines = [PF_CSV_HEADER]
     for e in archive.entries:
         lam = weights[e.subproblem - 1]
         tour_txt = "-".join(str(i) for i in e.tour.order)
@@ -233,9 +211,6 @@ def write_hv_report(path, rows) -> None:
         lines.append(f"{instance},{method},{format_float(hv)},{int(n_points)}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-PF_CSV_HEADER = "subproblem,lambda1,lambda2,f1,f2,tour"
 
 
 def read_pf_csv(path) -> ParetoArchive:

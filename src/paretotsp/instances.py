@@ -9,7 +9,7 @@ features uniformly from the unit square per slice; TSPLIB pairs take objective
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class MotspInstance:
     name: str = "instance"
     # present only for TSPLIB-backed instances
     raw_coords: np.ndarray | None = None          # (n, d_x) unscaled coordinates
-    scaling: tuple | None = None                  # ((min, max) per axis, per file)
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
@@ -55,20 +54,6 @@ class MotspInstance:
     @property
     def m(self) -> int:
         return self.d_x // 2
-
-    def cost(self, j: int, i: int, k: int) -> float:
-        """Edge cost of objective j between nodes i and k."""
-        sl = self.features[:, 2 * j:2 * j + 2]
-        return float(np.linalg.norm(sl[i] - sl[k]))
-
-    def cost_matrices(self) -> np.ndarray:
-        """(m, n, n) dense cost tensor; symmetric with zero diagonal."""
-        out = np.empty((self.m, self.n, self.n))
-        for j in range(self.m):
-            sl = self.features[:, 2 * j:2 * j + 2]
-            diff = sl[:, None, :] - sl[None, :, :]
-            out[j] = np.sqrt((diff ** 2).sum(axis=-1))
-        return out
 
 
 @dataclass(frozen=True)
@@ -103,19 +88,9 @@ def generate_random(n: int, seed: int) -> MotspInstance:
     return MotspInstance(feats, name=f"rand_n{n}_s{seed}")
 
 
-def evaluate_objectives(inst: MotspInstance, tour: Tour) -> np.ndarray:
-    """Closed-tour cost per objective, including the return edge."""
-    order = _check_tour(inst, tour)
-    nxt = np.roll(order, -1)
-    out = np.empty(inst.m)
-    for j in range(inst.m):
-        sl = inst.features[:, 2 * j:2 * j + 2]
-        out[j] = np.sqrt(((sl[order] - sl[nxt]) ** 2).sum(axis=-1)).sum()
-    return out
-
-
 def tour_costs_batch(features: np.ndarray, tours: np.ndarray) -> np.ndarray:
-    """Objective vectors for a batch: features (B,n,d_x), tours (B,n) -> (B,m)."""
+    """Closed-tour cost per objective, including the return edge, for a batch:
+    features (B,n,d_x), tours (B,n) -> (B,m)."""
     b, n, d_x = features.shape
     rows = np.arange(b)[:, None]
     ordered = features[rows, tours]            # (B, n, d_x)
@@ -128,13 +103,10 @@ def tour_costs_batch(features: np.ndarray, tours: np.ndarray) -> np.ndarray:
     return out
 
 
-def weighted_sum(objectives: np.ndarray, weights) -> float:
-    """Scalarized cost: inner product of the weight vector with the objectives."""
-    obj = np.asarray(objectives, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if obj.shape != w.shape:
-        raise ContractError(f"weighted_sum dimension mismatch: {obj.shape} vs {w.shape}")
-    return float(np.dot(w, obj))
+def evaluate_objectives(inst: MotspInstance, tour: Tour) -> np.ndarray:
+    """Closed-tour cost per objective of one checked tour on `inst`'s features."""
+    order = _check_tour(inst, tour)
+    return tour_costs_batch(inst.features[None], order[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +228,7 @@ def _minmax_scale(coords: np.ndarray):
     span = hi - lo
     if np.any(span == 0):
         span = np.where(span == 0, 1.0, span)
-    return (coords - lo) / span, (lo, hi)
+    return (coords - lo) / span
 
 
 def load_tsplib_pair(file_a, file_b) -> MotspInstance:
@@ -265,24 +237,8 @@ def load_tsplib_pair(file_a, file_b) -> MotspInstance:
     coords_b = _parse_tsplib(file_b)
     if coords_a.shape[0] != coords_b.shape[0]:
         raise ParseError(file_b, 1, f"DIMENSION mismatch: {coords_a.shape[0]} vs {coords_b.shape[0]}")
-    scaled_a, bounds_a = _minmax_scale(coords_a)
-    scaled_b, bounds_b = _minmax_scale(coords_b)
-    feats = np.concatenate([scaled_a, scaled_b], axis=1)
+    feats = np.concatenate([_minmax_scale(coords_a), _minmax_scale(coords_b)], axis=1)
     raw = np.concatenate([coords_a, coords_b], axis=1)
     name_a = str(file_a).rsplit("/", 1)[-1].rsplit(".", 1)[0]
     name_b = str(file_b).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return MotspInstance(feats, name=f"{name_a}+{name_b}", raw_coords=raw,
-                         scaling=(bounds_a, bounds_b))
-
-
-def evaluate_objectives_raw(inst: MotspInstance, tour: Tour) -> np.ndarray:
-    """Closed-tour costs on the unscaled coordinates of a TSPLIB-backed instance."""
-    if inst.raw_coords is None:
-        raise ContractError("instance has no raw coordinates")
-    order = _check_tour(inst, tour)
-    nxt = np.roll(order, -1)
-    out = np.empty(inst.m)
-    for j in range(inst.m):
-        sl = inst.raw_coords[:, 2 * j:2 * j + 2]
-        out[j] = np.sqrt(((sl[order] - sl[nxt]) ** 2).sum(axis=-1)).sum()
-    return out
+    return MotspInstance(feats, name=f"{name_a}+{name_b}", raw_coords=raw)

@@ -18,8 +18,7 @@ ops whatever H is.
 
 Training works on batches: node embeddings live in (B*n, d_h) arrays so batch
 norm statistics run over the node dimension of the whole batch, and attention
-uses per-instance (B, n, ...) views. The single-instance API wraps batches of
-one with batch norm in inference mode. `greedy_tours` decodes one instance
+uses per-instance (B, n, ...) views. `greedy_tours` decodes one instance
 under many actors at once: their decoder inputs are stacked on a leading
 model axis, so the actors are the batch rows of a single decode.
 """
@@ -265,11 +264,6 @@ class CriticParams:
         return dup
 
 
-def validate_critic_chain(critic: CriticParams) -> None:
-    if critic.channels != DEFAULT_CRITIC_CHANNELS:
-        raise ContractError(f"critic channel chain {critic.channels} != {DEFAULT_CRITIC_CHANNELS}")
-
-
 # ---------------------------------------------------------------------------
 # encoder
 
@@ -325,25 +319,6 @@ def encode_batch(features: np.ndarray, actor: ActorParams, mode: str) -> Encoded
         h = ad.batch_norm(ad.add(h, ff), actor.bn[f"enc.l{l}.bn2"], mode)
     graph = ad.mean_over_axis(ad.reshape(h, (batch, n, d_h)), 1)
     return EncodedBatch(h, graph, batch, n)
-
-
-@dataclass
-class EncodedGraph:
-    """Single-instance view: per-node embeddings and their mean."""
-
-    nodes: np.ndarray       # (n, d_h)
-    graph: np.ndarray       # (d_h,)
-    _batch: EncodedBatch = None
-
-    @property
-    def n(self) -> int:
-        return self.nodes.shape[0]
-
-
-def encode(inst: MotspInstance, actor: ActorParams, mode: str = "infer") -> EncodedGraph:
-    enc = encode_batch(inst.features[None, :, :], actor, mode)
-    return EncodedGraph(enc.nodes2d.data.reshape(inst.n, actor.cfg.d_h).copy(),
-                        enc.graph.data[0].copy(), enc)
 
 
 # ---------------------------------------------------------------------------
@@ -547,34 +522,9 @@ def greedy_tours(features: np.ndarray, actors) -> np.ndarray:
     return tours
 
 
-class DecodeState:
-    """Single-instance decoding state over a fixed encoding."""
-
-    def __init__(self, inst: MotspInstance, actor: ActorParams, mode: str = "infer"):
-        if inst.d_x != actor.cfg.d_x:
-            raise DimensionError(f"instance d_x={inst.d_x} != model d_x={actor.cfg.d_x}")
-        enc = encode_batch(inst.features[None, :, :], actor, mode)
-        self._state = BatchDecodeState(enc, _DecoderCache(enc, actor))
-        self.partial: list[int] = []
-
-    @property
-    def visited(self) -> np.ndarray:
-        return self._state.visited[0]
-
-    def visit(self, node: int) -> None:
-        self._state.advance(np.array([node]))
-        self.partial.append(int(node))
-
-
-def decode_step(state: DecodeState, actor: ActorParams) -> np.ndarray:
-    """Probability distribution over the next node; visited nodes get 0."""
-    probs = _decode_step_batch(state._state, actor)
-    return probs.data[0].copy()
-
-
 def rollout(inst: MotspInstance, actor: ActorParams, mode: str = "greedy",
             seed: int | None = None) -> tuple[Tour, float]:
-    """Encode once, decode n steps; returns the tour and its log-probability."""
+    """`rollout_batch` on a batch of one; returns the tour and its log-probability."""
     if inst.d_x != actor.cfg.d_x:
         raise DimensionError(f"instance d_x={inst.d_x} != model d_x={actor.cfg.d_x}")
     rng = np.random.default_rng(seed) if mode == "sample" else None
@@ -600,9 +550,3 @@ def critic_batch(features: np.ndarray, critic: CriticParams) -> ad.Array:
             h = ad.relu(h)
     per_node = ad.reshape(h, (batch, n))
     return ad.mean_over_axis(per_node, 1)
-
-
-def critic_value(inst: MotspInstance, critic: CriticParams) -> float:
-    if inst.d_x != critic.channels[0][0]:
-        raise DimensionError(f"instance d_x={inst.d_x} != critic input channels {critic.channels[0][0]}")
-    return float(critic_batch(inst.features[None, :, :], critic).data[0])

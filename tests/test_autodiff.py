@@ -145,7 +145,7 @@ def test_batch_norm_constant_column_zeros():
 def test_batch_norm_identity_stats_infer():
     state = ad.BatchNormState(2, dtype=np.float64)
     state.running_mean = np.zeros(2)
-    state.running_var = np.ones(2) - state.eps   # (x-0)/sqrt(var+eps) == x
+    state.running_var = np.ones(2) - ad.BN_EPS   # (x-0)/sqrt(var+eps) == x
     x = np.random.default_rng(0).standard_normal((5, 2))
     out = ad.batch_norm(ad.constant(x), state, "infer")
     np.testing.assert_allclose(out.data, x, rtol=0, atol=1e-12)

@@ -1,3 +1,4 @@
+import json
 import shutil
 
 import numpy as np
@@ -6,11 +7,15 @@ import pytest
 from paretotsp import evaluation as ev
 from paretotsp.cli import CKPT_ROOT_ENV, main, parse_config_file
 from paretotsp.decomposition import (MANIFEST_NAME, RunConfig,
-                                     checkpoint_name, read_checkpoint,
+                                     checkpoint_name, config_hash,
+                                     read_checkpoint, save_models,
                                      write_checkpoint, write_manifest)
 from paretotsp.errors import ParseError
 from paretotsp.instances import (MotspInstance, Tour, evaluate_objectives,
-                                 load_native, save_native)
+                                 load_native, load_tsplib_pair, save_native)
+from paretotsp.model import ActorParams, CriticParams
+
+from oracles import pareto_brute, tour_objectives_slow
 
 TINY_CONFIG = """\
 # tiny smoke-test run
@@ -50,6 +55,43 @@ NODE_COORD_SECTION
 3 20.0 50.0
 EOF
 """
+
+
+# Six nodes whose two coordinate sets have unequal axis spans, so min-max
+# scaling changes how tour lengths compare.
+TSPLIB6_A = [(0, 0), (70, 10), (30, 45), (95, 80), (10, 90), (55, 60)]
+TSPLIB6_B = [(5, 5), (12, 300), (40, 120), (8, 210), (33, 30), (20, 260)]
+
+
+def tsplib_text(name, points):
+    lines = [f"NAME: {name}", "TYPE: TSP", f"DIMENSION: {len(points)}",
+             "EDGE_WEIGHT_TYPE: EUC_2D", "NODE_COORD_SECTION"]
+    lines += [f"{i} {x} {y}" for i, (x, y) in enumerate(points, start=1)]
+    return "\n".join(lines + ["EOF"]) + "\n"
+
+
+def untrained_run(workdir, m_sub, seed):
+    """A complete run directory of m_sub freshly initialized tiny models."""
+    cfg = RunConfig(d_h=8, n_heads=2, d_ff=16, n_nodes=6, m_sub=m_sub, seed=seed)
+    rng = np.random.default_rng(seed)
+    workdir.mkdir()
+    for i in range(1, m_sub + 1):
+        save_models(workdir / checkpoint_name(i), ActorParams.init(cfg.model_config(), rng),
+                    CriticParams.init(rng))
+    write_manifest(workdir, cfg, list(range(1, m_sub + 1)))
+    return workdir
+
+
+def write_legacy_manifest(workdir, edit=None):
+    """Rewrite a run's manifest as older versions wrote it: the config also
+    held ref1/ref2, and the hash covered them. `edit` changes the config
+    afterwards without rehashing."""
+    path = workdir / MANIFEST_NAME
+    doc = json.loads(path.read_text())
+    doc["config"].update(ref1="1.2", ref2="1.2")
+    doc["config_hash"] = config_hash(doc["config"])
+    doc["config"].update(edit or {})
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +213,47 @@ def test_train_missing_config_is_io_error(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_legacy_manifest_with_ref_keys(trained, tmp_path, capsys):
+    """A run whose manifest still records ref1/ref2 solves, reruns from the
+    manifest, resumes, and keeps its config hash checked; new manifests lack
+    the keys."""
+    old = tmp_path / "old"
+    shutil.copytree(trained["ckpt"], old)
+    write_legacy_manifest(old)
+    assert main(["gen", "--n", "4", "--seed", "2", "--out", str(tmp_path)]) == 0
+    instance = str(tmp_path / "rand_n4_s2_0.motsp")
+    assert main(["solve", "--ckpt", str(old), "--instance", instance,
+                 "--out", str(tmp_path / "old.csv")]) == 0
+    assert main(["solve", "--ckpt", str(trained["ckpt"]), "--instance", instance,
+                 "--out", str(tmp_path / "new.csv")]) == 0
+    assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
+
+    redo = tmp_path / "redo"
+    assert main(["train", "--config", str(old / MANIFEST_NAME), "--out", str(redo)]) == 0
+    for i in (1, 2):
+        assert (redo / checkpoint_name(i)).read_bytes() == (old / checkpoint_name(i)).read_bytes()
+    assert "ref1" not in json.loads((redo / MANIFEST_NAME).read_text())["config"]
+
+    # interrupted after subproblem 1
+    doc = json.loads((old / MANIFEST_NAME).read_text())
+    (old / MANIFEST_NAME).write_text(json.dumps(dict(doc, completed=[1])))
+    (old / checkpoint_name(2)).unlink()
+    assert main(["train", "--config", str(trained["config"]), "--out", str(old), "--resume"]) == 0
+    assert (old / checkpoint_name(2)).read_bytes() == (trained["ckpt"] / checkpoint_name(2)).read_bytes()
+    resumed = json.loads((old / MANIFEST_NAME).read_text())
+    assert resumed["completed"] == [1, 2]
+    assert not {"ref1", "ref2"} & set(resumed["config"])
+    capsys.readouterr()
+
+    for edit in ({"ref1": "1.5"}, {"seed": "4"}):
+        edited = tmp_path / f"edited_{next(iter(edit))}"
+        shutil.copytree(trained["ckpt"], edited)
+        write_legacy_manifest(edited, edit)
+        assert main(["solve", "--ckpt", str(edited), "--instance", instance,
+                     "--out", str(tmp_path / "edited.csv")]) == 2
+        assert "hash" in capsys.readouterr().err
+
+
 def test_train_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_text(TINY_CONFIG + "momentum = 0.9\n")
@@ -211,6 +294,28 @@ def test_solve_tsplib_writes_unscaled_twin(trained, tmp_path):
     # any 3-node tour walks the full triangle in both coordinate sets
     np.testing.assert_allclose(raw.points()[0],
                                [50.0 + 50.0 + 60.0, 10.0 + 40.0 + np.hypot(10, 40)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_tsplib_unscaled_rows_match_their_tours(tmp_path, seed):
+    """Eight untrained models on an n=6 pair: every unscaled row is the raw
+    length of its own tour, and the rows are the raw front of the scaled one."""
+    ckpt = untrained_run(tmp_path / "ckpt", 8, seed)
+    pa, pb = tmp_path / "a.tsp", tmp_path / "b.tsp"
+    pa.write_text(tsplib_text("a", TSPLIB6_A))
+    pb.write_text(tsplib_text("b", TSPLIB6_B))
+    out = tmp_path / "pf.csv"
+    assert main(["solve", "--ckpt", str(ckpt), "--tsplib", str(pa), str(pb),
+                 "--out", str(out)]) == 0
+    raw_coords = load_tsplib_pair(pa, pb).raw_coords
+    scaled = ev.read_pf_csv(out).entries
+    want = np.array([tour_objectives_slow(raw_coords, e.tour.order) for e in scaled])
+    raw = ev.read_pf_csv(tmp_path / "pf_unscaled.csv").entries
+    assert [(e.subproblem, e.tour) for e in raw] == \
+        [(scaled[j].subproblem, scaled[j].tour) for j in pareto_brute(want)]
+    for e in raw:
+        np.testing.assert_allclose(e.objectives, tour_objectives_slow(raw_coords, e.tour.order),
+                                   rtol=0, atol=1e-9)
 
 
 def test_solve_wants_exactly_one_input(trained, tmp_path, capsys):

@@ -1,16 +1,12 @@
-import math
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from paretotsp.errors import ContractError, ParseError
 from paretotsp.instances import (MotspInstance, Tour, evaluate_objectives,
-                                 evaluate_objectives_raw, generate_random,
-                                 load_native, load_tsplib_pair, save_native,
-                                 tour_costs_batch, weighted_sum)
+                                 generate_random, load_native, load_tsplib_pair,
+                                 save_native, tour_costs_batch)
 
 from oracles import enumerate_objectives, tour_objectives_slow
 
@@ -30,25 +26,10 @@ def test_generate_random_rejects_small_n():
         generate_random(1, seed=0)
 
 
-def test_costs_bounded_by_unit_square_diagonal():
-    inst = generate_random(30, seed=5)
-    cost = inst.cost_matrices()
-    assert cost.min() >= 0.0
-    assert cost.max() <= math.sqrt(2.0)
-
-
 def test_large_sample_mean_near_half():
     inst = generate_random(1000, seed=123)
     means = inst.features.mean(axis=0)
     assert np.all(np.abs(means - 0.5) < 0.02)
-
-
-def test_cost_symmetry_and_zero_diagonal():
-    inst = generate_random(15, seed=7)
-    cost = inst.cost_matrices()
-    for j in range(inst.m):
-        np.testing.assert_allclose(cost[j], cost[j].T, atol=1e-15)
-        np.testing.assert_array_equal(np.diag(cost[j]), np.zeros(inst.n))
 
 
 def test_features_immutable():
@@ -63,10 +44,11 @@ def test_features_immutable():
 
 def test_two_node_tour_doubles_the_edge():
     inst = generate_random(2, seed=3)
-    cost = inst.cost_matrices()
+    a, b = inst.features
+    edge = np.hypot(a[0::2] - b[0::2], a[1::2] - b[1::2])      # one per objective
     for order in [(0, 1), (1, 0)]:
         obj = evaluate_objectives(inst, Tour(order))
-        np.testing.assert_allclose(obj, 2.0 * cost[:, 0, 1], atol=1e-15)
+        np.testing.assert_allclose(obj, 2.0 * edge, atol=1e-15)
 
 
 def test_rotation_and_reversal_invariance():
@@ -120,32 +102,11 @@ def test_tour_costs_batch_matches_single():
 # weighted sum
 
 
-def test_weighted_sum_unit_and_even_weights():
-    assert weighted_sum(np.array([3.7, 9.9]), np.array([1.0, 0.0])) == 3.7
-    assert weighted_sum(np.array([2.0, 4.0]), np.array([0.5, 0.5])) == 3.0
-
-
-def test_weighted_sum_dimension_mismatch():
-    with pytest.raises(ContractError):
-        weighted_sum(np.array([1.0, 2.0]), np.array([1.0, 0.0, 0.0]))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 10**6), st.floats(0.0, 1.0))
-def test_weighted_sum_linearity(seed, lam):
-    rng = np.random.default_rng(seed)
-    f, g = rng.random(2), rng.random(2)
-    w = np.array([lam, 1.0 - lam])
-    left = weighted_sum(f + 2.0 * g, w)
-    right = weighted_sum(f, w) + 2.0 * weighted_sum(g, w)
-    assert abs(left - right) < 1e-12
-
-
 def test_unit_weight_argmin_equals_first_objective_argmin():
     inst = generate_random(6, seed=14)
     tours, objs = enumerate_objectives(inst.features)
     w = np.array([1.0, 0.0])
-    scalar = np.array([weighted_sum(o, w) for o in objs])
+    scalar = objs @ w
     assert scalar.argmin() == objs[:, 0].argmin()
 
 
@@ -235,7 +196,7 @@ def test_tsplib_raw_objectives_scale(tmp_path):
     pa, pb = _write_pair(tmp_path)
     inst = load_tsplib_pair(pa, pb)
     tour = Tour((0, 1, 2))
-    raw = evaluate_objectives_raw(inst, tour)
+    raw = tour_costs_batch(inst.raw_coords[None], np.array([tour.order]))[0]
     # objective 1 on raw A coordinates: 30 + 50 + 40
     assert abs(raw[0] - 120.0) < 1e-9
     scaled = evaluate_objectives(inst, tour)
@@ -288,7 +249,7 @@ def test_kroab100_pair_when_available():
     inst = load_tsplib_pair(pa, pb)
     assert inst.n == 100 and inst.d_x == 4 and inst.m == 2
     assert inst.features.min() == 0.0 and inst.features.max() == 1.0
-    raw = evaluate_objectives_raw(inst, Tour(tuple(range(100))))
+    raw = tour_costs_batch(inst.raw_coords[None], np.arange(100)[None])[0]
     # no closed tour can beat the published optimum of kroA100 (21282)
     assert raw[0] >= 21282.0
     assert raw[1] > 0.0

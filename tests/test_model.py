@@ -8,10 +8,9 @@ from paretotsp.errors import (ContractError, DimensionError,
                               NoFeasibleActionError)
 from paretotsp.instances import MotspInstance, Tour, generate_random
 from paretotsp.model import (ActorParams, BatchDecodeState, CriticParams,
-                             DecodeState, ModelConfig, _decode_step_batch,
-                             _DecoderCache, critic_batch, critic_value,
-                             decode_step, encode, encode_batch, fuse_v1_arrays,
-                             rollout, rollout_batch, validate_critic_chain)
+                             ModelConfig, _decode_step_batch, _DecoderCache,
+                             critic_batch, encode_batch, fuse_v1_arrays,
+                             rollout, rollout_batch)
 
 from oracles import (check_gradients, per_head_decode_step, per_head_encode,
                      v1_actor_arrays)
@@ -21,6 +20,12 @@ TINY = ModelConfig(d_h=8, n_heads=2, d_ff=16)
 
 def tiny_actor(seed=0, cfg=TINY, dtype=np.float64):
     return ActorParams.init(cfg, np.random.default_rng(seed), dtype=dtype)
+
+
+def decode_state(feats, actor):
+    """A fresh decode of the one instance `feats` (n, d_x)."""
+    enc = encode_batch(feats[None], actor, "infer")
+    return BatchDecodeState(enc, _DecoderCache(enc, actor))
 
 
 # ---------------------------------------------------------------------------
@@ -40,15 +45,15 @@ def test_config_head_divisibility():
 def test_encode_shapes_at_paper_size():
     inst = generate_random(20, seed=0)
     actor = ActorParams.init(ModelConfig(), np.random.default_rng(0), dtype=np.float64)
-    enc = encode(inst, actor, mode="infer")
-    assert enc.nodes.shape == (20, 128)
-    assert enc.graph.shape == (128,)
+    enc = encode_batch(inst.features[None], actor, "infer")
+    assert enc.nodes2d.shape == (20, 128)
+    assert enc.graph.shape == (1, 128)
 
 
 def test_graph_embedding_is_mean_of_nodes():
     inst = generate_random(7, seed=1)
-    enc = encode(inst, tiny_actor(), mode="infer")
-    np.testing.assert_allclose(enc.graph, enc.nodes.mean(axis=0), atol=1e-9)
+    enc = encode_batch(inst.features[None], tiny_actor(), "infer")
+    np.testing.assert_allclose(enc.graph.data[0], enc.nodes2d.data.mean(axis=0), atol=1e-9)
 
 
 def test_encode_permutation_equivariance():
@@ -56,10 +61,10 @@ def test_encode_permutation_equivariance():
     feats = rng.random((9, 4))
     perm = rng.permutation(9)
     actor = tiny_actor(5)
-    a = encode(MotspInstance(feats), actor, mode="infer")
-    b = encode(MotspInstance(feats[perm]), actor, mode="infer")
-    np.testing.assert_allclose(b.nodes, a.nodes[perm], atol=1e-9)
-    np.testing.assert_allclose(b.graph, a.graph, atol=1e-9)
+    a = encode_batch(feats[None], actor, "infer")
+    b = encode_batch(feats[perm][None], actor, "infer")
+    np.testing.assert_allclose(b.nodes2d.data, a.nodes2d.data[perm], atol=1e-9)
+    np.testing.assert_allclose(b.graph.data, a.graph.data, atol=1e-9)
 
 
 def test_encode_rejects_wrong_dx():
@@ -75,9 +80,9 @@ def test_encode_batch_matches_single_instance():
     batch = encode_batch(feats, actor, "infer")
     nodes = batch.nodes2d.data.reshape(3, 6, TINY.d_h)
     for b in range(3):
-        single = encode(MotspInstance(feats[b]), actor, mode="infer")
-        np.testing.assert_allclose(nodes[b], single.nodes, atol=1e-12)
-        np.testing.assert_allclose(batch.graph.data[b], single.graph, atol=1e-12)
+        single = encode_batch(feats[b][None], actor, "infer")
+        np.testing.assert_allclose(nodes[b], single.nodes2d.data, atol=1e-12)
+        np.testing.assert_allclose(batch.graph.data[b], single.graph.data[0], atol=1e-12)
 
 
 def test_encoder_matches_hand_computation():
@@ -114,9 +119,9 @@ def test_encoder_matches_hand_computation():
         @ p["enc.l1.ff.W1"].T + p["enc.l1.ff.b1"]
     h2 = bn_infer(h1 + ff, "enc.l1.bn2")
 
-    enc = encode(MotspInstance(feats), actor, mode="infer")
-    np.testing.assert_allclose(enc.nodes, h2, atol=1e-9)
-    np.testing.assert_allclose(enc.graph, h2.mean(axis=0), atol=1e-9)
+    enc = encode_batch(feats[None], actor, "infer")
+    np.testing.assert_allclose(enc.nodes2d.data, h2, atol=1e-9)
+    np.testing.assert_allclose(enc.graph.data[0], h2.mean(axis=0), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -126,37 +131,37 @@ def test_encoder_matches_hand_computation():
 def test_decode_probabilities_masked_and_normalized():
     inst = generate_random(8, seed=4)
     actor = tiny_actor(2)
-    state = DecodeState(inst, actor)
-    probs = decode_step(state, actor)
+    state = decode_state(inst.features, actor)
+    probs = _decode_step_batch(state, actor).data[0]
     assert abs(probs.sum() - 1.0) <= 1e-9
-    state.visit(3)
-    state.visit(6)
-    probs = decode_step(state, actor)
+    state.advance(np.array([3]))
+    state.advance(np.array([6]))
+    probs = _decode_step_batch(state, actor).data[0]
     assert probs[3] == 0.0 and probs[6] == 0.0
     assert np.all(probs >= 0.0)
     assert abs(probs.sum() - 1.0) <= 1e-9
-    assert state.partial == [3, 6]
-    assert state.visited[3] and state.visited[6] and state.visited.sum() == 2
+    visited = state.visited[0]
+    assert visited[3] and visited[6] and visited.sum() == 2
 
 
 def test_decode_forced_last_choice():
     inst = generate_random(5, seed=6)
     actor = tiny_actor(3)
-    state = DecodeState(inst, actor)
+    state = decode_state(inst.features, actor)
     for node in (2, 0, 4, 1):
-        state.visit(node)
-    probs = decode_step(state, actor)
+        state.advance(np.array([node]))
+    probs = _decode_step_batch(state, actor).data[0]
     np.testing.assert_array_equal(probs, [0.0, 0.0, 0.0, 1.0, 0.0])
 
 
 def test_decode_all_visited_rejected():
     inst = generate_random(3, seed=7)
     actor = tiny_actor(4)
-    state = DecodeState(inst, actor)
+    state = decode_state(inst.features, actor)
     for node in (1, 0, 2):
-        state.visit(node)
+        state.advance(np.array([node]))
     with pytest.raises(NoFeasibleActionError):
-        decode_step(state, actor)
+        _decode_step_batch(state, actor)
 
 
 def test_decode_logits_clipped_to_ten():
@@ -175,10 +180,10 @@ def test_decode_logits_clipped_to_ten():
 def test_decode_visit_twice_rejected():
     inst = generate_random(4, seed=8)
     actor = tiny_actor(5)
-    state = DecodeState(inst, actor)
-    state.visit(2)
+    state = decode_state(inst.features, actor)
+    state.advance(np.array([2]))
     with pytest.raises(ContractError):
-        state.visit(2)
+        state.advance(np.array([2]))
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +231,12 @@ def test_rollout_chain_rule_consistency():
     inst = generate_random(8, seed=12)
     actor = tiny_actor(12)
     tour, logp = rollout(inst, actor, mode="sample", seed=3)
-    state = DecodeState(inst, actor)
+    state = decode_state(inst.features, actor)
     total = 0.0
     for node in tour.order:
-        probs = decode_step(state, actor)
+        probs = _decode_step_batch(state, actor).data[0]
         total += math.log(probs[node])
-        state.visit(node)
+        state.advance(np.array([node]))
     assert abs(total - logp) < 1e-6
 
 
@@ -251,7 +256,7 @@ def test_rollout_first_step_frequencies_match_distribution():
     n, runs = 5, 10_000
     inst = generate_random(n, seed=20)
     actor = tiny_actor(20)
-    probs = decode_step(DecodeState(inst, actor), actor)
+    probs = _decode_step_batch(decode_state(inst.features, actor), actor).data[0]
     feats = np.broadcast_to(inst.features, (runs, n, 4))
     tours, _, _ = rollout_batch(feats, actor, mode="sample",
                                 rng=np.random.default_rng(78))
@@ -280,15 +285,15 @@ def test_critic_zero_weights_give_zero():
     critic = CriticParams.init(np.random.default_rng(0), dtype=np.float64)
     for p in critic.params.values():
         p.data = np.zeros_like(p.data)
-    assert critic_value(generate_random(6, seed=0), critic) == 0.0
+    assert critic_batch(generate_random(6, seed=0).features[None], critic).data[0] == 0.0
 
 
 def test_critic_permutation_invariant():
     rng = np.random.default_rng(30)
     feats = rng.random((8, 4))
     critic = CriticParams.init(rng, dtype=np.float64)
-    a = critic_value(MotspInstance(feats), critic)
-    b = critic_value(MotspInstance(feats[rng.permutation(8)]), critic)
+    a = critic_batch(feats[None], critic).data[0]
+    b = critic_batch(feats[rng.permutation(8)][None], critic).data[0]
     assert abs(a - b) < 1e-12
 
 
@@ -309,22 +314,14 @@ def test_critic_hand_computation_reduced_network():
         per_node.append(3.0 * s3 + 0.2)
     expected = sum(per_node) / 2.0
 
-    assert abs(critic_value(MotspInstance(feats), critic) - expected) < 1e-12
-
-
-def test_critic_chain_validation():
-    ok = CriticParams.init(np.random.default_rng(0))
-    validate_critic_chain(ok)
-    reduced = CriticParams(channels=((4, 1), (1, 1), (1, 1), (1, 1)))
-    with pytest.raises(ContractError):
-        validate_critic_chain(reduced)
+    assert abs(critic_batch(feats[None], critic).data[0] - expected) < 1e-12
 
 
 def test_critic_rejects_wrong_dx():
     critic = CriticParams.init(np.random.default_rng(1), dtype=np.float64)
     feats = np.random.default_rng(0).random((5, 2))
     with pytest.raises(DimensionError):
-        critic_value(MotspInstance(feats), critic)
+        critic_batch(feats[None], critic)
 
 
 # ---------------------------------------------------------------------------
