@@ -57,7 +57,7 @@ class Array:
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError(f"non-finite values entering op '{_op}'")
         self.data = arr
         self.grad = None
@@ -345,23 +345,26 @@ def masked_softmax(logits: Array, mask) -> Array:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != logits.shape:
         raise DimensionError(f"mask shape {mask.shape} does not match logits {logits.shape}")
-    feasible = ~mask
-    if not feasible.any(axis=-1).all():
+    if mask.all(axis=-1).any():
         raise NoFeasibleActionError("masked_softmax: a row has every entry masked")
-    shifted = np.where(feasible, logits.data, -np.inf)
-    mx = shifted.max(axis=-1, keepdims=True)
-    ex = np.where(feasible, np.exp(shifted - mx), 0.0)
-    probs = ex / ex.sum(axis=-1, keepdims=True)
+    shifted = np.where(mask, -np.inf, logits.data)
+    # Every row has a finite maximum, and exp(-inf) is exactly 0.
+    ex = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
+    return _softmax_node(ex / ex.sum(axis=-1, keepdims=True), logits, "masked_softmax")
 
+
+def softmax(logits: Array) -> Array:
+    """Softmax over the last axis; equals `masked_softmax` with nothing masked."""
+    ex = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
+    return _softmax_node(ex / ex.sum(axis=-1, keepdims=True), logits, "softmax")
+
+
+def _softmax_node(probs: np.ndarray, logits: Array, op: str) -> Array:
     def back(g):
         dot = (g * probs).sum(axis=-1, keepdims=True)
         return (probs * (g - dot),)
 
-    return Array(probs, _parents=(logits,), _backward=back, _op="masked_softmax")
-
-
-def softmax(logits: Array) -> Array:
-    return masked_softmax(logits, np.zeros(logits.shape, dtype=bool))
+    return Array(probs, _parents=(logits,), _backward=back, _op=op)
 
 
 BN_EPS = 1e-5           # added to the variance before the square root

@@ -41,6 +41,8 @@ def parse_config_file(path) -> dict[str, str]:
             mapping = doc["config"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(path, None, f"not a valid manifest: {exc}") from exc
+        if not isinstance(mapping, dict):
+            raise ParseError(path, None, f"not a valid manifest: config is a {type(mapping).__name__}, not an object")
         return {str(k): str(v) for k, v in mapping.items()}
     mapping: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):

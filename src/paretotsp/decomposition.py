@@ -318,15 +318,23 @@ def load_manifest(workdir) -> tuple[RunConfig, list[int]]:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(path, None, f"unreadable manifest: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(path, None, "manifest is not a JSON object")
     if doc.get("format") != MANIFEST_FORMAT:
         raise ParseError(path, None, f"unsupported manifest format {doc.get('format')!r}")
     if doc.get("prng") != PRNG_NAME:
         raise ContractError(f"manifest prng {doc.get('prng')!r} != {PRNG_NAME!r}")
-    cfg = RunConfig.from_mapping(doc["config"])
-    retired = {k: str(v) for k, v in doc["config"].items() if k in RETIRED_KEYS}
+    config = doc.get("config")
+    if not isinstance(config, dict):
+        raise ParseError(path, None, f"manifest config must be a JSON object, got {type(config).__name__}")
+    cfg = RunConfig.from_mapping(config)
+    retired = {k: str(v) for k, v in config.items() if k in RETIRED_KEYS}
     if config_hash({**cfg.to_mapping(), **retired}) != doc.get("config_hash"):
         raise ContractError("manifest config hash does not match its config")
-    completed = sorted(int(i) for i in doc.get("completed", []))
+    completed = doc.get("completed", [])
+    if not isinstance(completed, list) or not all(type(i) is int for i in completed):
+        raise ParseError(path, None, f"manifest completed must be a list of integers, got {completed!r}")
+    completed = sorted(completed)
     if completed != list(range(1, len(completed) + 1)):
         raise ContractError(f"completed subproblems must be contiguous from 1, got {completed}")
     return cfg, completed

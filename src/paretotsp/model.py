@@ -353,8 +353,19 @@ class _DecoderCache:
 
 
 def _stack_rows(parts: list[ad.Array]) -> ad.Array:
-    """Concatenate along the leading axis, outside the tape."""
-    return ad.constant(np.concatenate([p.data for p in parts]))
+    """Concatenate along the leading axis, outside the tape, packing the
+    trailing axes in the first part's memory order (a transposed key block
+    stays column-major), so a product against the stack makes the same BLAS
+    call per row as against one part. `np.concatenate` alone would interleave
+    the parts along their outermost memory axis.
+    """
+    first = parts[0].data
+    inner = sorted(range(1, first.ndim), key=lambda ax: -first.strides[ax])   # outermost first
+    packed = np.empty((sum(p.shape[0] for p in parts),) + tuple(first.shape[ax] for ax in inner),
+                      dtype=first.dtype)
+    out = np.transpose(packed, (0,) + tuple(int(ax) + 1 for ax in np.argsort(inner)))
+    np.concatenate([p.data for p in parts], out=out)
+    return ad.constant(out)
 
 
 class BatchDecodeState:

@@ -131,6 +131,32 @@ def test_masked_softmax_gradient_small():
     assert check_gradients(build, [logits], eps=FD_EPS) < 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_kernels_are_bitwise_the_two_where_formula(dtype):
+    """`softmax` equals `masked_softmax` with nothing masked, and both equal
+    the formula that masks twice, before the max and after the exp; masked
+    entries are exactly +0.0."""
+    rng = np.random.default_rng(5)
+    logits = (rng.standard_normal((3, 4, 9)) * 8.0).astype(dtype)
+    mask = rng.random(logits.shape) < 0.5
+    mask[..., 4] = False
+
+    def two_where(mask):
+        shifted = np.where(~mask, logits, -np.inf)
+        ex = np.where(~mask, np.exp(shifted - shifted.max(axis=-1, keepdims=True)), 0.0)
+        return ex / ex.sum(axis=-1, keepdims=True)
+
+    nothing = np.zeros(logits.shape, dtype=bool)
+    plain = ad.softmax(ad.constant(logits)).data
+    assert plain.dtype == dtype
+    assert plain.tobytes() == ad.masked_softmax(ad.constant(logits), nothing).data.tobytes()
+    assert plain.tobytes() == two_where(nothing).tobytes()
+    probs = ad.masked_softmax(ad.constant(logits), mask).data
+    assert probs.dtype == dtype
+    assert probs.tobytes() == two_where(mask).tobytes()
+    assert np.all(probs[mask] == 0.0) and not np.signbit(probs[mask]).any()
+
+
 # ---------------------------------------------------------------------------
 # batch norm
 

@@ -254,6 +254,36 @@ def test_legacy_manifest_with_ref_keys(trained, tmp_path, capsys):
         assert "hash" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("breakage", [
+    lambda doc: {k: v for k, v in doc.items() if k != "config"},
+    lambda doc: dict(doc, config=sorted(doc["config"].items())),
+    lambda doc: [doc],
+    lambda doc: dict(doc, completed=[1, "two"]),
+], ids=["no-config", "config-not-object", "document-not-object", "completed-not-integer"])
+def test_malformed_manifest_exits_2_naming_the_file(trained, tmp_path, capsys, breakage):
+    run = tmp_path / "run"
+    shutil.copytree(trained["ckpt"], run)
+    manifest = run / MANIFEST_NAME
+    manifest.write_text(json.dumps(breakage(json.loads(manifest.read_text()))))
+    broken = manifest.read_bytes()
+    assert main(["gen", "--n", "4", "--seed", "2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--ckpt", str(run), "--instance", str(tmp_path / "rand_n4_s2_0.motsp"),
+                 "--out", str(tmp_path / "pf.csv")]) == 2
+    assert str(manifest) in capsys.readouterr().err
+    assert main(["train", "--config", str(trained["config"]), "--out", str(run), "--resume"]) == 2
+    assert str(manifest) in capsys.readouterr().err
+    assert manifest.read_bytes() == broken
+
+
+def test_train_config_from_manifest_needs_a_config_object(trained, tmp_path, capsys):
+    doc = json.loads((trained["ckpt"] / MANIFEST_NAME).read_text())
+    config = tmp_path / MANIFEST_NAME
+    config.write_text(json.dumps(dict(doc, config=sorted(doc["config"].items()))))
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert str(config) in capsys.readouterr().err
+
+
 def test_train_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_text(TINY_CONFIG + "momentum = 0.9\n")

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from paretotsp import autodiff as ad
+from paretotsp.decomposition import RunConfig
 from paretotsp.errors import (ContractError, DimensionError,
                               NoFeasibleActionError)
 from paretotsp.instances import MotspInstance, Tour, generate_random
 from paretotsp.model import (ActorParams, BatchDecodeState, CriticParams,
                              ModelConfig, _decode_step_batch, _DecoderCache,
                              critic_batch, encode_batch, fuse_v1_arrays,
-                             rollout, rollout_batch)
+                             greedy_tours, rollout, rollout_batch)
 
 from oracles import (check_gradients, per_head_decode_step, per_head_encode,
                      v1_actor_arrays)
@@ -275,6 +276,27 @@ def test_rollout_batch_matches_single_greedy():
         tour, lp = rollout(MotspInstance(feats[b]), actor, mode="greedy")
         assert tuple(tours[b]) == tour.order
         assert abs(lp - logp.data[b]) < 1e-12
+
+
+def test_greedy_tours_every_row_equals_its_per_model_rollout():
+    """Each row of the model-stacked decode, not only the front, is its
+    actor's own greedy tour. The solve benchmark's seed-3 draw (n=100, full
+    width) is used: actors 60 and 61 of it meet a step whose two best
+    candidates lie about 1 ulp apart, so a stacked product that accumulates
+    in another order than the per-model one flips a tour."""
+    cfg = RunConfig(n_nodes=100, seed=3)
+    rng = np.random.default_rng(np.random.SeedSequence([3, 0]))
+    actors = []
+    for _ in range(62):
+        actors.append(ActorParams.init(cfg.model_config(), rng))
+        CriticParams.init(rng)
+    feats = np.random.default_rng(np.random.SeedSequence([3, 1])).random((100, 4))
+    chosen = actors[60:62]
+    tours = greedy_tours(feats, chosen)
+    assert tours.shape == (2, 100)
+    for row, actor in zip(tours, chosen):
+        ref, _, _ = rollout_batch(feats[None], actor, "greedy")
+        np.testing.assert_array_equal(row, ref[0])
 
 
 # ---------------------------------------------------------------------------
