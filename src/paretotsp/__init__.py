@@ -14,12 +14,11 @@ from .decomposition import (RunConfig, SubproblemSchedule, load_models,
 from .errors import (BatchTooSmallError, BoundsError, ContractError,
                      DimensionError, NoFeasibleActionError, NonFiniteError,
                      ParseError, TrainingDivergedError)
-from .evaluation import (ArchiveEntry, HvConfig, ParetoArchive, approximate_pf,
-                         compute_hv_protocol, dominates, hypervolume_2d,
-                         normalize, read_pf_csv, write_hv_report, write_pf_csv)
-from .instances import (MotspInstance, Tour, evaluate_objectives,
-                        generate_random, load_native, load_tsplib_pair,
-                        save_native)
+from .evaluation import (ArchiveEntry, ParetoArchive, approximate_pf,
+                         compute_hv_protocol, hypervolume_2d, normalize,
+                         read_pf_csv, write_hv_report, write_pf_csv)
+from .instances import (MotspInstance, Tour, evaluate_objectives, load_native,
+                        load_tsplib_pair, save_native)
 from .model import ActorParams, CriticParams, ModelConfig, rollout
 from .trainer import (Adam, TrainConfig, TrainReport, reinforce_iteration,
                       train_subproblem)
@@ -29,14 +28,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ActorParams", "Adam", "ArchiveEntry", "Array", "BatchTooSmallError",
     "BoundsError", "ContractError", "CriticParams", "DimensionError",
-    "HvConfig", "ModelConfig", "MotspInstance", "NoFeasibleActionError",
-    "NonFiniteError", "ParetoArchive", "ParseError", "RunConfig",
-    "SubproblemSchedule", "Tour", "TrainConfig", "TrainReport",
-    "TrainingDivergedError", "approximate_pf", "backward",
-    "compute_hv_protocol", "constant", "dominates", "evaluate_objectives",
-    "generate_random", "hypervolume_2d", "load_models", "load_native",
-    "load_tsplib_pair", "make_schedule", "make_weights", "normalize", "param",
-    "read_pf_csv", "reinforce_iteration", "rollout", "run_schedule",
-    "save_models", "save_native", "train_subproblem", "write_hv_report",
-    "write_pf_csv",
+    "ModelConfig", "MotspInstance", "NoFeasibleActionError", "NonFiniteError",
+    "ParetoArchive", "ParseError", "RunConfig", "SubproblemSchedule", "Tour",
+    "TrainConfig", "TrainReport", "TrainingDivergedError", "approximate_pf",
+    "backward", "compute_hv_protocol", "constant", "evaluate_objectives",
+    "hypervolume_2d", "load_models", "load_native", "load_tsplib_pair",
+    "make_schedule", "make_weights", "normalize", "param", "read_pf_csv",
+    "reinforce_iteration", "rollout", "run_schedule", "save_models",
+    "save_native", "train_subproblem", "write_hv_report", "write_pf_csv",
 ]

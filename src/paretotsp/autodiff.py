@@ -228,12 +228,13 @@ def scale(x: Array, c: float) -> Array:
 
 
 def relu(x: Array) -> Array:
-    mask = x.data > 0
+    data = x.data
 
     def back(g):
-        return (g * mask,)
+        return (g * (data > 0),)
 
-    return Array(np.where(mask, x.data, 0.0), _parents=(x,), _backward=back, _op="relu")
+    # maximum may return either zero on a ±0 tie; `+ 0` makes every zero +0.0.
+    return Array(np.maximum(data, 0) + 0, _parents=(x,), _backward=back, _op="relu")
 
 
 def tanh(x: Array) -> Array:

@@ -10,7 +10,6 @@ writes a manifest that reproduces it exactly when passed back to --config.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -28,22 +27,9 @@ CKPT_ROOT_ENV = "PARETOTSP_CKPT_ROOT"
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat key=value lines; blank lines and full-line # comments ignored.
-
-    A JSON manifest (from a previous run) is accepted too — its embedded
-    config is used, which makes reruns exact.
-    """
+    """Flat key=value lines; blank lines and full-line # comments ignored."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text)
-            mapping = doc["config"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ParseError(path, None, f"not a valid manifest: {exc}") from exc
-        if not isinstance(mapping, dict):
-            raise ParseError(path, None, f"not a valid manifest: config is a {type(mapping).__name__}, not an object")
-        return {str(k): str(v) for k, v in mapping.items()}
     mapping: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
@@ -76,6 +62,8 @@ def cmd_gen(args) -> int:
         raise ContractError(f"--count must be >= 1, got {args.count}")
     if args.n < 2:
         raise ContractError(f"--n must be >= 2, got {args.n}")
+    if args.seed < 0:
+        raise ContractError(f"--seed must be >= 0, got {args.seed}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):
@@ -97,7 +85,12 @@ def _resolve_workdir(flag_value) -> Path:
 
 
 def cmd_train(args) -> int:
-    cfg = dec.RunConfig.from_mapping(parse_config_file(args.config))
+    with open(args.config, "rb") as fh:
+        is_manifest = fh.read().lstrip().startswith(b"{")     # an earlier run's manifest.json
+    if is_manifest:
+        cfg, _ = dec.load_manifest(args.config)
+    else:
+        cfg = dec.RunConfig.from_mapping(parse_config_file(args.config))
     workdir = _resolve_workdir(args.out)
     started = time.perf_counter()
 
@@ -147,7 +140,7 @@ def cmd_eval(args) -> int:
     if args.no_normalize:
         hvs = [ev.hypervolume_2d(a.points(), ref) for a in archives]
     else:
-        hvs = ev.compute_hv_protocol(archives, ev.HvConfig(ref=ref))
+        hvs = ev.compute_hv_protocol(archives, ref)
     rows = []
     for path, archive, hv in zip(args.pf, archives, hvs):
         method = Path(path).stem

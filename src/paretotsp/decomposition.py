@@ -5,8 +5,7 @@ uniform weight sweep λ_i = ((i-1)/(M-1), 1-(i-1)/(M-1)). Subproblem 1 trains
 from fresh initialization for its own epoch budget; every later subproblem
 starts from an exact copy of its predecessor's final parameters and trains
 briefly. Each subproblem's finished model is persisted as `model_<i>.ckpt`
-(named float32 little-endian arrays behind a versioned header; v1 files of
-the per-head attention layout still load, fused on reading) next to a
+(named float32 little-endian arrays behind a `v2` header) next to a
 `manifest.json` carrying the full run configuration, its hash, the seeds,
 and the list of completed subproblems — enough to resume or to reproduce the
 run bit for bit.
@@ -26,14 +25,13 @@ import numpy as np
 
 from .errors import ContractError, ParseError
 from .instances import PRNG_NAME
-from .model import ActorParams, CriticParams, ModelConfig, fuse_v1_arrays
+from .model import DEFAULT_CRITIC_CHANNELS, ActorParams, CriticParams, ModelConfig
 from .trainer import TrainConfig, train_subproblem
 
 log = logging.getLogger(__name__)
 
 CKPT_MAGIC = "paretotsp-ckpt"
 CKPT_VERSION = "v2"
-CKPT_V1 = "v1"          # per-head attention arrays; read and fused, never written
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "paretotsp-manifest v1"
 # Config keys of older manifests that nothing read. They are accepted and
@@ -41,12 +39,10 @@ MANIFEST_FORMAT = "paretotsp-manifest v1"
 RETIRED_KEYS = ("ref1", "ref2")
 
 
-def make_weights(m_sub: int, m_obj: int = 2) -> np.ndarray:
+def make_weights(m_sub: int) -> np.ndarray:
     """(M, 2) weight rows sweeping from (0, 1) to (1, 0), first coord ascending."""
     if m_sub < 2:
         raise ContractError(f"need at least 2 subproblems, got {m_sub}")
-    if m_obj != 2:
-        raise ContractError("the uniform sweep is defined for 2 objectives")
     lam1 = np.arange(m_sub, dtype=np.float64) / (m_sub - 1)
     return np.column_stack([lam1, 1.0 - lam1])
 
@@ -55,22 +51,6 @@ def make_weights(m_sub: int, m_obj: int = 2) -> np.ndarray:
 class SubproblemSchedule:
     weights: np.ndarray          # (M, m), consecutive rows nearest neighbors
     epochs: tuple[int, ...]      # per-subproblem epoch budget
-
-    def __post_init__(self):
-        if self.weights.shape[0] != len(self.epochs):
-            raise ContractError("one epoch count per weight vector required")
-        if self.weights.shape[0] < 2:
-            raise ContractError("schedule needs at least 2 subproblems")
-        w = self.weights
-        if np.any(w < 0) or np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-12):
-            raise ContractError("weight rows must be nonnegative and sum to 1")
-        steps = np.diff(w[:, 0])
-        if not (np.all(steps > 0) or np.all(steps < 0)):
-            raise ContractError("weights must sweep monotonically")
-
-    @property
-    def m_sub(self) -> int:
-        return self.weights.shape[0]
 
 
 def make_schedule(m_sub: int, epochs_first: int = 5, epochs_rest: int = 1,
@@ -90,7 +70,7 @@ def make_schedule(m_sub: int, epochs_first: int = 5, epochs_rest: int = 1,
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat, hashable view of everything a training run depends on."""
+    """Flat, hashable view of everything a training run depends on; checked on construction."""
 
     d_x: int = 4
     d_h: int = 128
@@ -113,6 +93,17 @@ class RunConfig:
     direction: str = "asc"
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
+        if self.d_x != DEFAULT_CRITIC_CHANNELS[0][0]:
+            raise ContractError(f"d_x must be {DEFAULT_CRITIC_CHANNELS[0][0]}, the critic's input width, "
+                                f"got {self.d_x}")
+        self.model_config()
+        self.train_config(self.epochs_first)
+        self.train_config(self.epochs_rest)
+        self.schedule()
+
     def model_config(self) -> ModelConfig:
         return ModelConfig(d_x=self.d_x, d_h=self.d_h, n_layers=self.n_layers,
                            n_heads=self.n_heads, d_ff=self.d_ff, clip=self.clip_logits)
@@ -122,7 +113,7 @@ class RunConfig:
                            dataset_size=self.dataset_size, epochs=epochs,
                            lr_actor=self.lr_actor, lr_critic=self.lr_critic,
                            beta1=self.beta1, beta2=self.beta2, eps=self.eps,
-                           clip_norm=self.clip_norm, seed=self.seed)
+                           clip_norm=self.clip_norm)
 
     def schedule(self) -> SubproblemSchedule:
         return make_schedule(self.m_sub, self.epochs_first, self.epochs_rest, self.direction)
@@ -151,7 +142,7 @@ class RunConfig:
                     kwargs[key] = float(raw)
                 else:
                     kwargs[key] = raw
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ContractError(f"config key {key!r}: {exc}") from exc
         return cls(**kwargs)
 
@@ -183,10 +174,10 @@ def write_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
-    """The named arrays of a checkpoint file, in the current layout.
+    """The named arrays of a checkpoint file.
 
-    A v1 file's per-head attention blocks come back fused. Malformed files and
-    arrays holding NaN or Inf raise ParseError naming the file.
+    Malformed files, files of another version, and arrays holding NaN or Inf
+    raise ParseError naming the file.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -210,7 +201,7 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
             fail("non-ascii header line")
 
     header = read_line()
-    if header not in (f"{CKPT_MAGIC} {CKPT_VERSION}", f"{CKPT_MAGIC} {CKPT_V1}"):
+    if header != f"{CKPT_MAGIC} {CKPT_VERSION}":
         fail(f"bad checkpoint header {header!r}")
     count_line = read_line()
     if not count_line.startswith("count="):
@@ -243,11 +234,6 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         pos += nbytes
     if pos != len(data):
         fail(f"{len(data) - pos} trailing bytes after the last array")
-    if header == f"{CKPT_MAGIC} {CKPT_V1}":
-        try:
-            return fuse_v1_arrays(arrays)
-        except ContractError as exc:
-            fail(str(exc))
     return arrays
 
 
@@ -311,8 +297,12 @@ def write_manifest(workdir, cfg: RunConfig, completed: list[int]) -> None:
     os.replace(tmp, path)
 
 
-def load_manifest(workdir) -> tuple[RunConfig, list[int]]:
-    path = Path(workdir) / MANIFEST_NAME
+def load_manifest(path) -> tuple[RunConfig, list[int]]:
+    """The checked config and completed subproblems of a manifest file, or
+    of the manifest in a run directory."""
+    path = Path(path)
+    if not path.is_file():
+        path = path / MANIFEST_NAME
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
@@ -323,14 +313,14 @@ def load_manifest(workdir) -> tuple[RunConfig, list[int]]:
     if doc.get("format") != MANIFEST_FORMAT:
         raise ParseError(path, None, f"unsupported manifest format {doc.get('format')!r}")
     if doc.get("prng") != PRNG_NAME:
-        raise ContractError(f"manifest prng {doc.get('prng')!r} != {PRNG_NAME!r}")
+        raise ContractError(f"{path}: manifest prng {doc.get('prng')!r} != {PRNG_NAME!r}")
     config = doc.get("config")
     if not isinstance(config, dict):
         raise ParseError(path, None, f"manifest config must be a JSON object, got {type(config).__name__}")
     cfg = RunConfig.from_mapping(config)
     retired = {k: str(v) for k, v in config.items() if k in RETIRED_KEYS}
     if config_hash({**cfg.to_mapping(), **retired}) != doc.get("config_hash"):
-        raise ContractError("manifest config hash does not match its config")
+        raise ContractError(f"{path}: manifest config hash does not match its config")
     completed = doc.get("completed", [])
     if not isinstance(completed, list) or not all(type(i) is int for i in completed):
         raise ParseError(path, None, f"manifest completed must be a list of integers, got {completed!r}")
@@ -351,7 +341,7 @@ class TrainedActors:
 
     def __init__(self, workdir):
         self.workdir = Path(workdir)
-        self.cfg, completed = load_manifest(self.workdir)
+        self.cfg, completed = load_manifest(self.workdir / MANIFEST_NAME)
         if len(completed) != self.cfg.m_sub:
             raise ContractError(
                 f"checkpoint directory {self.workdir} holds {len(completed)}/{self.cfg.m_sub} "
@@ -398,7 +388,7 @@ def run_schedule(cfg: RunConfig, workdir, resume: bool = False,
     if completed:
         actor, critic = load_models(workdir / checkpoint_name(completed[-1]), cfg)
 
-    for i in range(len(completed) + 1, sched.m_sub + 1):
+    for i in range(len(completed) + 1, cfg.m_sub + 1):
         if i == 1:
             init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
             actor = ActorParams.init(cfg.model_config(), init_rng)
@@ -415,9 +405,9 @@ def run_schedule(cfg: RunConfig, workdir, resume: bool = False,
             report.write_csv(metrics_path)
 
         log.info("subproblem %d/%d: weights (%.6f, %.6f), %d epoch(s)",
-                 i, sched.m_sub, weights[0], weights[1], epochs)
+                 i, cfg.m_sub, weights[0], weights[1], epochs)
         if progress is not None:
-            progress(i, sched.m_sub, weights)
+            progress(i, cfg.m_sub, weights)
         report = train_subproblem(weights, actor, critic, cfg.train_config(epochs),
                                   rng=rng, epoch_callback=persist_epoch)
         report.write_csv(metrics_path)

@@ -1,4 +1,4 @@
-"""Pareto tools: dominance, filtering, normalization, 2-D hypervolume, and
+"""Pareto tools: filtering, normalization, 2-D hypervolume, and
 assembly of an approximate Pareto front from a family of trained models.
 
 All objectives are minimized. Hypervolume is the exact area dominated by a
@@ -15,21 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, ParseError
 from .instances import MotspInstance, Tour, evaluate_objectives
 
 log = logging.getLogger(__name__)
 
 DEFAULT_REF_POINT = (1.2, 1.2)
-
-
-def dominates(u, v) -> bool:
-    """True iff u is no worse than v everywhere and strictly better somewhere."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DimensionError(f"objective vectors must share one dimension, got {u.shape} vs {v.shape}")
-    return bool(np.all(u <= v) and np.any(u < v))
 
 
 def pareto_filter_indices(points) -> np.ndarray:
@@ -101,16 +92,10 @@ class ArchiveEntry:
 
 @dataclass
 class ParetoArchive:
-    """Mutually nondominated solutions with their source subproblem index."""
+    """Mutually nondominated solutions (as `from_candidates` and `read_pf_csv`
+    build them) with their source subproblem index."""
 
     entries: list[ArchiveEntry] = field(default_factory=list)
-
-    def __post_init__(self):
-        pts = self.points()
-        if len(self.entries) > 1:
-            kept = pareto_filter_indices(pts)
-            if len(kept) != len(self.entries):
-                raise ContractError("archive entries must be mutually nondominated and deduplicated")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -126,11 +111,6 @@ class ParetoArchive:
         keep = pareto_filter_indices(pts)
         entries = [ArchiveEntry(tours[j], pts[j].copy(), int(subproblems[j])) for j in keep]
         return cls(entries)
-
-
-@dataclass(frozen=True)
-class HvConfig:
-    ref: tuple[float, ...] = DEFAULT_REF_POINT
 
 
 def approximate_pf(inst: MotspInstance, models) -> ParetoArchive:
@@ -154,14 +134,10 @@ def union_bounds(archives) -> tuple[np.ndarray, np.ndarray]:
     if not all_pts:
         raise ContractError("no archive points to take bounds over")
     stacked = np.concatenate(all_pts, axis=0)
-    ideal = stacked.min(axis=0)
-    nadir = stacked.max(axis=0)
-    if np.any(nadir <= ideal):
-        raise ContractError(f"degenerate union bounds: ideal {ideal.tolist()}, nadir {nadir.tolist()}")
-    return ideal, nadir
+    return stacked.min(axis=0), stacked.max(axis=0)
 
 
-def compute_hv_protocol(archives, cfg: HvConfig = HvConfig()) -> list[float]:
+def compute_hv_protocol(archives, ref=DEFAULT_REF_POINT) -> list[float]:
     """HV of each archive under the ideal/nadir bounds of the union of the
     archives and a common ref."""
     if not archives:
@@ -172,7 +148,7 @@ def compute_hv_protocol(archives, cfg: HvConfig = HvConfig()) -> list[float]:
         if not len(archive):
             out.append(0.0)
             continue
-        out.append(hypervolume_2d(normalize(archive.points(), ideal, nadir), cfg.ref))
+        out.append(hypervolume_2d(normalize(archive.points(), ideal, nadir), ref))
     return out
 
 
@@ -214,14 +190,13 @@ def write_hv_report(path, rows) -> None:
 
 
 def read_pf_csv(path) -> ParetoArchive:
-    """Parse a PF CSV back into an archive; malformed rows name their line."""
-    from .errors import ParseError
-
+    """Parse a PF CSV back into an archive; malformed rows, and rows that
+    another row dominates or duplicates, name their line."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != PF_CSV_HEADER:
         raise ParseError(path, 1, f"expected header {PF_CSV_HEADER!r}")
-    entries = []
+    entries, line_nos = [], []
     for line_no, raw in enumerate(lines[1:], start=2):
         s = raw.strip()
         if not s:
@@ -241,6 +216,12 @@ def read_pf_csv(path) -> ParetoArchive:
         except ContractError as exc:
             raise ParseError(path, line_no, f"bad tour column: {exc}") from exc
         entries.append(ArchiveEntry(tour, np.array([f1, f2], dtype=np.float64), subproblem))
+        line_nos.append(line_no)
     if not entries:
         raise ParseError(path, len(lines), "no data rows")
-    return ParetoArchive(entries)
+    archive = ParetoArchive(entries)
+    kept = pareto_filter_indices(archive.points())
+    if len(kept) != len(entries):
+        first = np.setdiff1d(np.arange(len(entries)), kept)[0]
+        raise ParseError(path, line_nos[first], "row is dominated or duplicated by another row")
+    return archive

@@ -72,22 +72,6 @@ class Tour:
         return len(self.order)
 
 
-def _check_tour(inst: MotspInstance, tour: Tour) -> np.ndarray:
-    order = np.asarray(tour.order, dtype=np.intp)
-    if order.shape != (inst.n,) or not np.array_equal(np.sort(order), np.arange(inst.n)):
-        raise ContractError(f"tour is not a permutation of 0..{inst.n - 1}")
-    return order
-
-
-def generate_random(n: int, seed: int) -> MotspInstance:
-    """Uniform-[0,1]^4 features from a seeded PCG64 stream; deterministic."""
-    if n < 2:
-        raise ContractError(f"instance size must be >= 2, got {n}")
-    rng = np.random.default_rng(seed)
-    feats = rng.random((n, 4))
-    return MotspInstance(feats, name=f"rand_n{n}_s{seed}")
-
-
 def tour_costs_batch(features: np.ndarray, tours: np.ndarray) -> np.ndarray:
     """Closed-tour cost per objective, including the return edge, for a batch:
     features (B,n,d_x), tours (B,n) -> (B,m)."""
@@ -104,9 +88,10 @@ def tour_costs_batch(features: np.ndarray, tours: np.ndarray) -> np.ndarray:
 
 
 def evaluate_objectives(inst: MotspInstance, tour: Tour) -> np.ndarray:
-    """Closed-tour cost per objective of one checked tour on `inst`'s features."""
-    order = _check_tour(inst, tour)
-    return tour_costs_batch(inst.features[None], order[None])[0]
+    """Closed-tour cost per objective of one tour (a permutation by construction)."""
+    if len(tour) != inst.n:
+        raise ContractError(f"tour of {len(tour)} nodes on an instance of {inst.n}")
+    return tour_costs_batch(inst.features[None], np.asarray(tour.order, dtype=np.intp)[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,12 @@ model axis, so the actors are the batch rows of a single decode.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, DimensionError, NoFeasibleActionError
+from .errors import ContractError, DimensionError
 from .instances import MotspInstance, Tour
 
 DEFAULT_CRITIC_CHANNELS = ((4, 128), (128, 20), (20, 20), (20, 1))
@@ -48,6 +47,8 @@ class ModelConfig:
     clip: float = 10.0
 
     def __post_init__(self):
+        if min(self.d_x, self.d_h, self.n_layers, self.n_heads, self.d_ff) < 1 or not 0 < self.clip < math.inf:
+            raise ContractError(f"model sizes must be >= 1 and clip positive and finite: {self}")
         if self.d_h % self.n_heads != 0:
             raise ContractError(f"n_heads={self.n_heads} must divide d_h={self.d_h}")
 
@@ -74,48 +75,59 @@ def _linear(x: ad.Array, w: ad.Array, b: ad.Array | None = None) -> ad.Array:
 
 # The axis along which a fused projection stacks its H per-head blocks.
 _FUSED_AXIS = {"Wq": 0, "Wk": 0, "Wv": 0, "Wo": 1}
-_V1_HEAD_NAME = re.compile(r"^(?P<layer>.*)\.head(?P<head>[1-9][0-9]*)\.(?P<proj>W[qkvo])$")
 
 
-def fuse_v1_arrays(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Named arrays of the v1 per-head layout in the fused layout of `_build`.
+class _Params:
+    """Named trainable arrays, plus the running statistics of any batch norms."""
 
-    The blocks `<layer>.head<a>.W<p>` for a = 1..H become one array
-    `<layer>.W<p>`, stacked in head order along `_FUSED_AXIS`; that is exact.
-    Every other array passes through under its own name, whatever the prefix.
-    """
-    out: dict[str, np.ndarray | None] = {}
-    heads: dict[str, dict[int, np.ndarray]] = {}
-    for name, arr in arrays.items():
-        m = _V1_HEAD_NAME.match(name)
-        fused = name if m is None else f"{m['layer']}.{m['proj']}"
-        # A fused name comes either from per-head blocks or from one array.
-        if fused in out and (m is None) == (fused in heads):
-            raise ContractError(f"v1 arrays hold both {fused} and its per-head blocks")
-        if m is None:
-            out[name] = arr
-        else:
-            out[fused] = None               # keeps the first block's position
-            heads.setdefault(fused, {})[int(m["head"])] = arr
-    for fused, blocks in heads.items():
-        if sorted(blocks) != list(range(1, len(blocks) + 1)):
-            raise ContractError(f"v1 heads of {fused} are not numbered 1..H: {sorted(blocks)}")
-        try:
-            out[fused] = np.concatenate([blocks[a] for a in range(1, len(blocks) + 1)],
-                                        axis=_FUSED_AXIS[fused.rsplit(".", 1)[1]])
-        except ValueError as exc:
-            raise DimensionError(f"v1 heads of {fused} do not stack: {exc}") from exc
-    return out
-
-
-class ActorParams:
-    """All trainable arrays of one encoder+decoder, keyed by layer names."""
-
-    def __init__(self, cfg: ModelConfig, dtype=np.float32):
-        self.cfg = cfg
+    def __init__(self, dtype):
         self.dtype = np.dtype(dtype)
         self.params: dict[str, ad.Array] = {}
         self.bn: dict[str, ad.BatchNormState] = {}
+
+    def trainable(self) -> list[ad.Array]:
+        return list(self.params.values())
+
+    def zero_grad(self) -> None:
+        for p in self.params.values():
+            p.zero_grad()
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Named arrays for serialization: trainables plus batch-norm running stats."""
+        out = {name: p.data for name, p in self.params.items()}
+        for name, state in self.bn.items():
+            out[f"{name}.running_mean"] = state.running_mean
+            out[f"{name}.running_var"] = state.running_var
+        return out
+
+    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        expected = set(self.state_arrays())
+        if set(arrays) != expected:
+            missing = expected - set(arrays)
+            extra = set(arrays) - expected
+            raise ContractError(f"{type(self).__name__} state mismatch: "
+                                f"missing={sorted(missing)} extra={sorted(extra)}")
+        for name, p in self.params.items():
+            arr = np.asarray(arrays[name], dtype=self.dtype)
+            if arr.shape != p.data.shape:
+                raise DimensionError(f"{name}: shape {arr.shape} != {p.data.shape}")
+            p.data = arr
+        for name, state in self.bn.items():
+            state.running_mean = np.asarray(arrays[f"{name}.running_mean"], dtype=self.dtype)
+            state.running_var = np.asarray(arrays[f"{name}.running_var"], dtype=self.dtype)
+
+    def copy(self):
+        dup = self._blank()
+        dup.load_state({k: v.copy() for k, v in self.state_arrays().items()})
+        return dup
+
+
+class ActorParams(_Params):
+    """All trainable arrays of one encoder+decoder, keyed by layer names."""
+
+    def __init__(self, cfg: ModelConfig, dtype=np.float32):
+        super().__init__(dtype)
+        self.cfg = cfg
 
     def _add(self, name: str, arr: np.ndarray) -> None:
         self.params[name] = ad.param(arr, dtype=self.dtype)
@@ -137,13 +149,16 @@ class ActorParams:
         that draws no random numbers."""
         return cls._build(cfg, dtype, lambda *shape: np.zeros(shape, dtype))
 
+    def _blank(self) -> "ActorParams":
+        return ActorParams.zeros(self.cfg, self.dtype)
+
     @classmethod
     def _build(cls, cfg: ModelConfig, dtype, u) -> "ActorParams":
         """Arrays filled by `u(*shape)`, called in a fixed order.
 
         The per-head blocks of each attention sublayer are drawn head by head,
-        Wq, Wk, Wv, Wo within a head, and stacked into the fused matrices, so
-        a fused actor equals `fuse_v1_arrays` of the v1 per-head draw.
+        Wq, Wk, Wv, Wo within a head, and stacked in head order into the fused
+        matrices, so `init` draws the same numbers as a per-head actor would.
         """
         self = cls(cfg, dtype)
         d_h, d_k, d_ff = cfg.d_h, cfg.d_k, cfg.d_ff
@@ -175,49 +190,13 @@ class ActorParams:
         self._add("dec.final.Wk", u(d_h, d_h))
         return self
 
-    def trainable(self) -> list[ad.Array]:
-        return list(self.params.values())
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Named arrays for serialization: trainables plus batch-norm running stats."""
-        out = {name: p.data for name, p in self.params.items()}
-        for name, state in self.bn.items():
-            out[f"{name}.running_mean"] = state.running_mean
-            out[f"{name}.running_var"] = state.running_var
-        return out
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        expected = set(self.state_arrays())
-        if set(arrays) != expected:
-            missing = expected - set(arrays)
-            extra = set(arrays) - expected
-            raise ContractError(f"actor state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        for name, p in self.params.items():
-            arr = np.asarray(arrays[name], dtype=self.dtype)
-            if arr.shape != p.data.shape:
-                raise DimensionError(f"{name}: shape {arr.shape} != {p.data.shape}")
-            p.data = arr
-        for name, state in self.bn.items():
-            state.running_mean = np.asarray(arrays[f"{name}.running_mean"], dtype=self.dtype)
-            state.running_var = np.asarray(arrays[f"{name}.running_var"], dtype=self.dtype)
-
-    def copy(self) -> "ActorParams":
-        dup = ActorParams.zeros(self.cfg, self.dtype)
-        dup.load_state({k: v.copy() for k, v in self.state_arrays().items()})
-        return dup
-
-
-class CriticParams:
+class CriticParams(_Params):
     """Kernel-1 convolution stages (out,in) weight + bias per stage."""
 
     def __init__(self, channels=DEFAULT_CRITIC_CHANNELS, dtype=np.float32):
+        super().__init__(dtype)
         self.channels = tuple((int(i), int(o)) for i, o in channels)
-        self.dtype = np.dtype(dtype)
-        self.params: dict[str, ad.Array] = {}
 
     @classmethod
     def init(cls, rng: np.random.Generator, dtype=np.float32,
@@ -229,6 +208,9 @@ class CriticParams:
         """Every array at its shape, zero-filled: a target for `load_state`."""
         return cls._build(channels, dtype, lambda bound, shape: np.zeros(shape, dtype))
 
+    def _blank(self) -> "CriticParams":
+        return CriticParams.zeros(self.dtype, self.channels)
+
     @classmethod
     def _build(cls, channels, dtype, u) -> "CriticParams":
         """Arrays filled by `u(bound, shape)`, called in a fixed order."""
@@ -238,30 +220,6 @@ class CriticParams:
             self.params[f"conv{k}.W"] = ad.param(u(bound, (c_out, c_in)), dtype=dtype)
             self.params[f"conv{k}.b"] = ad.param(u(bound, c_out), dtype=dtype)
         return self
-
-    def trainable(self) -> list[ad.Array]:
-        return list(self.params.values())
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data for name, p in self.params.items()}
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        if set(arrays) != set(self.params):
-            raise ContractError("critic state names mismatch")
-        for name, p in self.params.items():
-            arr = np.asarray(arrays[name], dtype=self.dtype)
-            if arr.shape != p.data.shape:
-                raise DimensionError(f"{name}: shape {arr.shape} != {p.data.shape}")
-            p.data = arr
-
-    def copy(self) -> "CriticParams":
-        dup = CriticParams.zeros(self.dtype, self.channels)
-        dup.load_state({k: v.copy() for k, v in self.state_arrays().items()})
-        return dup
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +347,11 @@ class BatchDecodeState:
         self.t += 1
 
 
-def _decode_step_batch(state: BatchDecodeState, actor: "ActorParams | _StackedDecoder",
-                       want_logits: bool = False):
+def _decode_step_batch(state: BatchDecodeState, actor: "ActorParams | _StackedDecoder") -> ad.Array:
     cfg = actor.cfg
     p = actor.params
     enc, cache = state.enc, state.cache
     batch, n = enc.batch, enc.n
-    if state.visited.all(axis=1).any():
-        raise NoFeasibleActionError("decode_step: all nodes already visited")
     d_h, heads = cfg.d_h, cfg.n_heads
     inv_sqrt_dk = 1.0 / math.sqrt(cfg.d_k)
 
@@ -423,10 +378,7 @@ def _decode_step_batch(state: BatchDecodeState, actor: "ActorParams | _StackedDe
     q_final = ad.reshape(_linear(glimpse, p["dec.final.Wq"]), (batch, 1, d_h))
     raw = ad.reshape(ad.bmm(q_final, cache.final_keys_t), (batch, n))
     logits = ad.scale(ad.tanh(raw), cfg.clip)
-    probs = ad.masked_softmax(logits, state.visited)
-    if want_logits:
-        return probs, logits
-    return probs
+    return ad.masked_softmax(logits, state.visited)
 
 
 def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:

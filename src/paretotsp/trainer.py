@@ -34,7 +34,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     clip_norm: float = 2.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -46,6 +45,9 @@ class TrainConfig:
             raise ContractError(f"n_nodes must be >= 2, got {self.n_nodes}")
         if self.epochs < 0:
             raise ContractError("epochs must be >= 0")
+        positive = (self.dataset_size, self.lr_actor, self.lr_critic, self.eps, self.clip_norm)
+        if not all(0 < v < math.inf for v in positive) or not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ContractError(f"need positive finite sizes, rates, eps and clip_norm, betas in [0, 1): {self}")
 
     @property
     def iterations_per_epoch(self) -> int:
@@ -168,15 +170,13 @@ def reinforce_iteration(weights, actor: ActorParams, critic: CriticParams,
 
 
 def train_subproblem(weights, actor: ActorParams, critic: CriticParams,
-                     cfg: TrainConfig, rng: np.random.Generator | None = None,
+                     cfg: TrainConfig, rng: np.random.Generator,
                      epoch_callback=None) -> TrainReport:
     """E epochs of T = D/B iterations on one weight vector; mutates the params.
 
     `epoch_callback(epoch, actor, critic, report)` runs after each epoch —
     the hook for per-epoch metrics. Deterministic for a fixed rng state.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     actor_opt = Adam(actor.trainable(), cfg.lr_actor, cfg.beta1, cfg.beta2, cfg.eps)
     critic_opt = Adam(critic.trainable(), cfg.lr_critic, cfg.beta1, cfg.beta2, cfg.eps)
     report = TrainReport()

@@ -9,10 +9,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 
 from paretotsp import autodiff as ad
+from paretotsp.instances import MotspInstance
+
+
+def random_instance(n: int, seed: int) -> MotspInstance:
+    """n nodes with uniform-[0,1)^4 features drawn from default_rng(seed)."""
+    return MotspInstance(np.random.default_rng(seed).random((n, 4)), name=f"rand_n{n}_s{seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +197,14 @@ def best_weighted_cost(features: np.ndarray, weights) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-head attention actor (the v1 checkpoint layout)
+# per-head attention actor
 
 
-def v1_actor_arrays(rng, d_x: int, d_h: int, n_heads: int, d_ff: int,
-                    n_layers: int = 1) -> dict[str, np.ndarray]:
-    """Actor arrays under the v1 per-head names, drawn uniform(±1/sqrt(d_h))
-    in the v1 order; batch norms start at scale 1, shift 0, mean 0, var 1."""
+def per_head_actor_arrays(rng, d_x: int, d_h: int, n_heads: int, d_ff: int,
+                          n_layers: int = 1) -> dict[str, np.ndarray]:
+    """Actor arrays with one `<layer>.head<a>.W<p>` block per head, drawn
+    uniform(±1/sqrt(d_h)) head by head; batch norms start at scale 1, shift 0,
+    mean 0, var 1."""
     bound = 1.0 / math.sqrt(d_h)
     d_k = d_h // n_heads
     out: dict[str, np.ndarray] = {}
@@ -233,6 +241,21 @@ def v1_actor_arrays(rng, d_x: int, d_h: int, n_heads: int, d_ff: int,
         draw(f"dec.head{a}.Wo", d_h, d_k)
     draw("dec.final.Wq", d_h, d_h)
     draw("dec.final.Wk", d_h, d_h)
+    return out
+
+
+def fuse_heads(arrays: dict) -> dict:
+    """Per-head arrays in the fused layout of `ActorParams`: the blocks of a
+    projection stacked in head order, by rows (Wq, Wk, Wv) or columns (Wo)."""
+    out, heads = {}, {}
+    for name, arr in arrays.items():
+        m = re.fullmatch(r"(.+)\.head(\d+)\.(W[qkvo])", name)
+        if m is None:
+            out[name] = arr
+        else:
+            heads.setdefault(f"{m[1]}.{m[3]}", {})[int(m[2])] = arr
+    for name, blocks in heads.items():
+        out[name] = np.concatenate([blocks[a] for a in sorted(blocks)], axis=int(name.endswith("Wo")))
     return out
 
 

@@ -15,9 +15,9 @@ from paretotsp import autodiff as ad
 from paretotsp import decomposition as dec
 from paretotsp.cli import main
 from paretotsp.decomposition import RunConfig, checkpoint_name, run_schedule
-from paretotsp.evaluation import (ArchiveEntry, HvConfig, ParetoArchive,
-                                  approximate_pf, compute_hv_protocol,
-                                  hypervolume_2d, pareto_filter_indices)
+from paretotsp.evaluation import (ArchiveEntry, ParetoArchive, approximate_pf,
+                                  compute_hv_protocol, hypervolume_2d,
+                                  pareto_filter_indices)
 from paretotsp.instances import (MotspInstance, Tour, evaluate_objectives,
                                  tour_costs_batch)
 from paretotsp.model import (ActorParams, CriticParams, ModelConfig,
@@ -195,7 +195,7 @@ def test_training_improvement(capsys):
                              dtype=np.float32)
     critic = CriticParams.init(rng, dtype=np.float32)
     cfg = TrainConfig(n_nodes=10, batch_size=64, dataset_size=32000, epochs=8,
-                      lr_actor=1e-3, lr_critic=1e-3, seed=0)
+                      lr_actor=1e-3, lr_critic=1e-3)
     rep = train_subproblem((0.5, 0.5), actor, critic, cfg,
                            rng=np.random.default_rng(np.random.SeedSequence([0, 1])))
     gws = [r.mean_gws for r in rep.rows]
@@ -262,7 +262,7 @@ def test_hypervolume_advantage(capsys, tmp_path):
         keep = pareto_filter_indices(rows)
         random_front = ParetoArchive([ArchiveEntry(tours[i], rows[i], j + 1)
                                       for j, i in enumerate(keep)])
-        hv_trained, hv_random = compute_hv_protocol([trained, random_front], HvConfig())
+        hv_trained, hv_random = compute_hv_protocol([trained, random_front])
         margins.append(hv_trained - hv_random)
 
     ok = min(margins) >= 0.1

@@ -53,6 +53,21 @@ def test_relu_forward():
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_is_bitwise_the_where_formula(dtype):
+    """Bytes equal `np.where(x > 0, x, 0.0)`, so ±0 and negative inputs give +0.0;
+    the gradient passes only where x > 0."""
+    x = np.random.default_rng(6).standard_normal((5, 8)).astype(dtype)
+    x[0, :4] = [0.0, -0.0, np.finfo(dtype).smallest_subnormal, -np.finfo(dtype).smallest_subnormal]
+    leaf = ad.param(x, dtype=dtype)
+    out = ad.relu(leaf)
+    assert out.dtype == dtype
+    assert out.data.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+    assert not np.signbit(out.data).any()
+    ad.backward(ad.mean_over_axis(ad.reshape(out, (40,)), 0))
+    np.testing.assert_array_equal(leaf.grad, np.where(x > 0, dtype(1 / 40), dtype(0)))
+
+
 def test_mean_of_identical_rows_is_that_row():
     row = np.array([0.3, -1.2, 4.5])
     x = ad.constant(np.tile(row, (5, 1)))

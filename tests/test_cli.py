@@ -127,14 +127,6 @@ def test_parse_config_rejections(tmp_path, text, line):
     assert err.value.line_no == line
 
 
-def test_parse_config_accepts_manifest(tmp_path):
-    cfg = RunConfig(d_h=8, n_heads=2, d_ff=16, n_nodes=4, batch_size=4,
-                    dataset_size=8, m_sub=2, seed=3)
-    write_manifest(tmp_path, cfg, [])
-    mapping = parse_config_file(tmp_path / MANIFEST_NAME)
-    assert RunConfig.from_mapping(mapping) == cfg
-
-
 def test_parse_config_rejects_json_without_config(tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"format": "other"}')
@@ -163,6 +155,12 @@ def test_gen_writes_deterministic_instances(tmp_path, capsys):
 def test_gen_rejects_tiny_n(tmp_path, capsys):
     assert main(["gen", "--n", "1", "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_gen_rejects_negative_seed(tmp_path, capsys):
+    assert main(["gen", "--n", "4", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +280,33 @@ def test_train_config_from_manifest_needs_a_config_object(trained, tmp_path, cap
     config.write_text(json.dumps(dict(doc, config=sorted(doc["config"].items()))))
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
     assert str(config) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,shown", [
+    ("n_heads", "0", "n_heads=0"), ("d_h", "0", "d_h=0"), ("seed", "-1", "seed must be >= 0, got -1"),
+    ("d_x", "3", "got 3"), ("n_layers", "-1", "n_layers=-1"), ("clip_logits", "0", "clip=0.0"),
+    ("dataset_size", "0", "dataset_size=0"), ("lr_actor", "nan", "lr_actor=nan"),
+    ("clip_norm", "-1", "clip_norm=-1.0"), ("beta1", "1", "beta1=1.0"),
+])
+def test_train_bad_config_value_exits_2_before_the_work_directory(tmp_path, capsys, key, value, shown):
+    config = tmp_path / "run.conf"
+    config.write_text(TINY_CONFIG.replace(f"\n{key} = ", f"\n#{key} = ") + f"{key} = {value}\n")
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert shown in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    {"format": "paretotsp-manifest v9"},
+    {"prng": "mt19937"},
+    {"config_hash": "0" * 64},
+], ids=["format", "prng", "config-hash"])
+def test_train_config_rejects_a_tampered_manifest(trained, tmp_path, capsys, edit):
+    manifest = tmp_path / MANIFEST_NAME
+    manifest.write_text(json.dumps(dict(json.loads((trained["ckpt"] / MANIFEST_NAME).read_text()), **edit)))
+    assert main(["train", "--config", str(manifest), "--out", str(tmp_path / "run")]) == 2
+    assert str(manifest) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_unknown_config_key(tmp_path, capsys):

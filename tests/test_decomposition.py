@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from paretotsp.decomposition import (MANIFEST_NAME, RunConfig,
-                                     SubproblemSchedule, TrainedActors,
-                                     checkpoint_name,
+                                     TrainedActors, checkpoint_name,
                                      config_hash, load_manifest, load_models,
                                      make_schedule, make_weights,
                                      metrics_name, pack_models,
@@ -16,7 +15,7 @@ from paretotsp.errors import ContractError, ParseError
 from paretotsp.instances import MotspInstance
 from paretotsp.model import ActorParams, CriticParams, rollout, rollout_batch
 
-from oracles import per_head_greedy, v1_actor_arrays
+from oracles import fuse_heads, per_head_actor_arrays, per_head_greedy
 
 TINY = dict(d_h=8, n_heads=2, d_ff=16, n_nodes=4, batch_size=4,
             dataset_size=8, m_sub=3, epochs_first=1, epochs_rest=1, seed=5)
@@ -42,21 +41,13 @@ def test_make_weights_hundred():
 def test_make_weights_rejects_bad_sizes():
     with pytest.raises(ContractError):
         make_weights(1)
-    with pytest.raises(ContractError):
-        make_weights(10, m_obj=3)
 
 
 def test_schedule_validation():
-    w = make_weights(3)
-    with pytest.raises(ContractError):
-        SubproblemSchedule(w, (5, 1))                     # count mismatch
-    with pytest.raises(ContractError):
-        SubproblemSchedule(np.array([[0.0, 1.0], [0.5, 0.5], [0.2, 0.8]]),
-                           (5, 1, 1))                     # not monotone
-    with pytest.raises(ContractError):
-        SubproblemSchedule(np.array([[-0.1, 1.1], [0.5, 0.5]]), (5, 1))
-    with pytest.raises(ContractError):
-        SubproblemSchedule(np.array([[0.2, 0.9], [0.5, 0.5]]), (5, 1))
+    """A run config builds its schedule on construction, so a bad one fails there."""
+    for bad in (dict(m_sub=1), dict(epochs_first=-1), dict(epochs_rest=-1), dict(direction="up")):
+        with pytest.raises(ContractError):
+            RunConfig(**dict(TINY, **bad))
 
 
 def test_make_schedule_budgets_and_direction():
@@ -130,6 +121,7 @@ def test_checkpoint_empty(tmp_path):
 
 @pytest.mark.parametrize("mutate,fragment", [
     (lambda b: b"wrong v1\n" + b.split(b"\n", 1)[1], "header"),
+    (lambda b: b.replace(b"paretotsp-ckpt v2\n", b"paretotsp-ckpt v1\n"), "bad checkpoint header"),
     (lambda b: b.replace(b"count=1", b"count=x"), "count"),
     (lambda b: b[:-2], "truncated"),
     (lambda b: b + b"\x00\x00", "trailing"),
@@ -146,11 +138,11 @@ def test_checkpoint_malformations(tmp_path, mutate, fragment):
 
 def test_checkpoint_duplicate_name(tmp_path):
     path = tmp_path / "m.ckpt"
-    body = b"paretotsp-ckpt v1\ncount=2\n" \
+    body = b"paretotsp-ckpt v2\ncount=2\n" \
         + b"x 1\n" + np.float32(1).tobytes() \
         + b"x 1\n" + np.float32(2).tobytes()
     path.write_bytes(body)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="duplicate array name 'x'"):
         read_checkpoint(path)
 
 
@@ -168,22 +160,19 @@ def test_checkpoint_rejects_non_finite_arrays(tmp_path):
 # model (de)serialization
 
 
-def test_v1_checkpoint_loads_fused_and_saves_v2(tmp_path):
-    """A v1 file of per-head arrays loads into the fused layout, decodes like
-    the per-head oracle, and is written back as v2."""
+def test_fused_checkpoint_decodes_like_the_per_head_oracle(tmp_path):
+    """Per-head arrays, fused and saved, load into an actor that decodes like
+    the per-head oracle, and round-trip bitwise."""
     cfg = RunConfig(**dict(TINY, d_h=16, d_ff=32, n_nodes=8))
     rng = np.random.default_rng(70)
-    v1 = v1_actor_arrays(rng, 4, 16, 2, 32)
-    arrays = {f"actor.{k}": v for k, v in v1.items()}
+    heads = per_head_actor_arrays(rng, 4, 16, 2, 32)
+    arrays = {f"actor.{k}": v for k, v in fuse_heads(heads).items()}
     arrays.update({f"critic.{k}": v for k, v in CriticParams.init(rng).state_arrays().items()})
-    v1_path = tmp_path / "v1.ckpt"
-    write_checkpoint(v1_path, arrays)
-    body = v1_path.read_bytes()
-    assert body.startswith(b"paretotsp-ckpt v2\n")
-    v1_path.write_bytes(b"paretotsp-ckpt v1\n" + body.split(b"\n", 1)[1])
+    path = tmp_path / "fused.ckpt"
+    write_checkpoint(path, arrays)
 
-    actor, critic = load_models(v1_path, cfg)
-    stored = {k: v.astype(np.float32) for k, v in v1.items()}   # what the file holds
+    actor, critic = load_models(path, cfg)
+    stored = {k: v.astype(np.float32) for k, v in heads.items()}   # what the file holds
     feats = rng.random((4, 8, 4))
     tours, logp, _ = rollout_batch(feats, actor, mode="greedy")
     for b in range(4):
@@ -191,12 +180,11 @@ def test_v1_checkpoint_loads_fused_and_saves_v2(tmp_path):
         assert list(tours[b]) == tour
         np.testing.assert_allclose(logp.data[b], lp, rtol=1e-6)
 
-    v2_path = tmp_path / "v2.ckpt"
-    save_models(v2_path, actor, critic)
-    assert v2_path.read_bytes().startswith(b"paretotsp-ckpt v2\n")
-    again, _ = load_models(v2_path, cfg)
+    again = tmp_path / "again.ckpt"
+    save_models(again, actor, critic)
+    reloaded, _ = load_models(again, cfg)
     for name, arr in actor.state_arrays().items():
-        np.testing.assert_array_equal(again.state_arrays()[name], arr)
+        np.testing.assert_array_equal(reloaded.state_arrays()[name], arr)
 
 
 def test_models_round_trip_bitwise(tmp_path):
@@ -243,6 +231,7 @@ def test_manifest_round_trip(tmp_path):
     back, completed = load_manifest(tmp_path)
     assert back == cfg
     assert completed == [1, 2]
+    assert load_manifest(tmp_path / MANIFEST_NAME) == (cfg, [1, 2])
 
 
 def test_manifest_detects_tampering(tmp_path):

@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paretotsp.errors import ContractError, DimensionError, ParseError
-from paretotsp.evaluation import (ArchiveEntry, ParetoArchive, approximate_pf,
-                                  compute_hv_protocol, dominates,
+from paretotsp.errors import ContractError, ParseError
+from paretotsp.evaluation import (PF_CSV_HEADER, ArchiveEntry, ParetoArchive,
+                                  approximate_pf, compute_hv_protocol,
                                   hypervolume_2d, normalize,
                                   pareto_filter_indices, read_pf_csv,
                                   union_bounds, write_hv_report, write_pf_csv)
 from paretotsp import decomposition as dec
 from paretotsp.cli import main
-from paretotsp.instances import Tour, evaluate_objectives, generate_random, save_native
+from paretotsp.instances import Tour, evaluate_objectives, save_native
 from paretotsp.model import ActorParams, CriticParams, ModelConfig, rollout
 
-from oracles import hv_grid, pareto_brute
+from oracles import hv_grid, pareto_brute, random_instance
 
 
 # ---------------------------------------------------------------------------
@@ -24,16 +24,15 @@ from oracles import hv_grid, pareto_brute
 
 
 def test_dominates_basics():
-    assert dominates((1, 1), (2, 2))
-    assert not dominates((1, 2), (2, 1))
-    assert not dominates((2, 1), (1, 2))
-    assert not dominates((1.5, 2.5), (1.5, 2.5))
-    assert dominates((1, 2), (1, 3))
+    """Dominance as the Pareto filter applies it to pairs of points."""
+    def kept(u, v):
+        return pareto_filter_indices([u, v]).tolist()
 
-
-def test_dominates_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        dominates((1, 2), (1, 2, 3))
+    assert kept((1, 1), (2, 2)) == [0]              # better in both
+    assert kept((1, 2), (2, 1)) == [0, 1]           # a trade-off
+    assert kept((2, 1), (1, 2)) == [0, 1]
+    assert kept((1.5, 2.5), (1.5, 2.5)) == [0]      # equal: a duplicate, not dominated
+    assert kept((1, 3), (1, 2)) == [1]              # better in one, equal in the other
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +166,26 @@ def _entry(f1, f2, sub=1, n=4):
     return ArchiveEntry(Tour(tuple(range(n))), np.array([f1, f2]), sub)
 
 
-def test_archive_rejects_dominated_entries():
-    with pytest.raises(ContractError):
-        ParetoArchive([_entry(1.0, 1.0), _entry(2.0, 2.0)])
+def _read_front(path, rows):
+    path.write_text(PF_CSV_HEADER + "\n" + "".join(f"1,0,1,{f1},{f2},0-1-2-3\n" for f1, f2 in rows))
+    return read_pf_csv(path)
 
 
-def test_archive_rejects_duplicates():
-    with pytest.raises(ContractError):
-        ParetoArchive([_entry(1.0, 2.0), _entry(1.0, 2.0)])
+def test_archive_rejects_dominated_entries(tmp_path):
+    """A PF CSV, the archive input from outside the program, is checked on reading."""
+    path = tmp_path / "pf.csv"
+    assert len(_read_front(path, [(1.0, 3.0), (3.0, 1.0)])) == 2
+    for rows, line_no in [([(2.0, 2.0), (1.0, 1.0)], 2), ([(1.0, 3.0), (3.0, 1.0), (3.0, 3.0)], 4)]:
+        with pytest.raises(ParseError, match="dominated") as err:
+            _read_front(path, rows)
+        assert (err.value.path, err.value.line_no) == (str(path), line_no)
+
+
+def test_archive_rejects_duplicates(tmp_path):
+    path = tmp_path / "pf.csv"
+    with pytest.raises(ParseError, match="duplicated") as err:
+        _read_front(path, [(1.0, 2.0), (2.0, 1.0), (1.0, 2.0)])
+    assert (err.value.path, err.value.line_no) == (str(path), 4)
 
 
 def test_archive_from_candidates_filters():
@@ -192,7 +203,7 @@ def _tiny_actors(count, n_heads=2):
 
 
 def test_approximate_pf_identical_models_collapse():
-    inst = generate_random(6, seed=0)
+    inst = random_instance(6, seed=0)
     actor = _tiny_actors(1)[0]
     archive = approximate_pf(inst, [actor] * 5)
     assert len(archive) == 1
@@ -200,7 +211,7 @@ def test_approximate_pf_identical_models_collapse():
 
 
 def test_approximate_pf_size_bounded_and_order_invariant():
-    inst = generate_random(7, seed=3)
+    inst = random_instance(7, seed=3)
     actors = _tiny_actors(4)
     fwd = approximate_pf(inst, actors)
     rev = approximate_pf(inst, actors[::-1])
@@ -212,9 +223,9 @@ def test_approximate_pf_size_bounded_and_order_invariant():
 
 def test_approximate_pf_needs_models():
     with pytest.raises(ContractError):
-        approximate_pf(generate_random(5, seed=1), [])
+        approximate_pf(random_instance(5, seed=1), [])
     with pytest.raises(ContractError):
-        approximate_pf(generate_random(5, seed=1), iter([]))
+        approximate_pf(random_instance(5, seed=1), iter([]))
 
 
 def _per_model_front(inst, actors) -> ParetoArchive:
@@ -239,24 +250,24 @@ FULL_MODEL = ModelConfig()
 def test_approximate_pf_matches_per_model_rollouts(cfg, n, seed):
     rng = np.random.default_rng(seed)
     actors = [ActorParams.init(cfg, rng) for _ in range(6)]
-    inst = generate_random(n, seed=50 + seed)
+    inst = random_instance(n, seed=50 + seed)
     _assert_same_front(approximate_pf(inst, actors), _per_model_front(inst, actors))
 
 
 def test_approximate_pf_repeated_actor_matches_per_model():
-    inst = generate_random(10, seed=4)
+    inst = random_instance(10, seed=4)
     actor = ActorParams.init(DESK_MODEL, np.random.default_rng(7))
     _assert_same_front(approximate_pf(inst, [actor] * 5), _per_model_front(inst, [actor] * 5))
 
 
 def test_approximate_pf_accepts_a_generator():
-    inst = generate_random(10, seed=5)
+    inst = random_instance(10, seed=5)
     actors = [ActorParams.init(DESK_MODEL, np.random.default_rng(20 + i)) for i in range(4)]
     _assert_same_front(approximate_pf(inst, (a for a in actors)), _per_model_front(inst, actors))
 
 
 def test_approximate_pf_rejects_mixed_configs():
-    inst = generate_random(6, seed=0)
+    inst = random_instance(6, seed=0)
     mixed = [ActorParams.init(DESK_MODEL, np.random.default_rng(0)),
              ActorParams.init(ModelConfig(d_h=8, n_heads=2, d_ff=16), np.random.default_rng(1))]
     with pytest.raises(ContractError):
@@ -272,7 +283,7 @@ def test_solve_csv_matches_per_model_reference(tmp_path):
         dec.save_models(tmp_path / dec.checkpoint_name(i), actor, CriticParams.init(rng))
         actors.append(dec.load_models(tmp_path / dec.checkpoint_name(i), cfg)[0])
     dec.write_manifest(tmp_path, cfg, list(range(1, cfg.m_sub + 1)))
-    inst = generate_random(10, seed=11)
+    inst = random_instance(10, seed=11)
     save_native(inst, tmp_path / "inst.motsp")
     assert main(["solve", "--ckpt", str(tmp_path), "--instance", str(tmp_path / "inst.motsp"),
                  "--out", str(tmp_path / "pf.csv")]) == 0

@@ -5,35 +5,24 @@ import pytest
 
 from paretotsp.errors import ContractError, ParseError
 from paretotsp.instances import (MotspInstance, Tour, evaluate_objectives,
-                                 generate_random, load_native, load_tsplib_pair,
-                                 save_native, tour_costs_batch)
+                                 load_native, load_tsplib_pair, save_native,
+                                 tour_costs_batch)
 
-from oracles import enumerate_objectives, tour_objectives_slow
+from oracles import enumerate_objectives, random_instance, tour_objectives_slow
 
 
 # ---------------------------------------------------------------------------
 # generation
 
 
-def test_generate_random_deterministic():
-    a = generate_random(12, seed=99)
-    b = generate_random(12, seed=99)
-    assert a.features.tobytes() == b.features.tobytes()
-
-
-def test_generate_random_rejects_small_n():
-    with pytest.raises(ContractError):
-        generate_random(1, seed=0)
-
-
 def test_large_sample_mean_near_half():
-    inst = generate_random(1000, seed=123)
+    inst = random_instance(1000, seed=123)
     means = inst.features.mean(axis=0)
     assert np.all(np.abs(means - 0.5) < 0.02)
 
 
 def test_features_immutable():
-    inst = generate_random(4, seed=0)
+    inst = random_instance(4, seed=0)
     with pytest.raises(ValueError):
         inst.features[0, 0] = 9.0
 
@@ -43,7 +32,7 @@ def test_features_immutable():
 
 
 def test_two_node_tour_doubles_the_edge():
-    inst = generate_random(2, seed=3)
+    inst = random_instance(2, seed=3)
     a, b = inst.features
     edge = np.hypot(a[0::2] - b[0::2], a[1::2] - b[1::2])      # one per objective
     for order in [(0, 1), (1, 0)]:
@@ -52,7 +41,7 @@ def test_two_node_tour_doubles_the_edge():
 
 
 def test_rotation_and_reversal_invariance():
-    inst = generate_random(9, seed=11)
+    inst = random_instance(9, seed=11)
     base = list(np.random.default_rng(0).permutation(9))
     ref = evaluate_objectives(inst, Tour(base))
     rotated = base[4:] + base[:4]
@@ -63,7 +52,7 @@ def test_rotation_and_reversal_invariance():
 
 def test_four_node_extremes_match_enumeration():
     for seed in range(20):
-        inst = generate_random(4, seed=seed)
+        inst = random_instance(4, seed=seed)
         tours, objs = enumerate_objectives(inst.features)
         ours = np.stack([evaluate_objectives(inst, Tour(t)) for t in tours])
         np.testing.assert_allclose(ours, objs, atol=1e-12)
@@ -74,14 +63,14 @@ def test_four_node_extremes_match_enumeration():
 
 
 def test_objectives_match_pure_python_arithmetic():
-    inst = generate_random(7, seed=2)
+    inst = random_instance(7, seed=2)
     order = [3, 1, 6, 0, 2, 5, 4]
     np.testing.assert_allclose(evaluate_objectives(inst, Tour(order)),
                                tour_objectives_slow(inst.features, order), atol=1e-12)
 
 
 def test_invalid_tours_rejected():
-    inst = generate_random(5, seed=1)
+    inst = random_instance(5, seed=1)
     for bad in [(0, 1, 2, 3), (0, 1, 2, 3, 3), (0, 1, 2, 3, 5)]:
         with pytest.raises(ContractError):
             evaluate_objectives(inst, Tour(bad))
@@ -103,7 +92,7 @@ def test_tour_costs_batch_matches_single():
 
 
 def test_unit_weight_argmin_equals_first_objective_argmin():
-    inst = generate_random(6, seed=14)
+    inst = random_instance(6, seed=14)
     tours, objs = enumerate_objectives(inst.features)
     w = np.array([1.0, 0.0])
     scalar = objs @ w
@@ -115,7 +104,7 @@ def test_unit_weight_argmin_equals_first_objective_argmin():
 
 
 def test_native_round_trip_exact(tmp_path):
-    inst = generate_random(5, seed=21)
+    inst = random_instance(5, seed=21)
     path = tmp_path / "five.motsp"
     save_native(inst, path)
     header = path.read_text().splitlines()[0]
@@ -135,7 +124,7 @@ def test_native_round_trip_exact(tmp_path):
     (lambda lines: lines + ["0.5 0.5 0.5 0.5"], 5),
 ])
 def test_native_malformed_files(tmp_path, mutate, bad_line):
-    inst = generate_random(3, seed=2)
+    inst = random_instance(3, seed=2)
     path = tmp_path / "inst.motsp"
     save_native(inst, path)
     lines = path.read_text().splitlines()

@@ -7,14 +7,14 @@ from paretotsp import autodiff as ad
 from paretotsp.decomposition import RunConfig
 from paretotsp.errors import (ContractError, DimensionError,
                               NoFeasibleActionError)
-from paretotsp.instances import MotspInstance, Tour, generate_random
+from paretotsp.instances import MotspInstance, Tour
 from paretotsp.model import (ActorParams, BatchDecodeState, CriticParams,
                              ModelConfig, _decode_step_batch, _DecoderCache,
-                             critic_batch, encode_batch, fuse_v1_arrays,
+                             critic_batch, encode_batch,
                              greedy_tours, rollout, rollout_batch)
 
-from oracles import (check_gradients, per_head_decode_step, per_head_encode,
-                     v1_actor_arrays)
+from oracles import (check_gradients, fuse_heads, per_head_actor_arrays,
+                     per_head_decode_step, per_head_encode, random_instance)
 
 TINY = ModelConfig(d_h=8, n_heads=2, d_ff=16)
 
@@ -44,7 +44,7 @@ def test_config_head_divisibility():
 
 
 def test_encode_shapes_at_paper_size():
-    inst = generate_random(20, seed=0)
+    inst = random_instance(20, seed=0)
     actor = ActorParams.init(ModelConfig(), np.random.default_rng(0), dtype=np.float64)
     enc = encode_batch(inst.features[None], actor, "infer")
     assert enc.nodes2d.shape == (20, 128)
@@ -52,7 +52,7 @@ def test_encode_shapes_at_paper_size():
 
 
 def test_graph_embedding_is_mean_of_nodes():
-    inst = generate_random(7, seed=1)
+    inst = random_instance(7, seed=1)
     enc = encode_batch(inst.features[None], tiny_actor(), "infer")
     np.testing.assert_allclose(enc.graph.data[0], enc.nodes2d.data.mean(axis=0), atol=1e-9)
 
@@ -130,7 +130,7 @@ def test_encoder_matches_hand_computation():
 
 
 def test_decode_probabilities_masked_and_normalized():
-    inst = generate_random(8, seed=4)
+    inst = random_instance(8, seed=4)
     actor = tiny_actor(2)
     state = decode_state(inst.features, actor)
     probs = _decode_step_batch(state, actor).data[0]
@@ -146,7 +146,7 @@ def test_decode_probabilities_masked_and_normalized():
 
 
 def test_decode_forced_last_choice():
-    inst = generate_random(5, seed=6)
+    inst = random_instance(5, seed=6)
     actor = tiny_actor(3)
     state = decode_state(inst.features, actor)
     for node in (2, 0, 4, 1):
@@ -156,7 +156,7 @@ def test_decode_forced_last_choice():
 
 
 def test_decode_all_visited_rejected():
-    inst = generate_random(3, seed=7)
+    inst = random_instance(3, seed=7)
     actor = tiny_actor(4)
     state = decode_state(inst.features, actor)
     for node in (1, 0, 2):
@@ -169,17 +169,22 @@ def test_decode_logits_clipped_to_ten():
     rng = np.random.default_rng(13)
     feats = rng.random((4, 10, 4))
     actor = tiny_actor(8)
+    # large pointer queries, so the unclipped logits would span far more than 2 * clip
+    actor.params["dec.final.Wq"].data = actor.params["dec.final.Wq"].data * 300.0
     enc = encode_batch(feats, actor, "infer")
     state = BatchDecodeState(enc, _DecoderCache(enc, actor))
     for step, picks in enumerate([None, rng.integers(0, 10, 4)]):
         if picks is not None:
             state.advance(picks.astype(np.intp))
-        _, logits = _decode_step_batch(state, actor, want_logits=True)
-        assert np.all(np.abs(logits.data) <= 10.0)
+        probs = _decode_step_batch(state, actor).data
+        for b in range(4):
+            # logits in [-clip, clip] bound the ratio of any two open nodes' probabilities
+            p = probs[b][~state.visited[b]]
+            assert np.log(p.max() / p.min()) <= 2 * actor.cfg.clip
 
 
 def test_decode_visit_twice_rejected():
-    inst = generate_random(4, seed=8)
+    inst = random_instance(4, seed=8)
     actor = tiny_actor(5)
     state = decode_state(inst.features, actor)
     state.advance(np.array([2]))
@@ -193,14 +198,14 @@ def test_decode_visit_twice_rejected():
 
 def test_rollout_valid_permutation_and_finite_logp():
     for seed in range(5):
-        inst = generate_random(11, seed=seed)
+        inst = random_instance(11, seed=seed)
         tour, logp = rollout(inst, tiny_actor(seed), mode="sample", seed=seed)
         assert sorted(tour.order) == list(range(11))
         assert math.isfinite(logp)
 
 
 def test_rollout_greedy_deterministic():
-    inst = generate_random(9, seed=10)
+    inst = random_instance(9, seed=10)
     actor = tiny_actor(6)
     a, lp_a = rollout(inst, actor, mode="greedy")
     b, lp_b = rollout(inst, actor, mode="greedy")
@@ -217,7 +222,7 @@ def test_rollout_greedy_ties_take_lowest_index():
 
 
 def test_rollout_bad_mode():
-    inst = generate_random(4, seed=0)
+    inst = random_instance(4, seed=0)
     with pytest.raises(ContractError):
         rollout(inst, tiny_actor(), mode="beam")
 
@@ -229,7 +234,7 @@ def test_rollout_dx_mismatch():
 
 
 def test_rollout_chain_rule_consistency():
-    inst = generate_random(8, seed=12)
+    inst = random_instance(8, seed=12)
     actor = tiny_actor(12)
     tour, logp = rollout(inst, actor, mode="sample", seed=3)
     state = decode_state(inst.features, actor)
@@ -255,7 +260,7 @@ def test_rollout_forced_tours_replay():
 
 def test_rollout_first_step_frequencies_match_distribution():
     n, runs = 5, 10_000
-    inst = generate_random(n, seed=20)
+    inst = random_instance(n, seed=20)
     actor = tiny_actor(20)
     probs = _decode_step_batch(decode_state(inst.features, actor), actor).data[0]
     feats = np.broadcast_to(inst.features, (runs, n, 4))
@@ -307,7 +312,7 @@ def test_critic_zero_weights_give_zero():
     critic = CriticParams.init(np.random.default_rng(0), dtype=np.float64)
     for p in critic.params.values():
         p.data = np.zeros_like(p.data)
-    assert critic_batch(generate_random(6, seed=0).features[None], critic).data[0] == 0.0
+    assert critic_batch(random_instance(6, seed=0).features[None], critic).data[0] == 0.0
 
 
 def test_critic_permutation_invariant():
@@ -459,17 +464,17 @@ def test_zeros_constructors_lay_out_like_init():
 
 
 # ---------------------------------------------------------------------------
-# fused attention against the per-head (v1) layout
+# fused attention against the per-head layout
 
 
 def test_init_is_the_fused_v1_draw():
     cfg = ModelConfig(d_h=16, n_heads=4, d_ff=32, n_layers=2)
     for seed in range(3):
         fused = ActorParams.init(cfg, np.random.default_rng(seed), dtype=np.float64)
-        v1 = fuse_v1_arrays(v1_actor_arrays(np.random.default_rng(seed), 4, 16, 4, 32, n_layers=2))
+        heads = fuse_heads(per_head_actor_arrays(np.random.default_rng(seed), 4, 16, 4, 32, n_layers=2))
         got = fused.state_arrays()
-        assert sorted(got) == sorted(v1)
-        for name, arr in v1.items():
+        assert sorted(got) == sorted(heads)
+        for name, arr in heads.items():
             np.testing.assert_array_equal(got[name], arr, err_msg=name)
     assert len(fused.params) == 22 + 12   # 12 more arrays for the second encoder layer
 
@@ -478,21 +483,21 @@ def test_fused_model_matches_per_head_oracle():
     """H=2, so a wrong head split or merge would show; encoder plus decode steps."""
     cfg = ModelConfig(d_h=16, n_heads=2, d_ff=32)
     rng = np.random.default_rng(60)
-    v1 = v1_actor_arrays(rng, 4, 16, 2, 32)
+    heads = per_head_actor_arrays(rng, 4, 16, 2, 32)
     for bn in ("enc.l1.bn1", "enc.l1.bn2"):
-        v1[f"{bn}.running_mean"] = rng.standard_normal(16) * 0.1
-        v1[f"{bn}.running_var"] = rng.uniform(0.8, 1.2, 16)
-        v1[f"{bn}.scale"] = rng.uniform(0.5, 1.5, 16)
-        v1[f"{bn}.shift"] = rng.standard_normal(16) * 0.1
+        heads[f"{bn}.running_mean"] = rng.standard_normal(16) * 0.1
+        heads[f"{bn}.running_var"] = rng.uniform(0.8, 1.2, 16)
+        heads[f"{bn}.scale"] = rng.uniform(0.5, 1.5, 16)
+        heads[f"{bn}.shift"] = rng.standard_normal(16) * 0.1
     actor = ActorParams.zeros(cfg, dtype=np.float64)
-    actor.load_state(fuse_v1_arrays(v1))
+    actor.load_state(fuse_heads(heads))
     feats = rng.random((3, 7, 4))
 
     enc = encode_batch(feats, actor, "infer")
     state = BatchDecodeState(enc, _DecoderCache(enc, actor))
     picks = [np.array([2, 0, 6]), np.array([5, 3, 1]), np.array([0, 4, 2])]
     nodes2d = enc.nodes2d.data.reshape(3, 7, 16)
-    oracle = [per_head_encode(feats[b], v1, 2) for b in range(3)]
+    oracle = [per_head_encode(feats[b], heads, 2) for b in range(3)]
     for b in range(3):
         np.testing.assert_allclose(nodes2d[b], oracle[b][0], rtol=0, atol=1e-6)
         np.testing.assert_allclose(enc.graph.data[b], oracle[b][1], rtol=0, atol=1e-6)
@@ -501,23 +506,10 @@ def test_fused_model_matches_per_head_oracle():
         for b in range(3):
             chosen = [int(p[b]) for p in picks[:step]]
             visited = np.isin(np.arange(7), chosen)
-            want = per_head_decode_step(oracle[b][0], oracle[b][1], v1, 2, visited,
+            want = per_head_decode_step(oracle[b][0], oracle[b][1], heads, 2, visited,
                                         chosen[0] if chosen else None,
                                         chosen[-1] if chosen else None)
             np.testing.assert_allclose(probs[b], want, rtol=0, atol=1e-6)
         if step < len(picks):
             state.advance(picks[step])
 
-
-def test_fuse_v1_arrays_rejects_broken_head_sets():
-    v1 = v1_actor_arrays(np.random.default_rng(0), 4, 8, 2, 16)
-    missing = dict(v1)
-    missing.pop("dec.head1.Wq")
-    with pytest.raises(ContractError):
-        fuse_v1_arrays(missing)
-    clash = dict(v1, **{"dec.Wq": np.zeros((8, 24))})
-    with pytest.raises(ContractError):
-        fuse_v1_arrays(clash)
-    ragged = dict(v1, **{"dec.head2.Wo": np.zeros((7, 4))})
-    with pytest.raises(DimensionError):
-        fuse_v1_arrays(ragged)

@@ -251,7 +251,7 @@ def test_zero_epochs_changes_nothing():
     before = {k: v.data.copy() for k, v in actor.params.items()}
     calls = []
     cfg = TrainConfig(n_nodes=4, batch_size=4, dataset_size=8, epochs=0)
-    report = train_subproblem((0.5, 0.5), actor, critic, cfg,
+    report = train_subproblem((0.5, 0.5), actor, critic, cfg, np.random.default_rng(0),
                               epoch_callback=lambda *a: calls.append(a))
     assert report.rows == []
     assert calls == []
@@ -263,7 +263,7 @@ def test_epoch_callback_cadence():
     actor, critic = fresh_pair(5)
     cfg = TrainConfig(n_nodes=4, batch_size=4, dataset_size=12, epochs=2)
     seen = []
-    train_subproblem((0.5, 0.5), actor, critic, cfg,
+    train_subproblem((0.5, 0.5), actor, critic, cfg, np.random.default_rng(0),
                      epoch_callback=lambda e, a, c, r: seen.append((e, len(r.rows))))
     assert seen == [(1, 3), (2, 6)]
 
@@ -272,8 +272,8 @@ def test_training_is_deterministic():
     reports, finals = [], []
     for _ in range(2):
         actor, critic = fresh_pair(6)
-        cfg = TrainConfig(n_nodes=4, batch_size=8, dataset_size=80, seed=9)
-        reports.append(train_subproblem((0.4, 0.6), actor, critic, cfg))
+        cfg = TrainConfig(n_nodes=4, batch_size=8, dataset_size=80)
+        reports.append(train_subproblem((0.4, 0.6), actor, critic, cfg, np.random.default_rng(9)))
         finals.append({k: v.data.copy() for k, v in actor.params.items()})
     for a, b in zip(reports[0].rows, reports[1].rows):
         assert (a.iteration, a.mean_gws, a.critic_loss, a.grad_norm) == \
@@ -285,8 +285,8 @@ def test_training_is_deterministic():
 def test_costs_improve_on_a_small_run():
     actor, critic = fresh_pair(7)
     cfg = TrainConfig(n_nodes=8, batch_size=32, dataset_size=32 * 200,
-                      lr_actor=3e-3, lr_critic=3e-3, seed=11)
-    report = train_subproblem((0.5, 0.5), actor, critic, cfg)
+                      lr_actor=3e-3, lr_critic=3e-3)
+    report = train_subproblem((0.5, 0.5), actor, critic, cfg, np.random.default_rng(11))
     gws = [r.mean_gws for r in report.rows]
     losses = [r.critic_loss for r in report.rows]
     assert np.mean(gws[-20:]) < 0.95 * np.mean(gws[:20])
