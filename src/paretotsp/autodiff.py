@@ -105,13 +105,22 @@ def constant(data, dtype=None) -> Array:
     return Array(arr, requires_grad=False)
 
 
+def _spent(g):
+    raise ContractError("backward through a graph that an earlier backward already consumed")
+
+
 def backward(loss: Array) -> None:
     """Accumulate dLoss/dX into .grad for every requires_grad Array reachable
-    from `loss`. Repeated calls accumulate; callers reset with zero_grad."""
+    from `loss`. Repeated calls on fresh graphs accumulate; callers reset with
+    zero_grad.
+
+    The sweep frees the graph as it goes: once a node's closure has run, the
+    node drops the closure and its parents, so the arrays they hold can be
+    released before the sweep ends. A second backward through a spent node
+    raises ContractError.
+    """
     if loss.shape != ():
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
-    # Nodes are created in topological order, so descending id order is a
-    # valid reverse-topological sweep of the reachable subgraph.
     reachable = []
     seen = set()
     stack = [loss]
@@ -122,10 +131,13 @@ def backward(loss: Array) -> None:
         seen.add(id(node))
         reachable.append(node)
         stack.extend(node._parents)
-    reachable.sort(key=lambda n: n._id, reverse=True)
+    # Nodes are created in topological order, so popping the highest id first
+    # is a valid reverse-topological sweep of the reachable subgraph.
+    reachable.sort(key=lambda n: n._id)
 
     staged = {id(loss): np.ones((), dtype=loss.dtype)}
-    for node in reachable:
+    while reachable:
+        node = reachable.pop()
         g = staged.pop(id(node), None)
         if g is None:
             continue
@@ -133,7 +145,9 @@ def backward(loss: Array) -> None:
             node.accumulate_grad(g)
             continue
         parent_grads = node._backward(g)
-        for parent, pg in zip(node._parents, parent_grads):
+        parents = node._parents
+        node._backward, node._parents = _spent, ()
+        for parent, pg in zip(parents, parent_grads):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)
@@ -334,7 +348,11 @@ def gather_rows(x: Array, idx) -> Array:
 
     def back(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        if np.bincount(idx, minlength=n).max(initial=0) <= 1:
+            # Unique rows: the same bytes as add.at into zeros, ±0 included.
+            gx[idx] = g + 0.0
+        else:
+            np.add.at(gx, idx, g)
         return (gx,)
 
     return Array(x.data[idx], _parents=(x,), _backward=back, _op="gather_rows")

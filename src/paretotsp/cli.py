@@ -10,6 +10,7 @@ writes a manifest that reproduces it exactly when passed back to --config.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 import time
@@ -172,6 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paretotsp",
         description="Decomposition-trained attention models for bi-objective TSP")
+    parser.add_argument("--log-level", choices=("warning", "info", "debug"), default="warning",
+                        help="show the package's log records at this level and above on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate random instance files")
@@ -214,6 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # For this call, the package's records at --log-level and above go to
+    # stderr as bare messages, the form Python prints warnings in by default.
+    handler = logging.StreamHandler(sys.stderr)
+    pkg_log = logging.getLogger(__package__)
+    pkg_log.addHandler(handler)
+    pkg_log.setLevel(args.log_level.upper())
     try:
         return args.func(args)
     except (ContractError, ParseError) as exc:
@@ -225,6 +234,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        pkg_log.removeHandler(handler)
+        pkg_log.setLevel(logging.NOTSET)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,9 @@ ops whatever H is.
 
 Training works on batches: node embeddings live in (B*n, d_h) arrays so batch
 norm statistics run over the node dimension of the whole batch, and attention
-uses per-instance (B, n, ...) views. `greedy_tours` decodes one instance
+uses per-instance (B, n, ...) views. A training rollout chooses its tours
+step by step without a tape, then scores all n steps of them in one
+teacher-forced decoder pass on the tape. `greedy_tours` decodes one instance
 under many actors at once: their decoder inputs are stacked on a leading
 model axis, so the actors are the batch rows of a single decode.
 """
@@ -248,6 +250,14 @@ def _split_heads(x2d: ad.Array, batch: int, heads: int, axes) -> ad.Array:
     return ad.reshape(blocks, (batch * heads,) + blocks.shape[2:])
 
 
+def _merge_heads(blocks: ad.Array, batch: int) -> ad.Array:
+    """(B*H, n, d_k) per-head blocks back to (B*n, H*d_k) rows, head-major in each row."""
+    rows, n, d_k = blocks.shape
+    heads = rows // batch
+    return ad.reshape(ad.permute(ad.reshape(blocks, (batch, heads, n, d_k)), (0, 2, 1, 3)),
+                      (batch * n, heads * d_k))
+
+
 def encode_batch(features: np.ndarray, actor: ActorParams, mode: str) -> EncodedBatch:
     cfg = actor.cfg
     feats = np.asarray(features)
@@ -267,10 +277,7 @@ def encode_batch(features: np.ndarray, actor: ActorParams, mode: str) -> Encoded
         keys_t = _split_heads(_linear(h, p[f"enc.l{l}.Wk"]), batch, heads, (0, 2, 3, 1))
         v = _split_heads(_linear(h, p[f"enc.l{l}.Wv"]), batch, heads, (0, 2, 1, 3))
         weights = ad.softmax(ad.scale(ad.bmm(q, keys_t), inv_sqrt_dk))     # (B*H, n, n)
-        mixed = ad.bmm(weights, v)                                          # (B*H, n, d_k)
-        merged = ad.reshape(ad.permute(ad.reshape(mixed, (batch, heads, n, cfg.d_k)), (0, 2, 1, 3)),
-                            (batch * n, d_h))
-        mha = _linear(merged, p[f"enc.l{l}.Wo"])
+        mha = _linear(_merge_heads(ad.bmm(weights, v), batch), p[f"enc.l{l}.Wo"])
         h = ad.batch_norm(ad.add(h, mha), actor.bn[f"enc.l{l}.bn1"], mode)
         ff = _linear(ad.relu(_linear(h, p[f"enc.l{l}.ff.W0"], p[f"enc.l{l}.ff.b0"])),
                      p[f"enc.l{l}.ff.W1"], p[f"enc.l{l}.ff.b1"])
@@ -397,8 +404,13 @@ def rollout_batch(features: np.ndarray, actor: ActorParams, mode: str,
     `mode` is "sample" (draws each node from the decode distribution; needs
     rng) or "greedy" (argmax, ties to the lowest index). The log-probability
     is the tape-connected sum of log-probabilities of the chosen nodes.
-    `forced_tours` replays given tours instead of choosing, which scores
-    their log-probability under the current parameters.
+    `forced_tours`, whose rows must be permutations of range(n), replays
+    given tours instead of choosing, to score their log-probability under the
+    current parameters.
+
+    The encoder and decoder caches are built on the tape; the n decode steps
+    that choose the tours run without one, and `_score_tours` then puts the
+    chosen tours' log-probability on the tape in a single pass.
     """
     if mode not in ("sample", "greedy"):
         raise ContractError(f"rollout mode must be 'sample' or 'greedy', got {mode!r}")
@@ -407,38 +419,95 @@ def rollout_batch(features: np.ndarray, actor: ActorParams, mode: str,
     feats = np.asarray(features)
     batch, n = feats.shape[0], feats.shape[1]
     if forced_tours is not None:
-        forced_tours = np.asarray(forced_tours, dtype=np.intp)
+        forced_tours = np.array(forced_tours, dtype=np.intp)
         if forced_tours.shape != (batch, n):
             raise DimensionError(f"forced_tours must be ({batch}, {n}), got {forced_tours.shape}")
+        bad = np.flatnonzero((np.sort(forced_tours, axis=1) != np.arange(n)).any(axis=1))
+        if bad.size:
+            raise ContractError(f"forced_tours row {bad[0]} is not a permutation of range({n})")
     enc = encode_batch(feats, actor, bn_mode)
-    state = BatchDecodeState(enc, _DecoderCache(enc, actor))
-    return _decode(state, actor, mode, rng, want_step_probs, forced_tours)
+    cache = _DecoderCache(enc, actor)
+    tours, step_probs = forced_tours, None
+    if forced_tours is None or want_step_probs:
+        with ad.no_grad():
+            tours, step_probs = _decode(BatchDecodeState(enc, cache), actor, mode, rng,
+                                        want_step_probs, forced_tours)
+    return tours, _score_tours(enc, cache, actor, tours), step_probs
 
 
 def _decode(state: BatchDecodeState, actor, mode: str, rng=None, want_step_probs: bool = False,
             forced_tours: np.ndarray | None = None):
-    """The n decode steps of `rollout_batch` from a fresh state."""
+    """The n decode steps from a fresh state; returns (tours, step probs)."""
     batch, n = state.enc.batch, state.enc.n
     tours = np.empty((batch, n), dtype=np.intp)
-    rows = np.arange(batch)
-    logp = None
     step_probs = [] if want_step_probs else None
     for t in range(n):
-        probs = _decode_step_batch(state, actor)
+        probs = _decode_step_batch(state, actor).data
         if want_step_probs:
-            step_probs.append(probs.data.copy())
+            step_probs.append(probs.copy())
         if forced_tours is not None:
             chosen = forced_tours[:, t]
         elif mode == "sample":
-            chosen = _sample_rows(probs.data, rng)
+            chosen = _sample_rows(probs, rng)
         else:
-            chosen = probs.data.argmax(axis=1).astype(np.intp)
-        picked = ad.gather_rows(ad.reshape(probs, (batch * n, 1)), rows * n + chosen)
-        lp = ad.log(ad.reshape(picked, (batch,)))
-        logp = lp if logp is None else ad.add(logp, lp)
+            chosen = probs.argmax(axis=1).astype(np.intp)
         tours[:, t] = chosen
         state.advance(chosen)
-    return tours, logp, step_probs
+    return tours, step_probs
+
+
+def _score_tours(enc: EncodedBatch, cache: _DecoderCache, actor: ActorParams,
+                 tours: np.ndarray) -> ad.Array:
+    """(B,) tape-connected log-probabilities of the given tours, every decode
+    step at once.
+
+    The decoder has no recurrent state: step t's query reads only the graph
+    embedding and the tour's first node and node t-1, and its mask is the
+    set of nodes placed before t. So the n steps are n query rows per
+    instance of one masked attention (teacher forcing). The query uses Kool
+    et al.'s split of the fixed context: `dec.Wq`'s graph and first-node
+    blocks project one row per instance, its last-node block one row per
+    step.
+    """
+    cfg = actor.cfg
+    p = actor.params
+    batch, n = enc.batch, enc.n
+    d_h, heads, d_k = cfg.d_h, cfg.n_heads, cfg.d_k
+    inv_sqrt_dk = 1.0 / math.sqrt(d_k)
+    base = np.arange(batch) * n
+    pos = np.empty((batch, n), dtype=np.intp)
+    pos[np.arange(batch)[:, None], tours] = np.arange(n)
+    visited = pos[:, None, :] < np.arange(n)[None, :, None]            # (B, step, node)
+
+    # dec.Wq's column blocks are the row blocks of its transpose.
+    wq_t = ad.transpose_last2(p["dec.Wq"])
+    w_graph, w_first, w_last = (ad.gather_rows(wq_t, np.arange(k * d_h, (k + 1) * d_h)) for k in range(3))
+    graph_part = ad.matmul(enc.graph, w_graph)                          # (B, d_h)
+    placeholders = ad.add(ad.matmul(ad.reshape(p["dec.v1"], (1, d_h)), w_first),
+                          ad.matmul(ad.reshape(p["dec.vf"], (1, d_h)), w_last))
+    q_first = ad.add_bias(graph_part, ad.reshape(placeholders, (d_h,)))
+    fixed = ad.add(graph_part, ad.matmul(ad.gather_rows(enc.nodes2d, base + tours[:, 0]), w_first))
+    # Steps 1..n-1 in step-major rows, so each instance's fixed part is a bias.
+    prev = ad.gather_rows(enc.nodes2d, (base + tours[:, :-1].T).reshape(-1))
+    q_rest = ad.add_bias(ad.reshape(ad.matmul(prev, w_last), (n - 1, batch * d_h)),
+                         ad.reshape(fixed, (batch * d_h,)))
+    q = ad.concat([ad.reshape(q_first, (1, batch * d_h)), q_rest], axis=0)
+    q = ad.reshape(ad.permute(ad.reshape(q, (n, batch, heads, d_k)), (1, 2, 0, 3)),
+                   (batch * heads, n, d_k))
+
+    compat = ad.scale(ad.reshape(ad.bmm(q, cache.keys_t), (batch, heads, n, n)), inv_sqrt_dk)
+    attn = ad.masked_softmax(compat, np.broadcast_to(visited[:, None], (batch, heads, n, n)))
+    mixed = ad.bmm(ad.reshape(attn, (batch * heads, n, n)), cache.values)     # (B*H, n, d_k)
+    glimpse = _linear(_merge_heads(mixed, batch), p["dec.Wo"])
+
+    q_final = ad.reshape(_linear(glimpse, p["dec.final.Wq"]), (batch, n, d_h))
+    logits = ad.scale(ad.tanh(ad.bmm(q_final, cache.final_keys_t)), cfg.clip)
+    probs = ad.masked_softmax(logits, visited)                          # (B, step, node)
+    chosen = (base[:, None] + np.arange(n)) * n + tours
+    picked = ad.gather_rows(ad.reshape(probs, (batch * n * n, 1)), chosen.reshape(-1))
+    step_logp = ad.log(ad.reshape(picked, (batch, n)))
+    summed = ad.matmul(step_logp, ad.constant(np.ones((n, 1)), dtype=actor.dtype))   # sum over steps
+    return ad.reshape(summed, (batch,))
 
 
 @dataclass
@@ -481,7 +550,7 @@ def greedy_tours(features: np.ndarray, actors) -> np.ndarray:
         state = BatchDecodeState(enc, _DecoderCache.stack(caches))
         decoder = _StackedDecoder(cfg, {name: ad.constant(np.stack([w[name] for w in weights]))
                                         for name in weights[0]})
-        tours, _, _ = _decode(state, decoder, "greedy")
+        tours, _ = _decode(state, decoder, "greedy")
     return tours
 
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately slow and simple: pure-python loops, central
 finite differences, grid counting, exhaustive enumeration. None of it shares
-code with the package under test.
+code with the package under test, except the sequential references at the
+end, which keep earlier, simpler forms of package code to compare against.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import numpy as np
 
 from paretotsp import autodiff as ad
 from paretotsp.instances import MotspInstance
+from paretotsp.model import (BatchDecodeState, _decode_step_batch, _DecoderCache,
+                             _sample_rows, encode_batch)
 
 
 def random_instance(n: int, seed: int) -> MotspInstance:
@@ -322,3 +325,60 @@ def per_head_greedy(features: np.ndarray, arrays: dict, n_heads: int,
         tour.append(node)
         visited[node] = True
     return tour, logp
+
+
+# ---------------------------------------------------------------------------
+# sequential references
+
+
+def sequential_rollout(features: np.ndarray, actor, mode: str, rng=None, bn_mode: str = "infer",
+                       forced_tours=None) -> tuple[np.ndarray, ad.Array]:
+    """(tours, log-prob Array) by the step-by-step decode on the tape: each of
+    the n decoder steps gathers its chosen node's probability, takes the log
+    and adds it to the running sum."""
+    enc = encode_batch(np.asarray(features), actor, bn_mode)
+    state = BatchDecodeState(enc, _DecoderCache(enc, actor))
+    batch, n = enc.batch, enc.n
+    tours = np.empty((batch, n), dtype=np.intp)
+    rows = np.arange(batch)
+    logp = None
+    for t in range(n):
+        probs = _decode_step_batch(state, actor)
+        if forced_tours is not None:
+            chosen = np.asarray(forced_tours)[:, t]
+        elif mode == "sample":
+            chosen = _sample_rows(probs.data, rng)
+        else:
+            chosen = probs.data.argmax(axis=1).astype(np.intp)
+        picked = ad.gather_rows(ad.reshape(probs, (batch * n, 1)), rows * n + chosen)
+        lp = ad.log(ad.reshape(picked, (batch,)))
+        logp = lp if logp is None else ad.add(logp, lp)
+        tours[:, t] = chosen
+        state.advance(chosen)
+    return tours, logp
+
+
+def sequential_backward(loss: ad.Array) -> None:
+    """`ad.backward` without freeing: sort the reachable nodes once, newest
+    first, and run every closure, leaving the graph intact."""
+    reachable, seen, stack = [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        reachable.append(node)
+        stack.extend(node._parents)
+    reachable.sort(key=lambda n: n._id, reverse=True)
+    staged = {id(loss): np.ones((), dtype=loss.dtype)}
+    for node in reachable:
+        g = staged.pop(id(node), None)
+        if g is None:
+            continue
+        if node._backward is None:
+            node.accumulate_grad(g)
+            continue
+        for parent, pg in zip(node._parents, node._backward(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            staged[id(parent)] = staged[id(parent)] + pg if id(parent) in staged else pg

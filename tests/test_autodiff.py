@@ -8,7 +8,7 @@ from paretotsp.errors import (BatchTooSmallError, BoundsError, ContractError,
                               DimensionError, NoFeasibleActionError,
                               NonFiniteError)
 
-from oracles import check_gradients, relative_error
+from oracles import check_gradients, relative_error, sequential_backward
 
 FD_EPS = 1e-5
 
@@ -92,6 +92,29 @@ def test_non_finite_values_rejected():
 def test_log_rejects_nonpositive():
     with pytest.raises(ContractError):
         ad.log(ad.constant(np.array([1.0, 0.0])))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_rows_unique_backward_is_bitwise_add_at(dtype):
+    """Unique indices take the assignment path; its bytes equal np.add.at into
+    zeros, where a -0.0 gradient lands as +0.0."""
+    g = np.random.default_rng(8).standard_normal((4, 3)).astype(dtype)
+    g[0, :2] = [0.0, -0.0]
+    g[2, 1] = -0.0
+    idx = np.array([5, 0, 3, 2])
+    out = ad.gather_rows(ad.param(np.ones((6, 3)), dtype=dtype), idx)
+    (got,) = out._backward(g)
+    want = np.zeros((6, 3), dtype=dtype)
+    np.add.at(want, idx, g)
+    assert got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[idx][g == 0]).any()
+
+
+def test_gather_rows_duplicate_indices_accumulate():
+    leaf = ad.param(np.zeros((3, 2)))
+    ad.backward(to_scalar(ad.reshape(ad.gather_rows(leaf, np.array([2, 0, 2, 2])), (8,))))
+    np.testing.assert_array_equal(leaf.grad, [[1 / 8, 1 / 8], [0.0, 0.0], [3 / 8, 3 / 8]])
 
 
 def test_gather_rows_out_of_range():
@@ -264,6 +287,31 @@ def test_composite_matmul_relu_mean_gradient():
         return to_scalar(ad.relu(ad.matmul(leaves[0], leaves[1])))
 
     assert check_gradients(build, [a, b], eps=FD_EPS) < 1e-5
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_backward_matches_the_sequential_sweep_bitwise(seed):
+    """The freeing sweep runs the same closures in the same order as a sweep
+    that keeps the graph, so every op's gradients agree to the byte."""
+    grads = []
+    for sweep in (ad.backward, sequential_backward):
+        grads.append([])
+        for name, build, inputs in _op_cases(np.random.default_rng(seed)):
+            leaves = [ad.param(x, dtype=np.float64) for x in inputs]
+            sweep(build(leaves))
+            grads[-1].append((name, [leaf.grad.tobytes() for leaf in leaves]))
+    assert grads[0] == grads[1]
+
+
+def test_backward_frees_the_graph_and_refuses_a_second_sweep():
+    p = ad.param(np.array([2.0, -1.0]))
+    hidden = ad.mul(p, p)
+    loss = to_scalar(hidden)
+    ad.backward(loss)
+    assert hidden._parents == () and loss._parents == ()
+    with pytest.raises(ContractError, match="already consumed"):
+        ad.backward(loss)
+    np.testing.assert_array_equal(p.grad, [2.0, -1.0])
 
 
 # ---------------------------------------------------------------------------

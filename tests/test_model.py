@@ -14,7 +14,8 @@ from paretotsp.model import (ActorParams, BatchDecodeState, CriticParams,
                              greedy_tours, rollout, rollout_batch)
 
 from oracles import (check_gradients, fuse_heads, per_head_actor_arrays,
-                     per_head_decode_step, per_head_encode, random_instance)
+                     per_head_decode_step, per_head_encode, random_instance,
+                     sequential_rollout)
 
 TINY = ModelConfig(d_h=8, n_heads=2, d_ff=16)
 
@@ -302,6 +303,61 @@ def test_greedy_tours_every_row_equals_its_per_model_rollout():
     for row, actor in zip(tours, chosen):
         ref, _, _ = rollout_batch(feats[None], actor, "greedy")
         np.testing.assert_array_equal(row, ref[0])
+
+
+def test_forced_tours_must_be_permutations():
+    feats = np.random.default_rng(15).random((4, 5, 4))
+    good = np.array([[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3], [1, 2, 3, 4, 0]])
+    for row, bad in ((2, [2, 0, 4, 2, 3]), (1, [4, 3, 2, 1, 5])):
+        tours = good.copy()
+        tours[row] = bad
+        with pytest.raises(ContractError, match=f"forced_tours row {row} is not a permutation"):
+            rollout_batch(feats, tiny_actor(15), "sample", forced_tours=tours)
+
+
+# ---------------------------------------------------------------------------
+# one-pass scoring against the sequential reference
+
+
+DESK = ModelConfig(d_h=16, n_heads=2, d_ff=64)
+PARITY_SHAPES = [(DESK, 64, 10), (DESK, 32, 20), (ModelConfig(), 8, 20)]
+
+
+def _scored_and_sequential(cfg, batch, n, dtype, mode):
+    """(tours, logp, grads) of `rollout_batch` and of the step-by-step
+    reference, from one parameter state and one rng seed; the loss is the
+    trainer's mean of advantage-weighted log-probabilities."""
+    actor = ActorParams.init(cfg, np.random.default_rng(n), dtype=dtype)
+    feats = np.random.default_rng(n + 1).random((batch, n, 4))
+    advantage = ad.constant(np.random.default_rng(n + 2).standard_normal(batch), dtype=dtype)
+    out = []
+    for a, roll in ((actor.copy(), rollout_batch), (actor.copy(), sequential_rollout)):
+        tours, logp = roll(feats, a, mode, rng=np.random.default_rng(5), bn_mode="train")[:2]
+        ad.backward(ad.mean_over_axis(ad.mul(logp, advantage), 0))
+        out.append((tours, logp.data, {name: p.grad for name, p in a.params.items()}))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["sample", "greedy"])
+@pytest.mark.parametrize("cfg,batch,n", PARITY_SHAPES)
+def test_scored_rollout_matches_the_sequential_reference_float64(cfg, batch, n, mode):
+    (tours, logp, grads), (ref_tours, ref_logp, ref_grads) = \
+        _scored_and_sequential(cfg, batch, n, np.float64, mode)
+    np.testing.assert_array_equal(tours, ref_tours)
+    np.testing.assert_allclose(logp, ref_logp, rtol=1e-9, atol=0)
+    scale = max(np.abs(g).max() for g in ref_grads.values())
+    assert grads.keys() == ref_grads.keys()
+    for name, g in ref_grads.items():
+        np.testing.assert_allclose(grads[name], g, rtol=1e-9, atol=1e-12 * scale, err_msg=name)
+
+
+@pytest.mark.parametrize("cfg,batch,n", PARITY_SHAPES)
+def test_scored_rollout_matches_the_sequential_reference_float32(cfg, batch, n):
+    (tours, logp, _), (ref_tours, ref_logp, _) = \
+        _scored_and_sequential(cfg, batch, n, np.float32, "sample")
+    np.testing.assert_array_equal(tours, ref_tours)
+    assert logp.dtype == np.float32
+    np.testing.assert_allclose(logp, ref_logp, rtol=1e-6, atol=0)
 
 
 # ---------------------------------------------------------------------------
