@@ -348,11 +348,7 @@ def gather_rows(x: Array, idx) -> Array:
 
     def back(g):
         gx = np.zeros_like(x.data)
-        if np.bincount(idx, minlength=n).max(initial=0) <= 1:
-            # Unique rows: the same bytes as add.at into zeros, ±0 included.
-            gx[idx] = g + 0.0
-        else:
-            np.add.at(gx, idx, g)
+        np.add.at(gx, idx, g)
         return (gx,)
 
     return Array(x.data[idx], _parents=(x,), _backward=back, _op="gather_rows")

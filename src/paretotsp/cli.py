@@ -10,7 +10,6 @@ writes a manifest that reproduces it exactly when passed back to --config.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 import time
@@ -95,8 +94,9 @@ def cmd_train(args) -> int:
     workdir = _resolve_workdir(args.out)
     started = time.perf_counter()
 
-    def progress(i, total, weights):
-        print(f"subproblem {i}/{total}  weights=({weights[0]:.4f}, {weights[1]:.4f})", flush=True)
+    def progress(i, total, weights, epochs):
+        print(f"subproblem {i}/{total}  weights=({weights[0]:.4f}, {weights[1]:.4f})  "
+              f"epochs={epochs}", flush=True)
 
     dec.run_schedule(cfg, workdir, resume=args.resume, progress=progress)
     print(f"trained {cfg.m_sub} subproblem(s) into {workdir} "
@@ -173,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paretotsp",
         description="Decomposition-trained attention models for bi-objective TSP")
-    parser.add_argument("--log-level", choices=("warning", "info", "debug"), default="warning",
-                        help="show the package's log records at this level and above on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate random instance files")
@@ -217,12 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # For this call, the package's records at --log-level and above go to
-    # stderr as bare messages, the form Python prints warnings in by default.
-    handler = logging.StreamHandler(sys.stderr)
-    pkg_log = logging.getLogger(__package__)
-    pkg_log.addHandler(handler)
-    pkg_log.setLevel(args.log_level.upper())
     try:
         return args.func(args)
     except (ContractError, ParseError) as exc:
@@ -234,9 +226,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        pkg_log.removeHandler(handler)
-        pkg_log.setLevel(logging.NOTSET)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,8 +26,6 @@ from .errors import ContractError, ParseError
 from .instances import PRNG_NAME
 from .model import DEFAULT_CRITIC_CHANNELS, ActorParams, CriticParams, ModelConfig
 from .trainer import TrainConfig, train_subproblem
-
-log = logging.getLogger(__name__)
 
 CKPT_MAGIC = "paretotsp-ckpt"
 CKPT_VERSION = "v2"
@@ -368,7 +365,8 @@ def run_schedule(cfg: RunConfig, workdir, resume: bool = False,
     starts from an exact copy of i-1's final actor and critic. Subproblem i
     trains on its own stream [seed, i], so a resumed run retrains any
     unfinished subproblem from scratch and lands on identical checkpoints.
-    Returns the M final actors in schedule order.
+    `progress(i, M, weights, epochs)`, if given, is called as subproblem i
+    starts. Returns the M final actors in schedule order.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -404,10 +402,8 @@ def run_schedule(cfg: RunConfig, workdir, resume: bool = False,
         def persist_epoch(epoch, a, c, report):
             report.write_csv(metrics_path)
 
-        log.info("subproblem %d/%d: weights (%.6f, %.6f), %d epoch(s)",
-                 i, cfg.m_sub, weights[0], weights[1], epochs)
         if progress is not None:
-            progress(i, cfg.m_sub, weights)
+            progress(i, cfg.m_sub, weights, epochs)
         report = train_subproblem(weights, actor, critic, cfg.train_config(epochs),
                                   rng=rng, epoch_callback=persist_epoch)
         report.write_csv(metrics_path)

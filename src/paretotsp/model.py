@@ -254,6 +254,8 @@ def _merge_heads(blocks: ad.Array, batch: int) -> ad.Array:
     """(B*H, n, d_k) per-head blocks back to (B*n, H*d_k) rows, head-major in each row."""
     rows, n, d_k = blocks.shape
     heads = rows // batch
+    if n == 1:      # the heads of each row are already adjacent
+        return ad.reshape(blocks, (batch, heads * d_k))
     return ad.reshape(ad.permute(ad.reshape(blocks, (batch, heads, n, d_k)), (0, 2, 1, 3)),
                       (batch * n, heads * d_k))
 
@@ -360,7 +362,6 @@ def _decode_step_batch(state: BatchDecodeState, actor: "ActorParams | _StackedDe
     enc, cache = state.enc, state.cache
     batch, n = enc.batch, enc.n
     d_h, heads = cfg.d_h, cfg.n_heads
-    inv_sqrt_dk = 1.0 / math.sqrt(cfg.d_k)
 
     if state.t == 1:
         # A (d_h,) placeholder serves every row; a stacked (rows, d_h) one
@@ -377,15 +378,29 @@ def _decode_step_batch(state: BatchDecodeState, actor: "ActorParams | _StackedDe
     context = ad.concat([enc.graph, first, last], axis=1)     # (B, 3*d_h)
 
     q = ad.reshape(_linear(context, p["dec.Wq"]), (batch * heads, 1, cfg.d_k))
-    compat = ad.scale(ad.reshape(ad.bmm(q, cache.keys_t), (batch, heads, n)), inv_sqrt_dk)
-    attn = ad.masked_softmax(compat, np.broadcast_to(state.visited[:, None, :], (batch, heads, n)))
-    mixed = ad.bmm(ad.reshape(attn, (batch * heads, 1, n)), cache.values)    # (B*H, 1, d_k)
-    glimpse = _linear(ad.reshape(mixed, (batch, d_h)), p["dec.Wo"])
+    return ad.reshape(_attend(q, state.visited[:, None, :], cache, actor), (batch, n))
 
-    q_final = ad.reshape(_linear(glimpse, p["dec.final.Wq"]), (batch, 1, d_h))
-    raw = ad.reshape(ad.bmm(q_final, cache.final_keys_t), (batch, n))
-    logits = ad.scale(ad.tanh(raw), cfg.clip)
-    return ad.masked_softmax(logits, state.visited)
+
+def _attend(q: ad.Array, visited: np.ndarray, cache: _DecoderCache, actor) -> ad.Array:
+    """The decoder's glimpse and pointer for S query rows per instance.
+
+    q (B*H, S, d_k) holds each row's projected context, per head; visited
+    (B, S, n) masks each row's placed nodes. Returns the pointer's
+    probabilities (B, S, n).
+    """
+    cfg = actor.cfg
+    p = actor.params
+    batch, steps, n = visited.shape
+    heads = cfg.n_heads
+    compat = ad.scale(ad.reshape(ad.bmm(q, cache.keys_t), (batch, heads, steps, n)),
+                      1.0 / math.sqrt(cfg.d_k))
+    attn = ad.masked_softmax(compat, np.broadcast_to(visited[:, None], (batch, heads, steps, n)))
+    mixed = ad.bmm(ad.reshape(attn, (batch * heads, steps, n)), cache.values)   # (B*H, S, d_k)
+    glimpse = _linear(_merge_heads(mixed, batch), p["dec.Wo"])
+
+    q_final = ad.reshape(_linear(glimpse, p["dec.final.Wq"]), (batch, steps, cfg.d_h))
+    logits = ad.scale(ad.tanh(ad.bmm(q_final, cache.final_keys_t)), cfg.clip)
+    return ad.masked_softmax(logits, visited)
 
 
 def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -467,13 +482,12 @@ def _score_tours(enc: EncodedBatch, cache: _DecoderCache, actor: ActorParams,
     instance of one masked attention (teacher forcing). The query uses Kool
     et al.'s split of the fixed context: `dec.Wq`'s graph and first-node
     blocks project one row per instance, its last-node block one row per
-    step.
+    step; `_attend` then runs the glimpse and pointer on all n rows.
     """
     cfg = actor.cfg
     p = actor.params
     batch, n = enc.batch, enc.n
     d_h, heads, d_k = cfg.d_h, cfg.n_heads, cfg.d_k
-    inv_sqrt_dk = 1.0 / math.sqrt(d_k)
     base = np.arange(batch) * n
     pos = np.empty((batch, n), dtype=np.intp)
     pos[np.arange(batch)[:, None], tours] = np.arange(n)
@@ -495,14 +509,7 @@ def _score_tours(enc: EncodedBatch, cache: _DecoderCache, actor: ActorParams,
     q = ad.reshape(ad.permute(ad.reshape(q, (n, batch, heads, d_k)), (1, 2, 0, 3)),
                    (batch * heads, n, d_k))
 
-    compat = ad.scale(ad.reshape(ad.bmm(q, cache.keys_t), (batch, heads, n, n)), inv_sqrt_dk)
-    attn = ad.masked_softmax(compat, np.broadcast_to(visited[:, None], (batch, heads, n, n)))
-    mixed = ad.bmm(ad.reshape(attn, (batch * heads, n, n)), cache.values)     # (B*H, n, d_k)
-    glimpse = _linear(_merge_heads(mixed, batch), p["dec.Wo"])
-
-    q_final = ad.reshape(_linear(glimpse, p["dec.final.Wq"]), (batch, n, d_h))
-    logits = ad.scale(ad.tanh(ad.bmm(q_final, cache.final_keys_t)), cfg.clip)
-    probs = ad.masked_softmax(logits, visited)                          # (B, step, node)
+    probs = _attend(q, visited, cache, actor)                           # (B, step, node)
     chosen = (base[:, None] + np.arange(n)) * n + tours
     picked = ad.gather_rows(ad.reshape(probs, (batch * n * n, 1)), chosen.reshape(-1))
     step_logp = ad.log(ad.reshape(picked, (batch, n)))

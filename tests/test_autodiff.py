@@ -94,23 +94,6 @@ def test_log_rejects_nonpositive():
         ad.log(ad.constant(np.array([1.0, 0.0])))
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_gather_rows_unique_backward_is_bitwise_add_at(dtype):
-    """Unique indices take the assignment path; its bytes equal np.add.at into
-    zeros, where a -0.0 gradient lands as +0.0."""
-    g = np.random.default_rng(8).standard_normal((4, 3)).astype(dtype)
-    g[0, :2] = [0.0, -0.0]
-    g[2, 1] = -0.0
-    idx = np.array([5, 0, 3, 2])
-    out = ad.gather_rows(ad.param(np.ones((6, 3)), dtype=dtype), idx)
-    (got,) = out._backward(g)
-    want = np.zeros((6, 3), dtype=dtype)
-    np.add.at(want, idx, g)
-    assert got.dtype == dtype
-    assert got.tobytes() == want.tobytes()
-    assert not np.signbit(got[idx][g == 0]).any()
-
-
 def test_gather_rows_duplicate_indices_accumulate():
     leaf = ad.param(np.zeros((3, 2)))
     ad.backward(to_scalar(ad.reshape(ad.gather_rows(leaf, np.array([2, 0, 2, 2])), (8,))))

@@ -179,26 +179,9 @@ def test_train_progress_lines(tmp_path, capsys):
     config.write_text(TINY_CONFIG)
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "w")]) == 0
     out = capsys.readouterr().out
-    assert "subproblem 1/2  weights=(0.0000, 1.0000)" in out
-    assert "subproblem 2/2  weights=(1.0000, 0.0000)" in out
+    assert "subproblem 1/2  weights=(0.0000, 1.0000)  epochs=1" in out
+    assert "subproblem 2/2  weights=(1.0000, 0.0000)  epochs=1" in out
     assert "trained 2 subproblem(s)" in out
-
-
-def test_log_level_info_shows_the_subproblem_lines_on_stderr(tmp_path, capsys):
-    config = tmp_path / "run.conf"
-    config.write_text(TINY_CONFIG)
-    runs = {}
-    for level in (None, "warning", "info"):
-        flag = [] if level is None else ["--log-level", level]
-        assert main(flag + ["train", "--config", str(config), "--out", str(tmp_path / str(level))]) == 0
-        captured = capsys.readouterr()
-        # the last stdout line names the work directory and the elapsed time
-        runs[level] = (captured.out.splitlines()[:-1], captured.err)
-    assert runs[None] == runs["warning"] == (runs["info"][0], "")
-    assert runs["info"][1].splitlines() == [
-        "subproblem 1/2: weights (0.000000, 1.000000), 1 epoch(s)",
-        "subproblem 2/2: weights (1.000000, 0.000000), 1 epoch(s)",
-    ]
 
 
 def test_train_manifest_rerun_is_bitwise_identical(trained, tmp_path):

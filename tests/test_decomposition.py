@@ -319,7 +319,7 @@ def test_interrupted_run_resumes_to_identical_results(tmp_path):
     cfg = RunConfig(**TINY)
     run_schedule(cfg, tmp_path / "full")
 
-    def stop_at_three(i, m, weights):
+    def stop_at_three(i, m, weights, epochs):
         if i == 3:
             raise Interrupted
 
