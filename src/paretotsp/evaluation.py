@@ -116,9 +116,9 @@ class ParetoArchive:
 def approximate_pf(inst: MotspInstance, models) -> ParetoArchive:
     """Greedy rollout of every model on `inst`, kept if nondominated.
 
-    `models` is any iterable of actors; all of them decode together in one
-    loop (`model.greedy_tours`), and each is released once encoded. The
-    archive records which model produced each survivor, as a 1-based
+    `models` is any iterable of actors; they decode in groups of stacked
+    models (`model.greedy_tours`), and each group is released once decoded.
+    The archive records which model produced each survivor, as a 1-based
     position matching the subproblem numbering of checkpoints.
     """
     from .model import greedy_tours

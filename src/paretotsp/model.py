@@ -21,8 +21,8 @@ norm statistics run over the node dimension of the whole batch, and attention
 uses per-instance (B, n, ...) views. A training rollout chooses its tours
 step by step without a tape, then scores all n steps of them in one
 teacher-forced decoder pass on the tape. `greedy_tours` decodes one instance
-under many actors at once: their decoder inputs are stacked on a leading
-model axis, so the actors are the batch rows of a single decode.
+under many actors, a group at a time: a group's decoder inputs are stacked on
+a leading model axis, so its actors are the batch rows of a single decode.
 """
 
 from __future__ import annotations
@@ -525,19 +525,29 @@ class _StackedDecoder:
     params: dict[str, ad.Array]
 
 
+# Actors per stacked decode. Only one group's parts are held, so the solve's
+# memory grows with the group, not with M, and a step streams one group's
+# decoder weights and caches (about 0.5 MB per model at full width) instead
+# of all M models'. Groups of 16-20 decode faster than one stack of 100;
+# smaller groups pay each step's fixed Python cost too often.
+_GROUP = 20
+
+
 def greedy_tours(features: np.ndarray, actors) -> np.ndarray:
     """(M, n) greedy tours of one instance, row i under the i-th of `actors`.
 
     `actors` is any iterable of actors sharing one config and dtype. Each is
     encoded without a tape as soon as it is drawn; only its encodings, its
-    key/value caches and the decoder weights are kept. These are stacked on a
-    leading model axis, so the M actors are the batch rows of one
-    `BatchDecodeState` and one n-step loop decodes them all. Row i equals the
-    tour of `rollout_batch(features[None], actor_i, "greedy")`.
+    key/value caches and the decoder weights are kept. The actors decode in
+    groups of `_GROUP`: a group's kept parts are stacked on a leading model
+    axis, so its actors are the batch rows of one `BatchDecodeState` and one
+    n-step loop decodes them, and the parts are released before the next
+    actor is drawn. Row i equals the tour of
+    `rollout_batch(features[None], actor_i, "greedy")`.
     """
     feats = np.asarray(features)[None, :, :]
     cfg = dtype = None
-    encs, caches, weights = [], [], []
+    parts, tours = [], []
     with ad.no_grad():
         for actor in actors:
             if cfg is None:
@@ -545,20 +555,30 @@ def greedy_tours(features: np.ndarray, actors) -> np.ndarray:
             elif (actor.cfg, actor.dtype) != (cfg, dtype):
                 raise ContractError("greedy_tours needs actors of one model config and dtype")
             enc = encode_batch(feats, actor, "infer")
-            encs.append(enc)
-            caches.append(_DecoderCache(enc, actor))
             # The key/value projections are in the cache; the rest is read per step.
-            weights.append({name: p.data for name, p in actor.params.items()
-                            if name.startswith("dec.") and not name.endswith(("Wk", "Wv"))})
+            parts.append((enc, _DecoderCache(enc, actor),
+                          {name: p.data for name, p in actor.params.items()
+                           if name.startswith("dec.") and not name.endswith(("Wk", "Wv"))}))
+            if len(parts) == _GROUP:
+                tours.append(_decode_group(parts, cfg))
+                parts = []
         if cfg is None:
             raise ContractError("greedy_tours needs at least one actor")
-        enc = EncodedBatch(_stack_rows([e.nodes2d for e in encs]), _stack_rows([e.graph for e in encs]),
-                           len(encs), feats.shape[1])
-        state = BatchDecodeState(enc, _DecoderCache.stack(caches))
-        decoder = _StackedDecoder(cfg, {name: ad.constant(np.stack([w[name] for w in weights]))
-                                        for name in weights[0]})
-        tours, _ = _decode(state, decoder, "greedy")
-    return tours
+        if parts:
+            tours.append(_decode_group(parts, cfg))
+    return np.concatenate(tours)
+
+
+def _decode_group(parts: list, cfg: ModelConfig) -> np.ndarray:
+    """Greedy tours of the (encodings, cache, decoder weights) `parts`, one
+    row per actor, decoded as the batch rows of one stacked loop."""
+    encs, caches, weights = zip(*parts)
+    enc = EncodedBatch(_stack_rows([e.nodes2d for e in encs]), _stack_rows([e.graph for e in encs]),
+                       len(encs), encs[0].n)
+    state = BatchDecodeState(enc, _DecoderCache.stack(caches))
+    decoder = _StackedDecoder(cfg, {name: ad.constant(np.stack([w[name] for w in weights]))
+                                    for name in weights[0]})
+    return _decode(state, decoder, "greedy")[0]
 
 
 def rollout(inst: MotspInstance, actor: ActorParams, mode: str = "greedy",

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from paretotsp import decomposition
 from paretotsp.decomposition import (MANIFEST_NAME, RunConfig,
                                      TrainedActors, checkpoint_name,
                                      config_hash, load_manifest, load_models,
@@ -298,6 +300,11 @@ def test_zero_rest_epochs_copies_checkpoints_bitwise(tmp_path):
         assert (tmp_path / checkpoint_name(i)).read_bytes() == first
 
 
+def metrics_rows(workdir, i):
+    """Subproblem i's metrics CSV lines without the wall-clock `seconds` column."""
+    return [r.rsplit(",", 1)[0] for r in (workdir / metrics_name(i)).read_text().splitlines()]
+
+
 def test_runs_are_bitwise_reproducible(tmp_path):
     cfg = RunConfig(**TINY)
     run_schedule(cfg, tmp_path / "a")
@@ -305,10 +312,7 @@ def test_runs_are_bitwise_reproducible(tmp_path):
     for i in (1, 2, 3):
         assert (tmp_path / "a" / checkpoint_name(i)).read_bytes() == \
             (tmp_path / "b" / checkpoint_name(i)).read_bytes()
-        rows_a = (tmp_path / "a" / metrics_name(i)).read_text().splitlines()
-        rows_b = (tmp_path / "b" / metrics_name(i)).read_text().splitlines()
-        stripped = [[r.rsplit(",", 1)[0] for r in rows] for rows in (rows_a, rows_b)]
-        assert stripped[0] == stripped[1]
+        assert metrics_rows(tmp_path / "a", i) == metrics_rows(tmp_path / "b", i)
 
 
 class Interrupted(Exception):
@@ -332,6 +336,33 @@ def test_interrupted_run_resumes_to_identical_results(tmp_path):
     for i in (1, 2, 3):
         assert (tmp_path / "part" / checkpoint_name(i)).read_bytes() == \
             (tmp_path / "full" / checkpoint_name(i)).read_bytes()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_crash_between_checkpoint_and_manifest_resumes_to_identical_results(tmp_path, monkeypatch, k):
+    """A run that dies after subproblem k's checkpoint is renamed into place,
+    before the manifest lists it, resumes to the uninterrupted run's files."""
+    cfg = RunConfig(**TINY)
+    run_schedule(cfg, tmp_path / "full")
+    real_write_manifest = decomposition.write_manifest
+
+    def crash_after_k(workdir, cfg, completed):
+        if k in completed:
+            assert (Path(workdir) / checkpoint_name(k)).exists()
+            raise Interrupted
+        real_write_manifest(workdir, cfg, completed)
+
+    monkeypatch.setattr(decomposition, "write_manifest", crash_after_k)
+    with pytest.raises(Interrupted):
+        run_schedule(cfg, tmp_path / "part")
+    monkeypatch.undo()
+    assert load_manifest(tmp_path / "part")[1] == list(range(1, k))
+
+    run_schedule(cfg, tmp_path / "part", resume=True)
+    for name in (MANIFEST_NAME,) + tuple(checkpoint_name(i) for i in (1, 2, 3)):
+        assert (tmp_path / "part" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+    for i in (1, 2, 3):
+        assert metrics_rows(tmp_path / "part", i) == metrics_rows(tmp_path / "full", i)
 
 
 def test_resume_rejects_config_drift(tmp_path):

@@ -14,7 +14,7 @@ from paretotsp.evaluation import (PF_CSV_HEADER, ArchiveEntry, ParetoArchive,
 from paretotsp import decomposition as dec
 from paretotsp.cli import main
 from paretotsp.instances import Tour, evaluate_objectives, save_native
-from paretotsp.model import ActorParams, CriticParams, ModelConfig, rollout
+from paretotsp.model import _GROUP, ActorParams, CriticParams, ModelConfig, rollout
 
 from oracles import hv_grid, pareto_brute, random_instance
 
@@ -222,9 +222,9 @@ def test_approximate_pf_size_bounded_and_order_invariant():
 
 
 def test_approximate_pf_needs_models():
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="needs at least one actor"):
         approximate_pf(random_instance(5, seed=1), [])
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="needs at least one actor"):
         approximate_pf(random_instance(5, seed=1), iter([]))
 
 
@@ -271,6 +271,19 @@ def test_approximate_pf_rejects_mixed_configs():
     mixed = [ActorParams.init(DESK_MODEL, np.random.default_rng(0)),
              ActorParams.init(ModelConfig(d_h=8, n_heads=2, d_ff=16), np.random.default_rng(1))]
     with pytest.raises(ContractError):
+        approximate_pf(inst, mixed)
+
+
+@pytest.mark.parametrize("odd", [
+    lambda: ActorParams.init(ModelConfig(d_h=8, n_heads=2, d_ff=16), np.random.default_rng(1)),
+    lambda: ActorParams.init(DESK_MODEL, np.random.default_rng(1), dtype=np.float64),
+], ids=["config", "dtype"])
+def test_approximate_pf_rejects_a_mixed_actor_opening_a_later_group(odd):
+    """The config and dtype check spans decode groups: an odd actor that
+    opens the second group is compared with the first group's actors."""
+    inst = random_instance(6, seed=0)
+    mixed = [ActorParams.init(DESK_MODEL, np.random.default_rng(0))] * _GROUP + [odd()]
+    with pytest.raises(ContractError, match="one model config and dtype"):
         approximate_pf(inst, mixed)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from paretotsp.decomposition import RunConfig
 from paretotsp.errors import (ContractError, DimensionError,
                               NoFeasibleActionError)
 from paretotsp.instances import MotspInstance, Tour
-from paretotsp.model import (ActorParams, BatchDecodeState, CriticParams,
+from paretotsp.model import (_GROUP, ActorParams, BatchDecodeState, CriticParams,
                              ModelConfig, _decode_step_batch, _DecoderCache,
                              critic_batch, encode_batch,
                              greedy_tours, rollout, rollout_batch)
@@ -18,6 +19,7 @@ from oracles import (check_gradients, fuse_heads, per_head_actor_arrays,
                      sequential_rollout)
 
 TINY = ModelConfig(d_h=8, n_heads=2, d_ff=16)
+DESK = ModelConfig(d_h=16, n_heads=2, d_ff=64)
 
 
 def tiny_actor(seed=0, cfg=TINY, dtype=np.float64):
@@ -305,6 +307,63 @@ def test_greedy_tours_every_row_equals_its_per_model_rollout():
         np.testing.assert_array_equal(row, ref[0])
 
 
+def test_greedy_tours_group_boundary_between_the_ulp_tie():
+    """The seed-3 ulp-tie pair of the test above, with a decode group boundary
+    between actors 60 and 61: every row is still its actor's own tour."""
+    cfg = RunConfig(n_nodes=100, seed=3)
+    rng = np.random.default_rng(np.random.SeedSequence([3, 0]))
+    actors = []
+    for _ in range(62):
+        actors.append(ActorParams.init(cfg.model_config(), rng))
+        CriticParams.init(rng)
+    feats = np.random.default_rng(np.random.SeedSequence([3, 1])).random((100, 4))
+    chosen = actors[61 - _GROUP:62]
+    tours = greedy_tours(feats, chosen)
+    assert tours.shape == (_GROUP + 1, 100)
+    for row, actor in zip(tours, chosen):
+        ref, _, _ = rollout_batch(feats[None], actor, "greedy")
+        np.testing.assert_array_equal(row, ref[0])
+
+
+def test_greedy_tours_draws_a_generator_like_a_list():
+    """2G+1 actors, each built as the generator is drawn, decode in three
+    groups (the last of one actor) to the tours of the same actors as a list."""
+    feats = np.random.default_rng(4).random((10, 4))
+    built = []
+
+    def draw():
+        rng = np.random.default_rng(9)
+        for _ in range(2 * _GROUP + 1):
+            built.append(ActorParams.init(DESK, rng))
+            yield built[-1]
+
+    lazy = greedy_tours(feats, draw())
+    np.testing.assert_array_equal(lazy, greedy_tours(feats, built))
+    for row, actor in zip(lazy, built):
+        ref, _, _ = rollout_batch(feats[None], actor, "greedy")
+        np.testing.assert_array_equal(row, ref[0])
+
+
+def test_greedy_tours_memory_does_not_grow_with_the_actor_count():
+    """Only one group of actors is held at a time: decoding 3G full-width
+    actors at n=100, each built as it is drawn, peaks at most 1.25x as high
+    as decoding G of them."""
+    feats = np.random.default_rng(5).random((100, 4))
+
+    def peak(count):
+        rng = np.random.default_rng(6)
+        actors = (ActorParams.init(ModelConfig(), rng) for _ in range(count))
+        tracemalloc.start()
+        try:
+            greedy_tours(feats, actors)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, three = peak(_GROUP), peak(3 * _GROUP)
+    assert three <= 1.25 * one, (one, three)
+
+
 def test_forced_tours_must_be_permutations():
     feats = np.random.default_rng(15).random((4, 5, 4))
     good = np.array([[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3], [1, 2, 3, 4, 0]])
@@ -319,7 +378,6 @@ def test_forced_tours_must_be_permutations():
 # one-pass scoring against the sequential reference
 
 
-DESK = ModelConfig(d_h=16, n_heads=2, d_ff=64)
 PARITY_SHAPES = [(DESK, 64, 10), (DESK, 32, 20), (ModelConfig(), 8, 20)]
 
 
