@@ -9,8 +9,7 @@ approximate the Pareto front, scored by exact bi-objective hypervolume.
 
 from .autodiff import Array, backward, constant, param
 from .decomposition import (RunConfig, SubproblemSchedule, load_models,
-                            make_schedule, make_weights, run_schedule,
-                            save_models)
+                            make_weights, run_schedule, save_models)
 from .errors import (BatchTooSmallError, BoundsError, ContractError,
                      DimensionError, NoFeasibleActionError, NonFiniteError,
                      ParseError, TrainingDivergedError)
@@ -20,8 +19,7 @@ from .evaluation import (ArchiveEntry, ParetoArchive, approximate_pf,
 from .instances import (MotspInstance, Tour, evaluate_objectives, load_native,
                         load_tsplib_pair, save_native)
 from .model import ActorParams, CriticParams, ModelConfig, rollout
-from .trainer import (Adam, TrainConfig, TrainReport, reinforce_iteration,
-                      train_subproblem)
+from .trainer import Adam, TrainReport, reinforce_iteration, train_subproblem
 
 __version__ = "0.1.0"
 
@@ -30,10 +28,10 @@ __all__ = [
     "BoundsError", "ContractError", "CriticParams", "DimensionError",
     "ModelConfig", "MotspInstance", "NoFeasibleActionError", "NonFiniteError",
     "ParetoArchive", "ParseError", "RunConfig", "SubproblemSchedule", "Tour",
-    "TrainConfig", "TrainReport", "TrainingDivergedError", "approximate_pf",
+    "TrainReport", "TrainingDivergedError", "approximate_pf",
     "backward", "compute_hv_protocol", "constant", "evaluate_objectives",
     "hypervolume_2d", "load_models", "load_native", "load_tsplib_pair",
-    "make_schedule", "make_weights", "normalize", "param", "read_pf_csv",
+    "make_weights", "normalize", "param", "read_pf_csv",
     "reinforce_iteration", "rollout", "run_schedule", "save_models",
     "save_native", "train_subproblem", "write_hv_report", "write_pf_csv",
 ]

@@ -48,13 +48,13 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def _parse_ref(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ContractError(f"--ref wants two comma-separated reals, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ContractError(f"--ref: {exc}") from exc
+        ref = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        ref = ()
+    if len(ref) != 2 or not np.isfinite(ref).all():
+        raise ContractError(f"--ref wants two comma-separated finite reals, got {text!r}")
+    return ref
 
 
 def cmd_gen(args) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import ContractError, ParseError
 from .instances import PRNG_NAME
 from .model import DEFAULT_CRITIC_CHANNELS, ActorParams, CriticParams, ModelConfig
-from .trainer import TrainConfig, train_subproblem
+from .trainer import train_subproblem
 
 CKPT_MAGIC = "paretotsp-ckpt"
 CKPT_VERSION = "v2"
@@ -48,17 +49,6 @@ def make_weights(m_sub: int) -> np.ndarray:
 class SubproblemSchedule:
     weights: np.ndarray          # (M, m), consecutive rows nearest neighbors
     epochs: tuple[int, ...]      # per-subproblem epoch budget
-
-
-def make_schedule(m_sub: int, epochs_first: int = 5, epochs_rest: int = 1,
-                  direction: str = "asc") -> SubproblemSchedule:
-    if direction not in ("asc", "desc"):
-        raise ContractError(f"direction must be 'asc' or 'desc', got {direction!r}")
-    weights = make_weights(m_sub)
-    if direction == "desc":
-        weights = weights[::-1].copy()
-    epochs = (epochs_first,) + (epochs_rest,) * (m_sub - 1)
-    return SubproblemSchedule(weights, epochs)
 
 
 # ---------------------------------------------------------------------------
@@ -97,23 +87,32 @@ class RunConfig:
             raise ContractError(f"d_x must be {DEFAULT_CRITIC_CHANNELS[0][0]}, the critic's input width, "
                                 f"got {self.d_x}")
         self.model_config()
-        self.train_config(self.epochs_first)
-        self.train_config(self.epochs_rest)
+        if self.batch_size < 2:
+            raise ContractError(f"batch_size must be >= 2 for batch norm, got {self.batch_size}")
+        if self.dataset_size % self.batch_size != 0:
+            raise ContractError(
+                f"dataset_size {self.dataset_size} must be divisible by batch_size {self.batch_size}")
+        if self.n_nodes < 2:
+            raise ContractError(f"n_nodes must be >= 2, got {self.n_nodes}")
+        if min(self.epochs_first, self.epochs_rest) < 0:
+            raise ContractError(f"epochs_first and epochs_rest must be >= 0, "
+                                f"got {self.epochs_first} and {self.epochs_rest}")
+        positive = (self.dataset_size, self.lr_actor, self.lr_critic, self.eps, self.clip_norm)
+        if not all(0 < v < math.inf for v in positive) or not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ContractError(f"need positive finite sizes, rates, eps and clip_norm, betas in [0, 1): {self}")
         self.schedule()
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(d_x=self.d_x, d_h=self.d_h, n_layers=self.n_layers,
                            n_heads=self.n_heads, d_ff=self.d_ff, clip=self.clip_logits)
 
-    def train_config(self, epochs: int) -> TrainConfig:
-        return TrainConfig(n_nodes=self.n_nodes, batch_size=self.batch_size,
-                           dataset_size=self.dataset_size, epochs=epochs,
-                           lr_actor=self.lr_actor, lr_critic=self.lr_critic,
-                           beta1=self.beta1, beta2=self.beta2, eps=self.eps,
-                           clip_norm=self.clip_norm)
-
     def schedule(self) -> SubproblemSchedule:
-        return make_schedule(self.m_sub, self.epochs_first, self.epochs_rest, self.direction)
+        if self.direction not in ("asc", "desc"):
+            raise ContractError(f"direction must be 'asc' or 'desc', got {self.direction!r}")
+        weights = make_weights(self.m_sub)
+        if self.direction == "desc":
+            weights = weights[::-1].copy()
+        return SubproblemSchedule(weights, (self.epochs_first,) + (self.epochs_rest,) * (self.m_sub - 1))
 
     def to_mapping(self) -> dict[str, str]:
         out = {}
@@ -404,7 +403,7 @@ def run_schedule(cfg: RunConfig, workdir, resume: bool = False,
 
         if progress is not None:
             progress(i, cfg.m_sub, weights, epochs)
-        report = train_subproblem(weights, actor, critic, cfg.train_config(epochs),
+        report = train_subproblem(weights, actor, critic, cfg, epochs,
                                   rng=rng, epoch_callback=persist_epoch)
         report.write_csv(metrics_path)
         save_models(workdir / checkpoint_name(i), actor, critic)

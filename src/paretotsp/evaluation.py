@@ -211,6 +211,8 @@ def read_pf_csv(path) -> ParetoArchive:
             order = tuple(int(t) for t in parts[5].split("-"))
         except ValueError as exc:
             raise ParseError(path, line_no, str(exc)) from exc
+        if not np.isfinite([f1, f2]).all():
+            raise ParseError(path, line_no, "objective values must be finite")
         try:
             tour = Tour(order)
         except ContractError as exc:

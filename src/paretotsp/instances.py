@@ -135,6 +135,8 @@ def load_native(path) -> MotspInstance:
             feats[i] = [float(p) for p in parts]
         except ValueError as exc:
             raise ParseError(path, 2 + i, f"bad feature value: {exc}") from exc
+        if not np.isfinite(feats[i]).all():
+            raise ParseError(path, 2 + i, "feature values must be finite")
     name = str(path).rsplit("/", 1)[-1]
     if name.endswith(".motsp"):
         name = name[:-6]
@@ -207,13 +209,13 @@ def _parse_tsplib(path) -> np.ndarray:
     return coords
 
 
-def _minmax_scale(coords: np.ndarray):
+def _minmax_scale(path, coords: np.ndarray):
     lo = coords.min(axis=0)
-    hi = coords.max(axis=0)
-    span = hi - lo
-    if np.any(span == 0):
-        span = np.where(span == 0, 1.0, span)
-    return (coords - lo) / span
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = coords.max(axis=0) - lo
+    if not np.isfinite(span).all():
+        raise ParseError(path, None, "coordinates and their spans must be finite")
+    return (coords - lo) / np.where(span == 0, 1.0, span)
 
 
 def load_tsplib_pair(file_a, file_b) -> MotspInstance:
@@ -222,7 +224,7 @@ def load_tsplib_pair(file_a, file_b) -> MotspInstance:
     coords_b = _parse_tsplib(file_b)
     if coords_a.shape[0] != coords_b.shape[0]:
         raise ParseError(file_b, 1, f"DIMENSION mismatch: {coords_a.shape[0]} vs {coords_b.shape[0]}")
-    feats = np.concatenate([_minmax_scale(coords_a), _minmax_scale(coords_b)], axis=1)
+    feats = np.concatenate([_minmax_scale(file_a, coords_a), _minmax_scale(file_b, coords_b)], axis=1)
     raw = np.concatenate([coords_a, coords_b], axis=1)
     name_a = str(file_a).rsplit("/", 1)[-1].rsplit(".", 1)[0]
     name_b = str(file_b).rsplit("/", 1)[-1].rsplit(".", 1)[0]

@@ -6,6 +6,9 @@ applies two Adam updates: the actor follows (1/B) Σ (cost − baseline) ∇ log
 with the advantage held constant, and the critic regresses its baseline onto
 the observed costs by mean squared error. A subproblem run is E epochs of
 T = D / B such iterations.
+
+Sizes and optimizer settings are read by attribute from the run's checked
+`RunConfig`; `decomposition`, which defines it, imports this module.
 """
 
 from __future__ import annotations
@@ -17,41 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, NonFiniteError, TrainingDivergedError
+from .errors import NonFiniteError, TrainingDivergedError
 from .instances import tour_costs_batch
 from .model import ActorParams, CriticParams, critic_batch, rollout_batch
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    n_nodes: int = 20
-    batch_size: int = 200
-    dataset_size: int = 500_000
-    epochs: int = 1
-    lr_actor: float = 1e-4
-    lr_critic: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 2.0
-
-    def __post_init__(self):
-        if self.batch_size < 2:
-            raise ContractError(f"batch_size must be >= 2 for batch norm, got {self.batch_size}")
-        if self.dataset_size % self.batch_size != 0:
-            raise ContractError(
-                f"dataset_size {self.dataset_size} must be divisible by batch_size {self.batch_size}")
-        if self.n_nodes < 2:
-            raise ContractError(f"n_nodes must be >= 2, got {self.n_nodes}")
-        if self.epochs < 0:
-            raise ContractError("epochs must be >= 0")
-        positive = (self.dataset_size, self.lr_actor, self.lr_critic, self.eps, self.clip_norm)
-        if not all(0 < v < math.inf for v in positive) or not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ContractError(f"need positive finite sizes, rates, eps and clip_norm, betas in [0, 1): {self}")
-
-    @property
-    def iterations_per_epoch(self) -> int:
-        return self.dataset_size // self.batch_size
 
 
 @dataclass(frozen=True)
@@ -127,13 +98,13 @@ def clip_gradients(params: list[ad.Array], max_norm: float) -> float:
     return norm
 
 
-def sample_batch(cfg: TrainConfig, rng: np.random.Generator, d_x: int) -> np.ndarray:
+def sample_batch(cfg, rng: np.random.Generator, d_x: int) -> np.ndarray:
     """B fresh instances with features uniform on [0, 1)."""
     return rng.random((cfg.batch_size, cfg.n_nodes, d_x))
 
 
 def reinforce_iteration(weights, actor: ActorParams, critic: CriticParams,
-                        cfg: TrainConfig, rng: np.random.Generator,
+                        cfg, rng: np.random.Generator,
                         actor_opt: Adam, critic_opt: Adam) -> dict:
     """One Adam update of actor and critic from a fresh sampled batch."""
     w = np.asarray(weights, dtype=np.float64)
@@ -170,9 +141,9 @@ def reinforce_iteration(weights, actor: ActorParams, critic: CriticParams,
 
 
 def train_subproblem(weights, actor: ActorParams, critic: CriticParams,
-                     cfg: TrainConfig, rng: np.random.Generator,
+                     cfg, epochs: int, rng: np.random.Generator,
                      epoch_callback=None) -> TrainReport:
-    """E epochs of T = D/B iterations on one weight vector; mutates the params.
+    """`epochs` epochs of T = D/B iterations on one weight vector; mutates the params.
 
     `epoch_callback(epoch, actor, critic, report)` runs after each epoch —
     the hook for per-epoch metrics. Deterministic for a fixed rng state.
@@ -181,8 +152,8 @@ def train_subproblem(weights, actor: ActorParams, critic: CriticParams,
     critic_opt = Adam(critic.trainable(), cfg.lr_critic, cfg.beta1, cfg.beta2, cfg.eps)
     report = TrainReport()
     iteration = 0
-    for epoch in range(1, cfg.epochs + 1):
-        for _ in range(cfg.iterations_per_epoch):
+    for epoch in range(1, epochs + 1):
+        for _ in range(cfg.dataset_size // cfg.batch_size):
             iteration += 1
             started = time.perf_counter()
             metrics = reinforce_iteration(weights, actor, critic, cfg, rng, actor_opt, critic_opt)

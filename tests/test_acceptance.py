@@ -22,7 +22,7 @@ from paretotsp.instances import (MotspInstance, Tour, evaluate_objectives,
                                  tour_costs_batch)
 from paretotsp.model import (ActorParams, CriticParams, ModelConfig,
                              critic_batch, rollout_batch)
-from paretotsp.trainer import TrainConfig, train_subproblem
+from paretotsp.trainer import train_subproblem
 
 from oracles import (check_gradients, enumerate_objectives, hv_grid,
                      pareto_brute, tour_objectives_slow)
@@ -194,9 +194,8 @@ def test_training_improvement(capsys):
     actor = ActorParams.init(ModelConfig(d_h=16, n_heads=2, d_ff=64), rng,
                              dtype=np.float32)
     critic = CriticParams.init(rng, dtype=np.float32)
-    cfg = TrainConfig(n_nodes=10, batch_size=64, dataset_size=32000, epochs=8,
-                      lr_actor=1e-3, lr_critic=1e-3)
-    rep = train_subproblem((0.5, 0.5), actor, critic, cfg,
+    cfg = RunConfig(n_nodes=10, **DESK_DIMS)
+    rep = train_subproblem((0.5, 0.5), actor, critic, cfg, 8,
                            rng=np.random.default_rng(np.random.SeedSequence([0, 1])))
     gws = [r.mean_gws for r in rep.rows]
     first, last = np.mean(gws[:50]), np.mean(gws[-50:])
@@ -223,9 +222,9 @@ def test_parameter_transfer(capsys, tmp_path, monkeypatch):
     starts = {}
     real = dec.train_subproblem
 
-    def spy(weights, actor, critic, cfg, rng=None, epoch_callback=None):
+    def spy(weights, actor, critic, cfg, epochs, rng=None, epoch_callback=None):
         starts[len(starts) + 1] = dec.pack_models(actor, critic)
-        return real(weights, actor, critic, cfg, rng=rng, epoch_callback=epoch_callback)
+        return real(weights, actor, critic, cfg, epochs, rng=rng, epoch_callback=epoch_callback)
 
     monkeypatch.setattr(dec, "train_subproblem", spy)
     live = RunConfig(m_sub=3, epochs_first=1, epochs_rest=1, **tiny)

@@ -287,6 +287,9 @@ def test_train_config_from_manifest_needs_a_config_object(trained, tmp_path, cap
     ("d_x", "3", "got 3"), ("n_layers", "-1", "n_layers=-1"), ("clip_logits", "0", "clip=0.0"),
     ("dataset_size", "0", "dataset_size=0"), ("lr_actor", "nan", "lr_actor=nan"),
     ("clip_norm", "-1", "clip_norm=-1.0"), ("beta1", "1", "beta1=1.0"),
+    ("batch_size", "1", "batch_size must be >= 2"), ("n_nodes", "1", "n_nodes must be >= 2"),
+    ("dataset_size", "10", "dataset_size 10 must be divisible by batch_size 4"),
+    ("epochs_rest", "-1", "epochs_rest must be >= 0"),
 ])
 def test_train_bad_config_value_exits_2_before_the_work_directory(tmp_path, capsys, key, value, shown):
     config = tmp_path / "run.conf"
@@ -414,6 +417,32 @@ def test_solve_rejects_non_finite_checkpoint(trained, tmp_path, capsys):
     assert "model_2.ckpt" in err and "actor.dec.Wq" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_solve_rejects_a_non_finite_instance_feature(trained, tmp_path, capsys, value):
+    path = tmp_path / "bad.motsp"
+    path.write_text("MOTSP v1 n=4 m=2 dx=4\n0.1 0.2 0.3 0.4\n"
+                    f"0.5 {value} 0.7 0.8\n0.9 0.1 0.2 0.3\n0.4 0.5 0.6 0.7\n")
+    assert main(["solve", "--ckpt", str(trained["ckpt"]), "--instance", str(path),
+                 "--out", str(tmp_path / "pf.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:3" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (float("inf"), 10), (20, 30)],
+    [(-1e308, 0), (1e308, 10), (0, 30)],
+], ids=["inf-coordinate", "span-overflow"])
+def test_solve_rejects_non_finite_tsplib_coordinates(trained, tmp_path, capsys, points):
+    pa, pb = tmp_path / "a.tsp", tmp_path / "b.tsp"
+    pa.write_text(tsplib_text("a", points))
+    pb.write_text(TSPLIB_B)
+    assert main(["solve", "--ckpt", str(trained["ckpt"]), "--tsplib", str(pa), str(pb),
+                 "--out", str(tmp_path / "pf.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(pa) in err and "Traceback" not in err
+    assert not (tmp_path / "pf.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -456,6 +485,31 @@ def test_eval_bad_ref(tmp_path, capsys):
     write_front(pf, [((0, 1, 2), (0.2, 0.2))])
     assert main(["eval", "--pf", str(pf), "--ref", "1.2",
                  "--out", str(tmp_path / "hv.csv")]) == 2
+
+
+@pytest.mark.parametrize("ref", ["nan,1.2", "inf,inf"])
+def test_eval_rejects_a_non_finite_ref(tmp_path, capsys, ref):
+    pf = tmp_path / "front.csv"
+    write_front(pf, [((0, 1, 2), (1.0, 5.0)), ((1, 0, 2), (3.0, 3.0))])
+    assert main(["eval", "--pf", str(pf), "--ref", ref, "--out", str(tmp_path / "hv.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "--ref" in err and "Traceback" not in err
+    assert not (tmp_path / "hv.csv").exists()
+
+
+@pytest.mark.parametrize("column", [3, 4], ids=["f1", "f2"])
+def test_eval_rejects_a_non_finite_objective(tmp_path, capsys, column):
+    pf = tmp_path / "front.csv"
+    write_front(pf, [((0, 1, 2), (1.0, 5.0)), ((1, 0, 2), (3.0, 3.0))])
+    lines = pf.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[column] = "nan"
+    lines[2] = ",".join(cells)
+    pf.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--pf", str(pf), "--out", str(tmp_path / "hv.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{pf}:3" in err and "Traceback" not in err
+    assert not (tmp_path / "hv.csv").exists()
 
 
 def test_eval_missing_front_file(tmp_path):

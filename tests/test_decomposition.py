@@ -8,7 +8,7 @@ from paretotsp import decomposition
 from paretotsp.decomposition import (MANIFEST_NAME, RunConfig,
                                      TrainedActors, checkpoint_name,
                                      config_hash, load_manifest, load_models,
-                                     make_schedule, make_weights,
+                                     make_weights,
                                      metrics_name, pack_models,
                                      read_checkpoint, run_schedule,
                                      save_models, unpack_models,
@@ -52,14 +52,15 @@ def test_schedule_validation():
             RunConfig(**dict(TINY, **bad))
 
 
-def test_make_schedule_budgets_and_direction():
-    sched = make_schedule(4, epochs_first=5, epochs_rest=1)
+def test_schedule_budgets_and_direction():
+    sched = RunConfig(m_sub=4, epochs_first=5, epochs_rest=1).schedule()
     assert sched.epochs == (5, 1, 1, 1)
     assert sched.weights[0, 0] == 0.0
-    desc = make_schedule(4, direction="desc")
+    desc = RunConfig(m_sub=4, direction="desc").schedule()
     assert desc.weights[0, 0] == 1.0 and desc.weights[-1, 0] == 0.0
+    np.testing.assert_array_equal(desc.weights, sched.weights[::-1])
     with pytest.raises(ContractError):
-        make_schedule(4, direction="up")
+        RunConfig(m_sub=4, direction="up")
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,21 @@ import pytest
 from oracles import enumerate_objectives
 from paretotsp import autodiff as ad
 from paretotsp import trainer as trainer_mod
+from paretotsp.decomposition import RunConfig
 from paretotsp.errors import ContractError, TrainingDivergedError
 from paretotsp.instances import MotspInstance, evaluate_objectives
 from paretotsp.model import (ActorParams, CriticParams, ModelConfig, rollout,
                              rollout_batch)
-from paretotsp.trainer import (Adam, TrainConfig, TrainReport,
-                               IterationMetrics, clip_gradients,
+from paretotsp.trainer import (Adam, TrainReport, IterationMetrics, clip_gradients,
                                reinforce_iteration, sample_batch,
                                train_subproblem)
 
 TINY = ModelConfig(d_h=8, n_heads=2, d_ff=16)
+
+
+def tiny_run(**kw):
+    """A run config whose model fields describe TINY."""
+    return RunConfig(d_h=TINY.d_h, n_heads=TINY.n_heads, d_ff=TINY.d_ff, **kw)
 
 
 def fresh_pair(seed=0, dtype=np.float64):
@@ -29,19 +34,20 @@ def fresh_pair(seed=0, dtype=np.float64):
 
 
 def test_config_validation():
-    with pytest.raises(ContractError):
-        TrainConfig(batch_size=1)
-    with pytest.raises(ContractError):
-        TrainConfig(batch_size=3, dataset_size=100)
-    with pytest.raises(ContractError):
-        TrainConfig(n_nodes=1)
-    with pytest.raises(ContractError):
-        TrainConfig(epochs=-1)
+    for bad in (dict(batch_size=1), dict(batch_size=3, dataset_size=100), dict(n_nodes=1),
+                dict(epochs_first=-1), dict(epochs_rest=-1)):
+        with pytest.raises(ContractError):
+            tiny_run(**bad)
 
 
 def test_config_iteration_count():
-    assert TrainConfig().iterations_per_epoch == 2500
-    assert TrainConfig(batch_size=10, dataset_size=120).iterations_per_epoch == 12
+    """An epoch is dataset_size // batch_size iterations: 2500 by default."""
+    assert RunConfig().dataset_size // RunConfig().batch_size == 2500
+    actor, critic = fresh_pair(0)
+    report = train_subproblem((0.5, 0.5), actor, critic,
+                              tiny_run(n_nodes=4, batch_size=10, dataset_size=120), 1,
+                              np.random.default_rng(0))
+    assert len(report.rows) == 12
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +131,7 @@ def test_clip_rejects_nonfinite():
 
 
 def test_sample_batch_shape_range_determinism():
-    cfg = TrainConfig(n_nodes=6, batch_size=4, dataset_size=8)
+    cfg = tiny_run(n_nodes=6, batch_size=4, dataset_size=8)
     a = sample_batch(cfg, np.random.default_rng(5), 4)
     b = sample_batch(cfg, np.random.default_rng(5), 4)
     assert a.shape == (4, 6, 4)
@@ -148,7 +154,7 @@ def test_zero_signal_is_a_fixed_point(monkeypatch):
     actor, critic = fresh_pair(1)
     for p in critic.params.values():
         p.data = np.zeros_like(p.data)
-    cfg = TrainConfig(n_nodes=4, batch_size=4, dataset_size=8)
+    cfg = tiny_run(n_nodes=4, batch_size=4, dataset_size=8)
     before_a = {k: v.data.copy() for k, v in actor.params.items()}
     before_c = {k: v.data.copy() for k, v in critic.params.items()}
 
@@ -168,7 +174,7 @@ def test_zero_signal_is_a_fixed_point(monkeypatch):
 
 def test_iteration_metrics_are_finite_and_positive():
     actor, critic = fresh_pair(2)
-    cfg = TrainConfig(n_nodes=5, batch_size=8, dataset_size=16)
+    cfg = tiny_run(n_nodes=5, batch_size=8, dataset_size=16)
     actor_opt = Adam(actor.trainable(), cfg.lr_actor)
     critic_opt = Adam(critic.trainable(), cfg.lr_critic)
     metrics = reinforce_iteration((0.3, 0.7), actor, critic, cfg,
@@ -182,7 +188,7 @@ def test_iteration_metrics_are_finite_and_positive():
 def test_divergence_is_reported(monkeypatch):
     actor, critic = fresh_pair(3)
     actor.params["enc.init.W"].data[0, 0] = float("nan")
-    cfg = TrainConfig(n_nodes=4, batch_size=4, dataset_size=8)
+    cfg = tiny_run(n_nodes=4, batch_size=4, dataset_size=8)
     with pytest.raises(TrainingDivergedError) as err:
         reinforce_iteration((0.5, 0.5), actor, critic, cfg,
                             np.random.default_rng(0),
@@ -228,7 +234,7 @@ def test_policy_learns_to_prefer_the_cheapest_tour(monkeypatch):
     monkeypatch.setattr(trainer_mod, "sample_batch",
                         lambda cfg, rng, d_x: np.broadcast_to(feats, (16, 4, 4)).copy())
     actor, critic = fresh_pair(8)
-    cfg = TrainConfig(n_nodes=4, batch_size=16, dataset_size=32,
+    cfg = tiny_run(n_nodes=4, batch_size=16, dataset_size=32,
                       lr_actor=3e-3, lr_critic=3e-3)
     actor_opt = Adam(actor.trainable(), cfg.lr_actor)
     critic_opt = Adam(critic.trainable(), cfg.lr_critic)
@@ -250,8 +256,8 @@ def test_zero_epochs_changes_nothing():
     actor, critic = fresh_pair(4)
     before = {k: v.data.copy() for k, v in actor.params.items()}
     calls = []
-    cfg = TrainConfig(n_nodes=4, batch_size=4, dataset_size=8, epochs=0)
-    report = train_subproblem((0.5, 0.5), actor, critic, cfg, np.random.default_rng(0),
+    cfg = tiny_run(n_nodes=4, batch_size=4, dataset_size=8)
+    report = train_subproblem((0.5, 0.5), actor, critic, cfg, 0, np.random.default_rng(0),
                               epoch_callback=lambda *a: calls.append(a))
     assert report.rows == []
     assert calls == []
@@ -261,9 +267,9 @@ def test_zero_epochs_changes_nothing():
 
 def test_epoch_callback_cadence():
     actor, critic = fresh_pair(5)
-    cfg = TrainConfig(n_nodes=4, batch_size=4, dataset_size=12, epochs=2)
+    cfg = tiny_run(n_nodes=4, batch_size=4, dataset_size=12)
     seen = []
-    train_subproblem((0.5, 0.5), actor, critic, cfg, np.random.default_rng(0),
+    train_subproblem((0.5, 0.5), actor, critic, cfg, 2, np.random.default_rng(0),
                      epoch_callback=lambda e, a, c, r: seen.append((e, len(r.rows))))
     assert seen == [(1, 3), (2, 6)]
 
@@ -272,8 +278,8 @@ def test_training_is_deterministic():
     reports, finals = [], []
     for _ in range(2):
         actor, critic = fresh_pair(6)
-        cfg = TrainConfig(n_nodes=4, batch_size=8, dataset_size=80)
-        reports.append(train_subproblem((0.4, 0.6), actor, critic, cfg, np.random.default_rng(9)))
+        cfg = tiny_run(n_nodes=4, batch_size=8, dataset_size=80)
+        reports.append(train_subproblem((0.4, 0.6), actor, critic, cfg, 1, np.random.default_rng(9)))
         finals.append({k: v.data.copy() for k, v in actor.params.items()})
     for a, b in zip(reports[0].rows, reports[1].rows):
         assert (a.iteration, a.mean_gws, a.critic_loss, a.grad_norm) == \
@@ -284,9 +290,9 @@ def test_training_is_deterministic():
 
 def test_costs_improve_on_a_small_run():
     actor, critic = fresh_pair(7)
-    cfg = TrainConfig(n_nodes=8, batch_size=32, dataset_size=32 * 200,
+    cfg = tiny_run(n_nodes=8, batch_size=32, dataset_size=32 * 200,
                       lr_actor=3e-3, lr_critic=3e-3)
-    report = train_subproblem((0.5, 0.5), actor, critic, cfg, np.random.default_rng(11))
+    report = train_subproblem((0.5, 0.5), actor, critic, cfg, 1, np.random.default_rng(11))
     gws = [r.mean_gws for r in report.rows]
     losses = [r.critic_loss for r in report.rows]
     assert np.mean(gws[-20:]) < 0.95 * np.mean(gws[:20])
