@@ -189,13 +189,7 @@ def bmm(a: Array, b: Array) -> Array:
     out_data = a.data @ b.data
 
     def back(g):
-        if a.shape[1] == 1:
-            # One row per batch item: a.T @ g is an outer product, which
-            # broadcasting computes far faster than a stacked matmul.
-            gb = a.data[:, 0, :, None] * g
-        else:
-            gb = np.swapaxes(a.data, 1, 2) @ g
-        return g @ np.swapaxes(b.data, 1, 2), gb
+        return g @ np.swapaxes(b.data, 1, 2), np.swapaxes(a.data, 1, 2) @ g
 
     return Array(out_data, _parents=(a, b), _backward=back, _op="bmm")
 

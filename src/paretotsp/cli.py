@@ -19,7 +19,7 @@ import numpy as np
 
 from . import decomposition as dec
 from . import evaluation as ev
-from .errors import ContractError, ParseError, TrainingDivergedError
+from .errors import ContractError, NonFiniteError, ParseError, TrainingDivergedError
 from .instances import (MotspInstance, load_native, load_tsplib_pair,
                         save_native, tour_costs_batch)
 
@@ -117,7 +117,13 @@ def cmd_solve(args) -> int:
     if inst.d_x != cfg.d_x:
         raise ContractError(f"instance d_x={inst.d_x} incompatible with checkpoint d_x={cfg.d_x}")
     started = time.perf_counter()
-    archive = ev.approximate_pf(inst, actors)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):   # reported as the error below
+            archive = ev.approximate_pf(inst, actors)
+    except NonFiniteError as exc:
+        # Finite features can still overflow the actors' float arithmetic.
+        source = args.instance or " and ".join(args.tsplib)
+        raise ContractError(f"{source} is out of range for the models in {workdir}: {exc}") from exc
     elapsed = time.perf_counter() - started
     weights = cfg.schedule().weights
     ev.write_pf_csv(args.out, archive, weights)

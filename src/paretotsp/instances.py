@@ -213,8 +213,11 @@ def _minmax_scale(path, coords: np.ndarray):
     lo = coords.min(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         span = coords.max(axis=0) - lo
-    if not np.isfinite(span).all():
-        raise ParseError(path, None, "coordinates and their spans must be finite")
+        # No edge is longer than the diagonal, so a raw tour length (as
+        # tour_costs_batch sums it) stays below n times the diagonal.
+        longest_tour = len(coords) * np.sqrt((span ** 2).sum())
+    if not np.isfinite(longest_tour):
+        raise ParseError(path, None, "coordinates, their spans and a tour's length must be finite")
     return (coords - lo) / np.where(span == 0, 1.0, span)
 
 

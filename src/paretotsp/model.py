@@ -28,7 +28,7 @@ a leading model axis, so its actors are the batch rows of a single decode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -228,14 +228,35 @@ class CriticParams(_Params):
 # encoder
 
 
+@dataclass
 class EncodedBatch:
-    """Embeddings of B instances: (B*n, d_h) node rows plus (B, d_h) graph rows."""
+    """One rollout's fixed encoder outputs for B instances.
 
-    def __init__(self, nodes2d: ad.Array, graph: ad.Array, batch: int, n: int):
-        self.nodes2d = nodes2d
-        self.graph = graph
-        self.batch = batch
-        self.n = n
+    `nodes2d` (B*n, d_h) and `graph` (B, d_h) are the node and graph
+    embeddings. The rest are the decoder's projections of the nodes:
+    `keys_t` (B*H, d_k, n) and `values` (B*H, n, d_k) hold the glimpse's
+    heads, `final_keys_t` (B, d_h, n) the pointer's keys; the keys are
+    transposed here, once per rollout.
+    """
+
+    nodes2d: ad.Array
+    graph: ad.Array
+    keys_t: ad.Array
+    values: ad.Array
+    final_keys_t: ad.Array
+
+    @property
+    def batch(self) -> int:
+        return self.graph.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.nodes2d.shape[0] // self.batch
+
+    @classmethod
+    def stack(cls, encs: list["EncodedBatch"]) -> "EncodedBatch":
+        """One encoding whose batch rows are the rows of `encs`, in order."""
+        return cls(*(_stack_rows([getattr(e, f.name) for e in encs]) for f in fields(cls)))
 
 
 def _split_heads(x2d: ad.Array, batch: int, heads: int, axes) -> ad.Array:
@@ -285,38 +306,14 @@ def encode_batch(features: np.ndarray, actor: ActorParams, mode: str) -> Encoded
                      p[f"enc.l{l}.ff.W1"], p[f"enc.l{l}.ff.b1"])
         h = ad.batch_norm(ad.add(h, ff), actor.bn[f"enc.l{l}.bn2"], mode)
     graph = ad.mean_over_axis(ad.reshape(h, (batch, n, d_h)), 1)
-    return EncodedBatch(h, graph, batch, n)
+    keys_t = _split_heads(_linear(h, p["dec.Wk"]), batch, heads, (0, 2, 3, 1))
+    values = _split_heads(_linear(h, p["dec.Wv"]), batch, heads, (0, 2, 1, 3))
+    final_keys_t = ad.transpose_last2(ad.reshape(_linear(h, p["dec.final.Wk"]), (batch, n, d_h)))
+    return EncodedBatch(h, graph, keys_t, values, final_keys_t)
 
 
 # ---------------------------------------------------------------------------
 # decoder
-
-
-class _DecoderCache:
-    """Per-rollout key/value projections; they depend only on the encodings.
-
-    `keys_t` (B*H, d_k, n) and `values` (B*H, n, d_k) hold the glimpse's heads,
-    `final_keys_t` (B, d_h, n) the pointer's keys; the keys are transposed here,
-    once per rollout.
-    """
-
-    def __init__(self, enc: EncodedBatch, actor: ActorParams):
-        cfg = actor.cfg
-        p = actor.params
-        batch, heads = enc.batch, cfg.n_heads
-        self.keys_t = _split_heads(_linear(enc.nodes2d, p["dec.Wk"]), batch, heads, (0, 2, 3, 1))
-        self.values = _split_heads(_linear(enc.nodes2d, p["dec.Wv"]), batch, heads, (0, 2, 1, 3))
-        self.final_keys_t = ad.transpose_last2(
-            ad.reshape(_linear(enc.nodes2d, p["dec.final.Wk"]), (batch, enc.n, cfg.d_h)))
-
-    @classmethod
-    def stack(cls, caches: list["_DecoderCache"]) -> "_DecoderCache":
-        """One cache whose batch rows are the rows of `caches`, in order."""
-        out = cls.__new__(cls)
-        out.keys_t = _stack_rows([c.keys_t for c in caches])
-        out.values = _stack_rows([c.values for c in caches])
-        out.final_keys_t = _stack_rows([c.final_keys_t for c in caches])
-        return out
 
 
 def _stack_rows(parts: list[ad.Array]) -> ad.Array:
@@ -336,9 +333,8 @@ def _stack_rows(parts: list[ad.Array]) -> ad.Array:
 
 
 class BatchDecodeState:
-    def __init__(self, enc: EncodedBatch, cache: _DecoderCache):
+    def __init__(self, enc: EncodedBatch):
         self.enc = enc
-        self.cache = cache
         self.visited = np.zeros((enc.batch, enc.n), dtype=bool)
         self.first = np.zeros(enc.batch, dtype=np.intp)
         self.last = np.zeros(enc.batch, dtype=np.intp)
@@ -359,7 +355,7 @@ class BatchDecodeState:
 def _decode_step_batch(state: BatchDecodeState, actor: "ActorParams | _StackedDecoder") -> ad.Array:
     cfg = actor.cfg
     p = actor.params
-    enc, cache = state.enc, state.cache
+    enc = state.enc
     batch, n = enc.batch, enc.n
     d_h, heads = cfg.d_h, cfg.n_heads
 
@@ -378,10 +374,10 @@ def _decode_step_batch(state: BatchDecodeState, actor: "ActorParams | _StackedDe
     context = ad.concat([enc.graph, first, last], axis=1)     # (B, 3*d_h)
 
     q = ad.reshape(_linear(context, p["dec.Wq"]), (batch * heads, 1, cfg.d_k))
-    return ad.reshape(_attend(q, state.visited[:, None, :], cache, actor), (batch, n))
+    return ad.reshape(_attend(q, state.visited[:, None, :], enc, actor), (batch, n))
 
 
-def _attend(q: ad.Array, visited: np.ndarray, cache: _DecoderCache, actor) -> ad.Array:
+def _attend(q: ad.Array, visited: np.ndarray, enc: EncodedBatch, actor) -> ad.Array:
     """The decoder's glimpse and pointer for S query rows per instance.
 
     q (B*H, S, d_k) holds each row's projected context, per head; visited
@@ -392,14 +388,14 @@ def _attend(q: ad.Array, visited: np.ndarray, cache: _DecoderCache, actor) -> ad
     p = actor.params
     batch, steps, n = visited.shape
     heads = cfg.n_heads
-    compat = ad.scale(ad.reshape(ad.bmm(q, cache.keys_t), (batch, heads, steps, n)),
+    compat = ad.scale(ad.reshape(ad.bmm(q, enc.keys_t), (batch, heads, steps, n)),
                       1.0 / math.sqrt(cfg.d_k))
     attn = ad.masked_softmax(compat, np.broadcast_to(visited[:, None], (batch, heads, steps, n)))
-    mixed = ad.bmm(ad.reshape(attn, (batch * heads, steps, n)), cache.values)   # (B*H, S, d_k)
+    mixed = ad.bmm(ad.reshape(attn, (batch * heads, steps, n)), enc.values)     # (B*H, S, d_k)
     glimpse = _linear(_merge_heads(mixed, batch), p["dec.Wo"])
 
     q_final = ad.reshape(_linear(glimpse, p["dec.final.Wq"]), (batch, steps, cfg.d_h))
-    logits = ad.scale(ad.tanh(ad.bmm(q_final, cache.final_keys_t)), cfg.clip)
+    logits = ad.scale(ad.tanh(ad.bmm(q_final, enc.final_keys_t)), cfg.clip)
     return ad.masked_softmax(logits, visited)
 
 
@@ -423,9 +419,10 @@ def rollout_batch(features: np.ndarray, actor: ActorParams, mode: str,
     given tours instead of choosing, to score their log-probability under the
     current parameters.
 
-    The encoder and decoder caches are built on the tape; the n decode steps
-    that choose the tours run without one, and `_score_tours` then puts the
-    chosen tours' log-probability on the tape in a single pass.
+    The encoding, with the decoder's key and value projections, is built on
+    the tape; the n decode steps that choose the tours run without one, and
+    `_score_tours` then puts the chosen tours' log-probability on the tape in
+    a single pass.
     """
     if mode not in ("sample", "greedy"):
         raise ContractError(f"rollout mode must be 'sample' or 'greedy', got {mode!r}")
@@ -441,19 +438,18 @@ def rollout_batch(features: np.ndarray, actor: ActorParams, mode: str,
         if bad.size:
             raise ContractError(f"forced_tours row {bad[0]} is not a permutation of range({n})")
     enc = encode_batch(feats, actor, bn_mode)
-    cache = _DecoderCache(enc, actor)
     tours, step_probs = forced_tours, None
     if forced_tours is None or want_step_probs:
         with ad.no_grad():
-            tours, step_probs = _decode(BatchDecodeState(enc, cache), actor, mode, rng,
-                                        want_step_probs, forced_tours)
-    return tours, _score_tours(enc, cache, actor, tours), step_probs
+            tours, step_probs = _decode(enc, actor, mode, rng, want_step_probs, forced_tours)
+    return tours, _score_tours(enc, actor, tours), step_probs
 
 
-def _decode(state: BatchDecodeState, actor, mode: str, rng=None, want_step_probs: bool = False,
+def _decode(enc: EncodedBatch, actor, mode: str, rng=None, want_step_probs: bool = False,
             forced_tours: np.ndarray | None = None):
-    """The n decode steps from a fresh state; returns (tours, step probs)."""
-    batch, n = state.enc.batch, state.enc.n
+    """The n decode steps of `enc`; returns (tours, step probs)."""
+    state = BatchDecodeState(enc)
+    batch, n = enc.batch, enc.n
     tours = np.empty((batch, n), dtype=np.intp)
     step_probs = [] if want_step_probs else None
     for t in range(n):
@@ -471,8 +467,7 @@ def _decode(state: BatchDecodeState, actor, mode: str, rng=None, want_step_probs
     return tours, step_probs
 
 
-def _score_tours(enc: EncodedBatch, cache: _DecoderCache, actor: ActorParams,
-                 tours: np.ndarray) -> ad.Array:
+def _score_tours(enc: EncodedBatch, actor: ActorParams, tours: np.ndarray) -> ad.Array:
     """(B,) tape-connected log-probabilities of the given tours, every decode
     step at once.
 
@@ -509,7 +504,7 @@ def _score_tours(enc: EncodedBatch, cache: _DecoderCache, actor: ActorParams,
     q = ad.reshape(ad.permute(ad.reshape(q, (n, batch, heads, d_k)), (1, 2, 0, 3)),
                    (batch * heads, n, d_k))
 
-    probs = _attend(q, visited, cache, actor)                           # (B, step, node)
+    probs = _attend(q, visited, enc, actor)                             # (B, step, node)
     chosen = (base[:, None] + np.arange(n)) * n + tours
     picked = ad.gather_rows(ad.reshape(probs, (batch * n * n, 1)), chosen.reshape(-1))
     step_logp = ad.log(ad.reshape(picked, (batch, n)))
@@ -527,7 +522,7 @@ class _StackedDecoder:
 
 # Actors per stacked decode. Only one group's parts are held, so the solve's
 # memory grows with the group, not with M, and a step streams one group's
-# decoder weights and caches (about 0.5 MB per model at full width) instead
+# decoder weights and projections (about 0.5 MB per model at full width) instead
 # of all M models'. Groups of 16-20 decode faster than one stack of 100;
 # smaller groups pay each step's fixed Python cost too often.
 _GROUP = 20
@@ -537,12 +532,12 @@ def greedy_tours(features: np.ndarray, actors) -> np.ndarray:
     """(M, n) greedy tours of one instance, row i under the i-th of `actors`.
 
     `actors` is any iterable of actors sharing one config and dtype. Each is
-    encoded without a tape as soon as it is drawn; only its encodings, its
-    key/value caches and the decoder weights are kept. The actors decode in
-    groups of `_GROUP`: a group's kept parts are stacked on a leading model
-    axis, so its actors are the batch rows of one `BatchDecodeState` and one
-    n-step loop decodes them, and the parts are released before the next
-    actor is drawn. Row i equals the tour of
+    encoded without a tape as soon as it is drawn; only its encoding and the
+    decoder weights that the encoding has not already applied are kept. The
+    actors decode in groups of `_GROUP`: a group's encodings and weights are
+    stacked on a leading model axis, so its actors are the batch rows of one
+    n-step decode, and the parts are released before the next actor is
+    drawn. Row i equals the tour of
     `rollout_batch(features[None], actor_i, "greedy")`.
     """
     feats = np.asarray(features)[None, :, :]
@@ -554,9 +549,8 @@ def greedy_tours(features: np.ndarray, actors) -> np.ndarray:
                 cfg, dtype = actor.cfg, actor.dtype
             elif (actor.cfg, actor.dtype) != (cfg, dtype):
                 raise ContractError("greedy_tours needs actors of one model config and dtype")
-            enc = encode_batch(feats, actor, "infer")
-            # The key/value projections are in the cache; the rest is read per step.
-            parts.append((enc, _DecoderCache(enc, actor),
+            # The key/value projections are in the encoding; the rest is read per step.
+            parts.append((encode_batch(feats, actor, "infer"),
                           {name: p.data for name, p in actor.params.items()
                            if name.startswith("dec.") and not name.endswith(("Wk", "Wv"))}))
             if len(parts) == _GROUP:
@@ -570,15 +564,12 @@ def greedy_tours(features: np.ndarray, actors) -> np.ndarray:
 
 
 def _decode_group(parts: list, cfg: ModelConfig) -> np.ndarray:
-    """Greedy tours of the (encodings, cache, decoder weights) `parts`, one
-    row per actor, decoded as the batch rows of one stacked loop."""
-    encs, caches, weights = zip(*parts)
-    enc = EncodedBatch(_stack_rows([e.nodes2d for e in encs]), _stack_rows([e.graph for e in encs]),
-                       len(encs), encs[0].n)
-    state = BatchDecodeState(enc, _DecoderCache.stack(caches))
+    """Greedy tours of the (encoding, decoder weights) `parts`, one row per
+    actor, decoded as the batch rows of one stacked loop."""
+    encs, weights = zip(*parts)
     decoder = _StackedDecoder(cfg, {name: ad.constant(np.stack([w[name] for w in weights]))
                                     for name in weights[0]})
-    return _decode(state, decoder, "greedy")[0]
+    return _decode(EncodedBatch.stack(encs), decoder, "greedy")[0]
 
 
 def rollout(inst: MotspInstance, actor: ActorParams, mode: str = "greedy",

@@ -16,8 +16,7 @@ import numpy as np
 
 from paretotsp import autodiff as ad
 from paretotsp.instances import MotspInstance
-from paretotsp.model import (BatchDecodeState, _decode_step_batch, _DecoderCache,
-                             _sample_rows, encode_batch)
+from paretotsp.model import BatchDecodeState, _decode_step_batch, _sample_rows, encode_batch
 
 
 def random_instance(n: int, seed: int) -> MotspInstance:
@@ -337,7 +336,7 @@ def sequential_rollout(features: np.ndarray, actor, mode: str, rng=None, bn_mode
     the n decoder steps gathers its chosen node's probability, takes the log
     and adds it to the running sum."""
     enc = encode_batch(np.asarray(features), actor, bn_mode)
-    state = BatchDecodeState(enc, _DecoderCache(enc, actor))
+    state = BatchDecodeState(enc)
     batch, n = enc.batch, enc.n
     tours = np.empty((batch, n), dtype=np.intp)
     rows = np.arange(batch)

@@ -428,10 +428,23 @@ def test_solve_rejects_a_non_finite_instance_feature(trained, tmp_path, capsys, 
     assert f"{path}:3" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["1e300", "1e20"])
+def test_solve_rejects_a_feature_that_overflows_the_models(trained, tmp_path, capsys, value):
+    path = tmp_path / "big.motsp"
+    path.write_text("MOTSP v1 n=4 m=2 dx=4\n0.1 0.2 0.3 0.4\n"
+                    f"0.5 {value} 0.7 0.8\n0.9 0.1 0.2 0.3\n0.4 0.5 0.6 0.7\n")
+    assert main(["solve", "--ckpt", str(trained["ckpt"]), "--instance", str(path),
+                 "--out", str(tmp_path / "pf.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+    assert not (tmp_path / "pf.csv").exists()
+
+
 @pytest.mark.parametrize("points", [
     [(0, 0), (float("inf"), 10), (20, 30)],
     [(-1e308, 0), (1e308, 10), (0, 30)],
-], ids=["inf-coordinate", "span-overflow"])
+    [(0, 0), (1e308, 0), (0, 1e308)],
+], ids=["inf-coordinate", "span-overflow", "tour-length-overflow"])
 def test_solve_rejects_non_finite_tsplib_coordinates(trained, tmp_path, capsys, points):
     pa, pb = tmp_path / "a.tsp", tmp_path / "b.tsp"
     pa.write_text(tsplib_text("a", points))

@@ -10,8 +10,7 @@ from paretotsp.errors import (ContractError, DimensionError,
                               NoFeasibleActionError)
 from paretotsp.instances import MotspInstance, Tour
 from paretotsp.model import (_GROUP, ActorParams, BatchDecodeState, CriticParams,
-                             ModelConfig, _decode_step_batch, _DecoderCache,
-                             critic_batch, encode_batch,
+                             ModelConfig, _decode_step_batch, critic_batch, encode_batch,
                              greedy_tours, rollout, rollout_batch)
 
 from oracles import (check_gradients, fuse_heads, per_head_actor_arrays,
@@ -28,8 +27,7 @@ def tiny_actor(seed=0, cfg=TINY, dtype=np.float64):
 
 def decode_state(feats, actor):
     """A fresh decode of the one instance `feats` (n, d_x)."""
-    enc = encode_batch(feats[None], actor, "infer")
-    return BatchDecodeState(enc, _DecoderCache(enc, actor))
+    return BatchDecodeState(encode_batch(feats[None], actor, "infer"))
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +81,17 @@ def test_encode_batch_matches_single_instance():
     actor = tiny_actor(7)
     batch = encode_batch(feats, actor, "infer")
     nodes = batch.nodes2d.data.reshape(3, 6, TINY.d_h)
+    heads = TINY.n_heads
     for b in range(3):
         single = encode_batch(feats[b][None], actor, "infer")
         np.testing.assert_allclose(nodes[b], single.nodes2d.data, atol=1e-12)
         np.testing.assert_allclose(batch.graph.data[b], single.graph.data[0], atol=1e-12)
+        # the decoder's projections: H rows per instance for the glimpse, one for the pointer
+        np.testing.assert_allclose(batch.keys_t.data[b * heads:(b + 1) * heads],
+                                   single.keys_t.data, atol=1e-12)
+        np.testing.assert_allclose(batch.values.data[b * heads:(b + 1) * heads],
+                                   single.values.data, atol=1e-12)
+        np.testing.assert_allclose(batch.final_keys_t.data[b], single.final_keys_t.data[0], atol=1e-12)
 
 
 def test_encoder_matches_hand_computation():
@@ -175,7 +180,7 @@ def test_decode_logits_clipped_to_ten():
     # large pointer queries, so the unclipped logits would span far more than 2 * clip
     actor.params["dec.final.Wq"].data = actor.params["dec.final.Wq"].data * 300.0
     enc = encode_batch(feats, actor, "infer")
-    state = BatchDecodeState(enc, _DecoderCache(enc, actor))
+    state = BatchDecodeState(enc)
     for step, picks in enumerate([None, rng.integers(0, 10, 4)]):
         if picks is not None:
             state.advance(picks.astype(np.intp))
@@ -608,7 +613,7 @@ def test_fused_model_matches_per_head_oracle():
     feats = rng.random((3, 7, 4))
 
     enc = encode_batch(feats, actor, "infer")
-    state = BatchDecodeState(enc, _DecoderCache(enc, actor))
+    state = BatchDecodeState(enc)
     picks = [np.array([2, 0, 6]), np.array([5, 3, 1]), np.array([0, 4, 2])]
     nodes2d = enc.nodes2d.data.reshape(3, 7, 16)
     oracle = [per_head_encode(feats[b], heads, 2) for b in range(3)]
