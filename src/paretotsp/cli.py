@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,8 @@ import numpy as np
 from . import decomposition as dec
 from . import evaluation as ev
 from .errors import ContractError, NonFiniteError, ParseError, TrainingDivergedError
-from .instances import (MotspInstance, load_native, load_tsplib_pair,
-                        save_native, tour_costs_batch)
+from .instances import (MotspInstance, evaluate_objectives, load_native,
+                        load_tsplib_pair, save_native)
 
 CKPT_ROOT_ENV = "PARETOTSP_CKPT_ROOT"
 
@@ -119,41 +120,37 @@ def cmd_solve(args) -> int:
     started = time.perf_counter()
     try:
         with np.errstate(over="ignore", invalid="ignore"):   # reported as the error below
-            archive = ev.approximate_pf(inst, actors)
+            candidates = ev.approximate_pf(inst, actors)
     except NonFiniteError as exc:
         # Finite features can still overflow the actors' float arithmetic.
         source = args.instance or " and ".join(args.tsplib)
         raise ContractError(f"{source} is out of range for the models in {workdir}: {exc}") from exc
+    front = candidates.nondominated()
     elapsed = time.perf_counter() - started
     weights = cfg.schedule().weights
-    ev.write_pf_csv(args.out, archive, weights)
+    ev.write_pf_csv(args.out, front, weights)
     if inst.raw_coords is not None:
         # Min-max scaling stretches the two axes of a file differently, so a
-        # point of the scaled front can be dominated on the raw coordinates.
-        tours = [e.tour for e in archive.entries]
-        coords = np.broadcast_to(inst.raw_coords, (len(tours),) + inst.raw_coords.shape)
-        rows = tour_costs_batch(coords, np.array([t.order for t in tours], dtype=np.intp))
-        raw = ev.ParetoArchive.from_candidates(tours, rows, [e.subproblem for e in archive.entries])
+        # tour the scaled front drops can be nondominated on the raw coordinates.
+        raw = replace(candidates, objectives=evaluate_objectives(inst.raw_coords, candidates.tours))
         out = Path(args.out)
-        ev.write_pf_csv(out.with_name(out.stem + "_unscaled" + out.suffix), raw, weights)
-    print(f"{len(archive)} nondominated point(s) from {len(actors)} model(s) "
+        ev.write_pf_csv(out.with_name(out.stem + "_unscaled" + out.suffix), raw.nondominated(), weights)
+    print(f"{len(front)} nondominated point(s) from {len(actors)} model(s) "
           f"in {elapsed:.2f}s -> {args.out}")
     return 0
 
 
 def cmd_eval(args) -> int:
     ref = _parse_ref(args.ref)
-    archives = [ev.read_pf_csv(p) for p in args.pf]
+    fronts = [ev.read_pf_csv(p) for p in args.pf]
     if args.no_normalize:
-        hvs = [ev.hypervolume_2d(a.points(), ref) for a in archives]
+        hvs = [ev.hypervolume_2d(f.objectives, ref) for f in fronts]
     else:
-        hvs = ev.compute_hv_protocol(archives, ref)
-    rows = []
-    for path, archive, hv in zip(args.pf, archives, hvs):
-        method = Path(path).stem
-        rows.append((args.label, method, hv, len(archive)))
-        print(f"{method}: hv={hv:.6f} points={len(archive)}")
+        hvs = ev.compute_hv_protocol(fronts, ref)
+    rows = [(args.label, Path(path).stem, hv, len(front)) for path, front, hv in zip(args.pf, fronts, hvs)]
     ev.write_hv_report(args.out, rows)
+    for _, method, hv, n_points in rows:
+        print(f"{method}: hv={hv:.6f} points={n_points}")
     return 0
 
 
@@ -161,8 +158,7 @@ def cmd_plot(args) -> int:
     blocks = []
     legend = []
     for k, path in enumerate(args.pf):
-        archive = ev.read_pf_csv(path)
-        pts = archive.points()
+        pts = ev.read_pf_csv(path).objectives
         blocks.append("\n".join(f"{ev.format_float(p[0])} {ev.format_float(p[1])}" for p in pts))
         legend.append(f"{k} {Path(path).stem}")
     out = Path(args.out)

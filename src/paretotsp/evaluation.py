@@ -11,12 +11,12 @@ scores are comparable.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, ParseError
-from .instances import MotspInstance, Tour, evaluate_objectives
+from .instances import MotspInstance, evaluate_objectives
 
 log = logging.getLogger(__name__)
 
@@ -83,73 +83,65 @@ def hypervolume_2d(points, ref=DEFAULT_REF_POINT) -> float:
     return float(np.sum((next_x - xs) * (ref[1] - ys)))
 
 
-@dataclass(frozen=True)
-class ArchiveEntry:
-    tour: Tour
+@dataclass(frozen=True, eq=False)
+class Front:
+    """One row per tour: the tour (k, n), its objectives (k, 2) and the
+    1-based subproblem whose model produced it (k,). A solve's candidate
+    table holds every model's tour; `nondominated()` filters it to a front."""
+
+    tours: np.ndarray
     objectives: np.ndarray
-    subproblem: int
+    subproblems: np.ndarray
 
-
-@dataclass
-class ParetoArchive:
-    """Mutually nondominated solutions (as `from_candidates` and `read_pf_csv`
-    build them) with their source subproblem index."""
-
-    entries: list[ArchiveEntry] = field(default_factory=list)
+    def __post_init__(self):
+        for name, dtype in (("tours", np.intp), ("objectives", np.float64), ("subproblems", np.intp)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        k = len(self.subproblems)
+        if self.tours.ndim != 2 or len(self.tours) != k or self.objectives.shape != (k, 2):
+            raise DimensionError(f"a front wants (k, n) tours, (k, 2) objectives and k subproblems, got "
+                                 f"{self.tours.shape}, {self.objectives.shape} and {self.subproblems.shape}")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.subproblems)
 
-    def points(self) -> np.ndarray:
-        if not self.entries:
-            return np.empty((0, 2), dtype=np.float64)
-        return np.stack([e.objectives for e in self.entries])
-
-    @classmethod
-    def from_candidates(cls, tours, objective_rows, subproblems) -> "ParetoArchive":
-        pts = np.asarray(objective_rows, dtype=np.float64)
-        keep = pareto_filter_indices(pts)
-        entries = [ArchiveEntry(tours[j], pts[j].copy(), int(subproblems[j])) for j in keep]
-        return cls(entries)
+    def nondominated(self) -> "Front":
+        """The nondominated rows, in first-occurrence order; exact duplicates
+        keep their first row."""
+        keep = pareto_filter_indices(self.objectives)
+        return Front(self.tours[keep], self.objectives[keep], self.subproblems[keep])
 
 
-def approximate_pf(inst: MotspInstance, models) -> ParetoArchive:
-    """Greedy rollout of every model on `inst`, kept if nondominated.
+def approximate_pf(inst: MotspInstance, models) -> Front:
+    """Greedy rollout of every model on `inst`: the candidate table, one row
+    per model in model order.
 
     `models` is any iterable of actors; they decode in groups of stacked
     models (`model.greedy_tours`), and each group is released once decoded.
-    The archive records which model produced each survivor, as a 1-based
-    position matching the subproblem numbering of checkpoints.
+    Row i's subproblem is i + 1, matching the numbering of checkpoints. Call
+    `.nondominated()` on the result for the approximate Pareto front.
     """
     from .model import greedy_tours
 
-    tours = [Tour(order) for order in greedy_tours(inst.features, models)]
-    rows = np.stack([evaluate_objectives(inst, tour) for tour in tours])
-    return ParetoArchive.from_candidates(tours, rows, list(range(1, len(tours) + 1)))
+    tours = greedy_tours(inst.features, models)
+    return Front(tours, evaluate_objectives(inst.features, tours), np.arange(1, len(tours) + 1))
 
 
-def union_bounds(archives) -> tuple[np.ndarray, np.ndarray]:
-    """Per-objective ideal/nadir over every point of every archive."""
-    all_pts = [a.points() for a in archives if len(a)]
-    if not all_pts:
-        raise ContractError("no archive points to take bounds over")
-    stacked = np.concatenate(all_pts, axis=0)
-    return stacked.min(axis=0), stacked.max(axis=0)
+def union_bounds(fronts) -> tuple[np.ndarray, np.ndarray]:
+    """Per-objective ideal/nadir over every point of every front."""
+    pts = np.concatenate([np.empty((0, 2))] + [f.objectives for f in fronts])
+    if not len(pts):
+        raise ContractError("no front points to take bounds over")
+    return pts.min(axis=0), pts.max(axis=0)
 
 
-def compute_hv_protocol(archives, ref=DEFAULT_REF_POINT) -> list[float]:
-    """HV of each archive under the ideal/nadir bounds of the union of the
-    archives and a common ref."""
-    if not archives:
-        raise ContractError("compute_hv_protocol needs at least one archive")
-    ideal, nadir = union_bounds(archives)
-    out = []
-    for archive in archives:
-        if not len(archive):
-            out.append(0.0)
-            continue
-        out.append(hypervolume_2d(normalize(archive.points(), ideal, nadir), ref))
-    return out
+def compute_hv_protocol(fronts, ref=DEFAULT_REF_POINT) -> list[float]:
+    """HV of each front under the ideal/nadir bounds of the union of the
+    fronts and a common ref."""
+    if not fronts:
+        raise ContractError("compute_hv_protocol needs at least one front")
+    ideal, nadir = union_bounds(fronts)
+    return [hypervolume_2d(normalize(f.objectives, ideal, nadir), ref) if len(f) else 0.0
+            for f in fronts]
 
 
 # ---------------------------------------------------------------------------
@@ -163,40 +155,42 @@ def format_float(x: float) -> str:
 PF_CSV_HEADER = "subproblem,lambda1,lambda2,f1,f2,tour"
 
 
-def write_pf_csv(path, archive: ParetoArchive, weights) -> None:
-    """One row per archive entry: 1-based source subproblem, its weights,
+def write_pf_csv(path, front: Front, weights) -> None:
+    """One row per front row: 1-based source subproblem, its weights,
     objectives, and the tour as dash-separated 0-based node indices."""
     lines = [PF_CSV_HEADER]
-    for e in archive.entries:
-        lam = weights[e.subproblem - 1]
-        tour_txt = "-".join(str(i) for i in e.tour.order)
-        lines.append(",".join([
-            str(e.subproblem),
-            format_float(lam[0]), format_float(lam[1]),
-            format_float(e.objectives[0]), format_float(e.objectives[1]),
-            tour_txt,
-        ]))
+    for sub, (f1, f2), tour in zip(front.subproblems, front.objectives, front.tours):
+        lam = weights[sub - 1]
+        lines.append(",".join([str(sub), format_float(lam[0]), format_float(lam[1]),
+                               format_float(f1), format_float(f2), "-".join(map(str, tour.tolist()))]))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_hv_report(path, rows) -> None:
-    """Rows of (instance, method, hv, n_points)."""
+    """Rows of (instance, method, hv, n_points). The CSV is unquoted ASCII,
+    so an instance or method holding a comma, a double quote, a line break
+    or a non-ASCII character is refused."""
     lines = ["instance,method,hv,n_points"]
     for instance, method, hv, n_points in rows:
+        for text in (instance, method):
+            if not text.isascii() or any(c in text for c in ',"\r\n'):
+                raise ContractError(f"report field {text!r} holds a comma, a double quote, "
+                                    "a line break or a non-ASCII character")
         lines.append(f"{instance},{method},{format_float(hv)},{int(n_points)}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_pf_csv(path) -> ParetoArchive:
-    """Parse a PF CSV back into an archive; malformed rows, and rows that
+def read_pf_csv(path) -> Front:
+    """Parse a PF CSV back into a front; malformed rows, tours that are not
+    permutations or differ in length from the first row's, and rows that
     another row dominates or duplicates, name their line."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != PF_CSV_HEADER:
         raise ParseError(path, 1, f"expected header {PF_CSV_HEADER!r}")
-    entries, line_nos = [], []
+    subproblems, objectives, tours, line_nos = [], [], [], []
     for line_no, raw in enumerate(lines[1:], start=2):
         s = raw.strip()
         if not s:
@@ -208,22 +202,25 @@ def read_pf_csv(path) -> ParetoArchive:
         try:
             subproblem = int(parts[0])
             f1, f2 = float(parts[3]), float(parts[4])
-            order = tuple(int(t) for t in parts[5].split("-"))
+            tour = [int(t) for t in parts[5].split("-")]
         except ValueError as exc:
             raise ParseError(path, line_no, str(exc)) from exc
         if not np.isfinite([f1, f2]).all():
             raise ParseError(path, line_no, "objective values must be finite")
-        try:
-            tour = Tour(order)
-        except ContractError as exc:
-            raise ParseError(path, line_no, f"bad tour column: {exc}") from exc
-        entries.append(ArchiveEntry(tour, np.array([f1, f2], dtype=np.float64), subproblem))
+        if sorted(tour) != list(range(len(tour))):
+            raise ParseError(path, line_no, f"bad tour column: not a permutation of 0..{len(tour) - 1}")
+        if tours and len(tour) != len(tours[0]):
+            raise ParseError(path, line_no,
+                             f"tour of {len(tour)} nodes, but the first row's has {len(tours[0])}")
+        subproblems.append(subproblem)
+        objectives.append((f1, f2))
+        tours.append(tour)
         line_nos.append(line_no)
-    if not entries:
+    if not tours:
         raise ParseError(path, len(lines), "no data rows")
-    archive = ParetoArchive(entries)
-    kept = pareto_filter_indices(archive.points())
-    if len(kept) != len(entries):
-        first = np.setdiff1d(np.arange(len(entries)), kept)[0]
+    front = Front(tours, objectives, subproblems)
+    kept = pareto_filter_indices(front.objectives)
+    if len(kept) != len(front):
+        first = np.setdiff1d(np.arange(len(front)), kept)[0]
         raise ParseError(path, line_nos[first], "row is dominated or duplicated by another row")
-    return archive
+    return front

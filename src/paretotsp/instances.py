@@ -56,22 +56,6 @@ class MotspInstance:
         return self.d_x // 2
 
 
-@dataclass(frozen=True)
-class Tour:
-    """A closed tour given as a permutation of node indices 0..n-1."""
-
-    order: tuple
-
-    def __post_init__(self):
-        order = tuple(int(i) for i in self.order)
-        if sorted(order) != list(range(len(order))):
-            raise ContractError(f"tour {order} is not a permutation of 0..{len(order) - 1}")
-        object.__setattr__(self, "order", order)
-
-    def __len__(self):
-        return len(self.order)
-
-
 def tour_costs_batch(features: np.ndarray, tours: np.ndarray) -> np.ndarray:
     """Closed-tour cost per objective, including the return edge, for a batch:
     features (B,n,d_x), tours (B,n) -> (B,m)."""
@@ -87,11 +71,17 @@ def tour_costs_batch(features: np.ndarray, tours: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate_objectives(inst: MotspInstance, tour: Tour) -> np.ndarray:
-    """Closed-tour cost per objective of one tour (a permutation by construction)."""
-    if len(tour) != inst.n:
-        raise ContractError(f"tour of {len(tour)} nodes on an instance of {inst.n}")
-    return tour_costs_batch(inst.features[None], np.asarray(tour.order, dtype=np.intp)[None])[0]
+def evaluate_objectives(coords: np.ndarray, tours) -> np.ndarray:
+    """Closed-tour cost per objective of k tours on one instance:
+    coords (n, d_x), tours (k, n) permutations of 0..n-1 -> (k, m)."""
+    coords = np.asarray(coords, dtype=np.float64)
+    tours = np.asarray(tours, dtype=np.intp)
+    n = coords.shape[0]
+    if tours.ndim != 2 or tours.shape[1] != n:
+        raise ContractError(f"tours of shape {tours.shape} on an instance of {n} nodes")
+    if not (np.sort(tours, axis=1) == np.arange(n)).all():
+        raise ContractError(f"every tour must be a permutation of 0..{n - 1}")
+    return tour_costs_batch(np.broadcast_to(coords, (len(tours),) + coords.shape), tours)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, DimensionError
-from .instances import MotspInstance, Tour
+from .instances import MotspInstance
 
 DEFAULT_CRITIC_CHANNELS = ((4, 128), (128, 20), (20, 20), (20, 1))
 
@@ -573,13 +573,13 @@ def _decode_group(parts: list, cfg: ModelConfig) -> np.ndarray:
 
 
 def rollout(inst: MotspInstance, actor: ActorParams, mode: str = "greedy",
-            seed: int | None = None) -> tuple[Tour, float]:
-    """`rollout_batch` on a batch of one; returns the tour and its log-probability."""
+            seed: int | None = None) -> tuple[np.ndarray, float]:
+    """`rollout_batch` on a batch of one; returns the (n,) tour and its log-probability."""
     if inst.d_x != actor.cfg.d_x:
         raise DimensionError(f"instance d_x={inst.d_x} != model d_x={actor.cfg.d_x}")
     rng = np.random.default_rng(seed) if mode == "sample" else None
     tours, logp, _ = rollout_batch(inst.features[None, :, :], actor, mode, rng=rng)
-    return Tour(tours[0]), float(logp.data[0])
+    return tours[0], float(logp.data[0])
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,9 @@ from paretotsp import autodiff as ad
 from paretotsp import decomposition as dec
 from paretotsp.cli import main
 from paretotsp.decomposition import RunConfig, checkpoint_name, run_schedule
-from paretotsp.evaluation import (ArchiveEntry, ParetoArchive, approximate_pf,
-                                  compute_hv_protocol, hypervolume_2d,
-                                  pareto_filter_indices)
-from paretotsp.instances import (MotspInstance, Tour, evaluate_objectives,
+from paretotsp.evaluation import (Front, approximate_pf, compute_hv_protocol,
+                                  hypervolume_2d, pareto_filter_indices)
+from paretotsp.instances import (MotspInstance, evaluate_objectives,
                                  tour_costs_batch)
 from paretotsp.model import (ActorParams, CriticParams, ModelConfig,
                              critic_batch, rollout_batch)
@@ -148,7 +147,7 @@ def test_oracle_agreement(capsys):
         inst = MotspInstance(feats)
         tours, objs = enumerate_objectives(feats)
         slow = np.array([tour_objectives_slow(feats, t) for t in tours])
-        fast = np.array([evaluate_objectives(inst, Tour(tuple(t))) for t in tours])
+        fast = evaluate_objectives(inst.features, tours)
         worst_obj = max(worst_obj, np.abs(fast - slow).max(),
                         np.abs(fast.min(axis=0) - slow.min(axis=0)).max(),
                         np.abs(fast.max(axis=0) - slow.max(axis=0)).max())
@@ -254,13 +253,11 @@ def test_hypervolume_advantage(capsys, tmp_path):
     margins = []
     for k in range(5):
         inst = MotspInstance(test_rng.random((20, 4)))
-        trained = approximate_pf(inst, actors)
+        trained = approximate_pf(inst, actors).nondominated()
         perm_rng = np.random.default_rng(10_000 + k)
-        tours = [Tour(tuple(perm_rng.permutation(20))) for _ in range(10)]
-        rows = np.array([evaluate_objectives(inst, t) for t in tours])
-        keep = pareto_filter_indices(rows)
-        random_front = ParetoArchive([ArchiveEntry(tours[i], rows[i], j + 1)
-                                      for j, i in enumerate(keep)])
+        tours = np.stack([perm_rng.permutation(20) for _ in range(10)])
+        random_front = Front(tours, evaluate_objectives(inst.features, tours),
+                             np.arange(1, 11)).nondominated()
         hv_trained, hv_random = compute_hv_protocol([trained, random_front])
         margins.append(hv_trained - hv_random)
 

@@ -6,14 +6,14 @@ import pytest
 
 from paretotsp import evaluation as ev
 from paretotsp.cli import CKPT_ROOT_ENV, main, parse_config_file
-from paretotsp.decomposition import (MANIFEST_NAME, RunConfig,
+from paretotsp.decomposition import (MANIFEST_NAME, RunConfig, TrainedActors,
                                      checkpoint_name, config_hash,
                                      read_checkpoint, save_models,
                                      write_checkpoint, write_manifest)
 from paretotsp.errors import ParseError
-from paretotsp.instances import (MotspInstance, Tour, evaluate_objectives,
+from paretotsp.instances import (MotspInstance, evaluate_objectives,
                                  load_native, load_tsplib_pair, save_native)
-from paretotsp.model import ActorParams, CriticParams
+from paretotsp.model import ActorParams, CriticParams, greedy_tours
 
 from oracles import pareto_brute, tour_objectives_slow
 
@@ -332,11 +332,9 @@ def test_solve_native_instance(trained, tmp_path, capsys):
     assert "nondominated point(s) from 2 model(s)" in capsys.readouterr().out
 
     inst = load_native(inst_path)
-    archive = ev.read_pf_csv(out)
-    assert 1 <= len(archive) <= 2
-    for entry in archive.entries:
-        np.testing.assert_array_equal(
-            entry.objectives, evaluate_objectives(inst, entry.tour))
+    front = ev.read_pf_csv(out)
+    assert 1 <= len(front) <= 2
+    np.testing.assert_array_equal(front.objectives, evaluate_objectives(inst.features, front.tours))
 
 
 def test_solve_tsplib_writes_unscaled_twin(trained, tmp_path):
@@ -350,14 +348,15 @@ def test_solve_tsplib_writes_unscaled_twin(trained, tmp_path):
     assert unscaled.exists()
     raw = ev.read_pf_csv(unscaled)
     # any 3-node tour walks the full triangle in both coordinate sets
-    np.testing.assert_allclose(raw.points()[0],
+    np.testing.assert_allclose(raw.objectives[0],
                                [50.0 + 50.0 + 60.0, 10.0 + 40.0 + np.hypot(10, 40)])
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", range(8))
 def test_solve_tsplib_unscaled_rows_match_their_tours(tmp_path, seed):
     """Eight untrained models on an n=6 pair: every unscaled row is the raw
-    length of its own tour, and the rows are the raw front of the scaled one."""
+    length of its own tour, and the rows are the raw front of all eight
+    greedy tours, including tours the scaled front drops."""
     ckpt = untrained_run(tmp_path / "ckpt", 8, seed)
     pa, pb = tmp_path / "a.tsp", tmp_path / "b.tsp"
     pa.write_text(tsplib_text("a", TSPLIB6_A))
@@ -365,15 +364,14 @@ def test_solve_tsplib_unscaled_rows_match_their_tours(tmp_path, seed):
     out = tmp_path / "pf.csv"
     assert main(["solve", "--ckpt", str(ckpt), "--tsplib", str(pa), str(pb),
                  "--out", str(out)]) == 0
-    raw_coords = load_tsplib_pair(pa, pb).raw_coords
-    scaled = ev.read_pf_csv(out).entries
-    want = np.array([tour_objectives_slow(raw_coords, e.tour.order) for e in scaled])
-    raw = ev.read_pf_csv(tmp_path / "pf_unscaled.csv").entries
-    assert [(e.subproblem, e.tour) for e in raw] == \
-        [(scaled[j].subproblem, scaled[j].tour) for j in pareto_brute(want)]
-    for e in raw:
-        np.testing.assert_allclose(e.objectives, tour_objectives_slow(raw_coords, e.tour.order),
-                                   rtol=0, atol=1e-9)
+    inst = load_tsplib_pair(pa, pb)
+    tours = greedy_tours(inst.features, TrainedActors(ckpt))
+    want = np.array([tour_objectives_slow(inst.raw_coords, t) for t in tours])
+    keep = pareto_brute(want)
+    raw = ev.read_pf_csv(tmp_path / "pf_unscaled.csv")
+    assert raw.subproblems.tolist() == [j + 1 for j in keep]
+    np.testing.assert_array_equal(raw.tours, tours[keep])
+    np.testing.assert_allclose(raw.objectives, want[keep], rtol=0, atol=1e-9)
 
 
 def test_solve_wants_exactly_one_input(trained, tmp_path, capsys):
@@ -461,9 +459,9 @@ def test_solve_rejects_non_finite_tsplib_coordinates(trained, tmp_path, capsys, 
 
 
 def write_front(path, rows):
-    entries = [ev.ArchiveEntry(Tour(t), np.array(o, dtype=np.float64), 1)
-               for t, o in rows]
-    ev.write_pf_csv(path, ev.ParetoArchive(entries), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    tours, objectives = zip(*rows)
+    ev.write_pf_csv(path, ev.Front(tours, objectives, np.ones(len(rows))),
+                    np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_eval_no_normalize_exact_value(tmp_path, capsys):
@@ -491,6 +489,26 @@ def test_eval_protocol_over_two_fronts(tmp_path, capsys):
     hv_one = float(lines[1].split(",")[2])
     hv_two = float(lines[2].split(",")[2])
     assert 0.0 < hv_one <= 1.44 and 0.0 < hv_two <= 1.44
+
+
+@pytest.mark.parametrize("label, stem", [
+    ("kroA100,kroB100", "front"),
+    ('say "A"', "front"),
+    ("two\nlines", "front"),
+    ("kroA100\u00b7B", "front"),
+    ("-", "one,two"),
+], ids=["label-comma", "label-quote", "label-newline", "label-non-ascii", "stem-comma"])
+def test_eval_rejects_a_field_the_report_cannot_hold(tmp_path, capsys, label, stem):
+    """The HV report is unquoted ASCII CSV: a comma, double quote or line
+    break in the label or a PF file's stem would add or split its fields,
+    and a non-ASCII character cannot be written."""
+    pf = tmp_path / f"{stem}.csv"
+    write_front(pf, [((0, 1, 2), (1.0, 5.0)), ((1, 0, 2), (3.0, 3.0))])
+    report = tmp_path / "hv.csv"
+    assert main(["eval", "--pf", str(pf), "--label", label, "--out", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert repr(label if stem == "front" else stem) in err and "Traceback" not in err
+    assert not report.exists()
 
 
 def test_eval_bad_ref(tmp_path, capsys):

@@ -290,7 +290,7 @@ def test_run_schedule_produces_all_artifacts(tmp_path):
     # returned models are usable policies
     inst = MotspInstance(np.random.default_rng(0).random((4, 4)))
     tour, _ = rollout(inst, actors[0], mode="greedy")
-    assert sorted(tour.order) == [0, 1, 2, 3]
+    assert sorted(tour.tolist()) == [0, 1, 2, 3]
 
 
 def test_zero_rest_epochs_copies_checkpoints_bitwise(tmp_path):

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paretotsp.errors import ContractError, ParseError
-from paretotsp.evaluation import (PF_CSV_HEADER, ArchiveEntry, ParetoArchive,
-                                  approximate_pf, compute_hv_protocol,
-                                  hypervolume_2d, normalize,
-                                  pareto_filter_indices, read_pf_csv,
-                                  union_bounds, write_hv_report, write_pf_csv)
+from paretotsp.errors import ContractError, DimensionError, ParseError
+from paretotsp.evaluation import (PF_CSV_HEADER, Front, approximate_pf,
+                                  compute_hv_protocol, hypervolume_2d,
+                                  normalize, pareto_filter_indices,
+                                  read_pf_csv, union_bounds, write_hv_report,
+                                  write_pf_csv)
 from paretotsp import decomposition as dec
 from paretotsp.cli import main
-from paretotsp.instances import Tour, evaluate_objectives, save_native
+from paretotsp.instances import evaluate_objectives, save_native
 from paretotsp.model import _GROUP, ActorParams, CriticParams, ModelConfig, rollout
 
 from oracles import hv_grid, pareto_brute, random_instance
@@ -159,11 +159,12 @@ def test_hv_removal_bounded_by_exclusive_contribution():
 
 
 # ---------------------------------------------------------------------------
-# archives
+# fronts
 
 
-def _entry(f1, f2, sub=1, n=4):
-    return ArchiveEntry(Tour(tuple(range(n))), np.array([f1, f2]), sub)
+def _front(*points, n=4):
+    """A front of the given objective rows, each with the identity tour."""
+    return Front(np.tile(np.arange(n), (len(points), 1)), points, np.ones(len(points)))
 
 
 def _read_front(path, rows):
@@ -172,7 +173,7 @@ def _read_front(path, rows):
 
 
 def test_archive_rejects_dominated_entries(tmp_path):
-    """A PF CSV, the archive input from outside the program, is checked on reading."""
+    """A PF CSV, the front input from outside the program, is checked on reading."""
     path = tmp_path / "pf.csv"
     assert len(_read_front(path, [(1.0, 3.0), (3.0, 1.0)])) == 2
     for rows, line_no in [([(2.0, 2.0), (1.0, 1.0)], 2), ([(1.0, 3.0), (3.0, 1.0), (3.0, 3.0)], 4)]:
@@ -188,12 +189,20 @@ def test_archive_rejects_duplicates(tmp_path):
     assert (err.value.path, err.value.line_no) == (str(path), 4)
 
 
-def test_archive_from_candidates_filters():
-    tours = [Tour((0, 1, 2, 3))] * 4
+def test_front_nondominated_filters():
+    tours = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [2, 1, 0, 3], [3, 2, 1, 0]])
     rows = np.array([[1.0, 2.0], [2.0, 1.0], [2.0, 2.0], [1.0, 2.0]])
-    archive = ParetoArchive.from_candidates(tours, rows, [1, 2, 3, 4])
-    assert [e.subproblem for e in archive.entries] == [1, 2]
-    np.testing.assert_array_equal(archive.points(), [[1.0, 2.0], [2.0, 1.0]])
+    front = Front(tours, rows, [1, 2, 3, 4]).nondominated()
+    assert front.subproblems.tolist() == [1, 2]
+    np.testing.assert_array_equal(front.tours, tours[:2])
+    np.testing.assert_array_equal(front.objectives, [[1.0, 2.0], [2.0, 1.0]])
+
+
+def test_front_rejects_mismatched_columns():
+    with pytest.raises(DimensionError):
+        Front(np.zeros((2, 4)), np.zeros((3, 2)), [1, 2])
+    with pytest.raises(DimensionError):
+        Front(np.zeros((2, 4)), np.zeros((2, 2)), [1, 2, 3])
 
 
 def _tiny_actors(count, n_heads=2):
@@ -205,19 +214,21 @@ def _tiny_actors(count, n_heads=2):
 def test_approximate_pf_identical_models_collapse():
     inst = random_instance(6, seed=0)
     actor = _tiny_actors(1)[0]
-    archive = approximate_pf(inst, [actor] * 5)
-    assert len(archive) == 1
-    assert archive.entries[0].subproblem == 1
+    candidates = approximate_pf(inst, [actor] * 5)
+    assert candidates.subproblems.tolist() == [1, 2, 3, 4, 5]
+    front = candidates.nondominated()
+    assert len(front) == 1
+    assert front.subproblems.tolist() == [1]
 
 
 def test_approximate_pf_size_bounded_and_order_invariant():
     inst = random_instance(7, seed=3)
     actors = _tiny_actors(4)
-    fwd = approximate_pf(inst, actors)
-    rev = approximate_pf(inst, actors[::-1])
+    fwd = approximate_pf(inst, actors).nondominated()
+    rev = approximate_pf(inst, actors[::-1]).nondominated()
     assert len(fwd) <= 4 and len(rev) <= 4
-    fwd_set = {tuple(np.round(e.objectives, 12)) for e in fwd.entries}
-    rev_set = {tuple(np.round(e.objectives, 12)) for e in rev.entries}
+    fwd_set = {tuple(row) for row in np.round(fwd.objectives, 12)}
+    rev_set = {tuple(row) for row in np.round(rev.objectives, 12)}
     assert fwd_set == rev_set
 
 
@@ -228,17 +239,17 @@ def test_approximate_pf_needs_models():
         approximate_pf(random_instance(5, seed=1), iter([]))
 
 
-def _per_model_front(inst, actors) -> ParetoArchive:
-    """Reference: one tape-path greedy rollout per model, filtered."""
-    tours = [rollout(inst, a, mode="greedy")[0] for a in actors]
-    rows = np.stack([evaluate_objectives(inst, t) for t in tours])
-    return ParetoArchive.from_candidates(tours, rows, list(range(1, len(actors) + 1)))
+def _per_model_candidates(inst, actors) -> Front:
+    """Reference: one tape-path greedy rollout per model, each scored alone."""
+    tours = np.stack([rollout(inst, a, mode="greedy")[0] for a in actors])
+    rows = np.concatenate([evaluate_objectives(inst.features, t[None]) for t in tours])
+    return Front(tours, rows, np.arange(1, len(actors) + 1))
 
 
-def _assert_same_front(got: ParetoArchive, want: ParetoArchive):
-    assert [e.subproblem for e in got.entries] == [e.subproblem for e in want.entries]
-    assert [e.tour.order for e in got.entries] == [e.tour.order for e in want.entries]
-    np.testing.assert_array_equal(got.points(), want.points())
+def _assert_same_front(got: Front, want: Front):
+    np.testing.assert_array_equal(got.subproblems, want.subproblems)
+    np.testing.assert_array_equal(got.tours, want.tours)
+    np.testing.assert_array_equal(got.objectives, want.objectives)
 
 
 DESK_MODEL = ModelConfig(d_h=16, n_heads=2, d_ff=64)
@@ -251,19 +262,21 @@ def test_approximate_pf_matches_per_model_rollouts(cfg, n, seed):
     rng = np.random.default_rng(seed)
     actors = [ActorParams.init(cfg, rng) for _ in range(6)]
     inst = random_instance(n, seed=50 + seed)
-    _assert_same_front(approximate_pf(inst, actors), _per_model_front(inst, actors))
+    got, want = approximate_pf(inst, actors), _per_model_candidates(inst, actors)
+    _assert_same_front(got, want)
+    _assert_same_front(got.nondominated(), want.nondominated())
 
 
 def test_approximate_pf_repeated_actor_matches_per_model():
     inst = random_instance(10, seed=4)
     actor = ActorParams.init(DESK_MODEL, np.random.default_rng(7))
-    _assert_same_front(approximate_pf(inst, [actor] * 5), _per_model_front(inst, [actor] * 5))
+    _assert_same_front(approximate_pf(inst, [actor] * 5), _per_model_candidates(inst, [actor] * 5))
 
 
 def test_approximate_pf_accepts_a_generator():
     inst = random_instance(10, seed=5)
     actors = [ActorParams.init(DESK_MODEL, np.random.default_rng(20 + i)) for i in range(4)]
-    _assert_same_front(approximate_pf(inst, (a for a in actors)), _per_model_front(inst, actors))
+    _assert_same_front(approximate_pf(inst, (a for a in actors)), _per_model_candidates(inst, actors))
 
 
 def test_approximate_pf_rejects_mixed_configs():
@@ -300,7 +313,8 @@ def test_solve_csv_matches_per_model_reference(tmp_path):
     save_native(inst, tmp_path / "inst.motsp")
     assert main(["solve", "--ckpt", str(tmp_path), "--instance", str(tmp_path / "inst.motsp"),
                  "--out", str(tmp_path / "pf.csv")]) == 0
-    write_pf_csv(tmp_path / "ref.csv", _per_model_front(inst, actors), cfg.schedule().weights)
+    write_pf_csv(tmp_path / "ref.csv", _per_model_candidates(inst, actors).nondominated(),
+                 cfg.schedule().weights)
     assert (tmp_path / "pf.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -309,27 +323,27 @@ def test_solve_csv_matches_per_model_reference(tmp_path):
 
 
 def test_protocol_same_archive_twice_identical():
-    archive = ParetoArchive([_entry(1.0, 3.0), _entry(2.0, 2.0), _entry(3.0, 1.0)])
-    hvs = compute_hv_protocol([archive, archive])
+    front = _front((1.0, 3.0), (2.0, 2.0), (3.0, 1.0))
+    hvs = compute_hv_protocol([front, front])
     assert hvs[0] == hvs[1] > 0.0
 
 
 def test_protocol_dominating_archive_scores_higher():
-    good = ParetoArchive([_entry(1.0, 3.0), _entry(2.0, 2.0), _entry(3.0, 1.0)])
-    bad = ParetoArchive([_entry(2.0, 4.0), _entry(3.0, 3.0), _entry(4.0, 2.0)])
+    good = _front((1.0, 3.0), (2.0, 2.0), (3.0, 1.0))
+    bad = _front((2.0, 4.0), (3.0, 3.0), (4.0, 2.0))
     hvs = compute_hv_protocol([good, bad])
     assert hvs[0] > hvs[1]
 
 
 def test_protocol_degenerate_bounds_rejected():
-    single = ParetoArchive([_entry(1.0, 1.0)])
+    single = _front((1.0, 1.0))
     with pytest.raises(ContractError):
         compute_hv_protocol([single, single])
 
 
 def test_union_bounds():
-    a = ParetoArchive([_entry(1.0, 5.0)])
-    b = ParetoArchive([_entry(2.0, 3.0)])
+    a = _front((1.0, 5.0))
+    b = _front((2.0, 3.0))
     ideal, nadir = union_bounds([a, b])
     np.testing.assert_array_equal(ideal, [1.0, 3.0])
     np.testing.assert_array_equal(nadir, [2.0, 5.0])
@@ -340,20 +354,17 @@ def test_union_bounds():
 
 
 def test_pf_csv_round_trip(tmp_path):
-    archive = ParetoArchive([
-        ArchiveEntry(Tour((2, 0, 1, 3)), np.array([1.25, 3.5]), 1),
-        ArchiveEntry(Tour((0, 3, 1, 2)), np.array([2.0, 2.0]), 3),
-    ])
+    front = Front([[2, 0, 1, 3], [0, 3, 1, 2]], [[1.25, 3.5], [2.0, 2.0]], [1, 3])
     weights = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
     path = tmp_path / "pf.csv"
-    write_pf_csv(path, archive, weights)
+    write_pf_csv(path, front, weights)
     lines = path.read_text().splitlines()
     assert lines[0] == "subproblem,lambda1,lambda2,f1,f2,tour"
     assert lines[1].startswith("1,0,1,1.25,3.5,2-0-1-3")
     again = read_pf_csv(path)
-    np.testing.assert_array_equal(again.points(), archive.points())
-    assert [e.tour.order for e in again.entries] == [e.tour.order for e in archive.entries]
-    assert [e.subproblem for e in again.entries] == [1, 3]
+    np.testing.assert_array_equal(again.objectives, front.objectives)
+    np.testing.assert_array_equal(again.tours, front.tours)
+    assert again.subproblems.tolist() == [1, 3]
 
 
 @pytest.mark.parametrize("mutate, line_no", [
@@ -363,11 +374,11 @@ def test_pf_csv_round_trip(tmp_path):
     (lambda lines: [lines[0], "1,0,1,1.0,2.0,0-1-3-4"], 2),
     (lambda lines: [lines[0], "1,0,1,1.0,2.0,0-1-2-2"], 2),
     (lambda lines: [lines[0]], 1),
+    (lambda lines: lines + ["1,0,1,2.0,1.0,0-1-2"], 3),
 ])
 def test_pf_csv_malformed(tmp_path, mutate, line_no):
-    archive = ParetoArchive([ArchiveEntry(Tour((0, 1, 2, 3)), np.array([1.0, 2.0]), 1)])
     path = tmp_path / "pf.csv"
-    write_pf_csv(path, archive, np.array([[0.5, 0.5]]))
+    write_pf_csv(path, _front((1.0, 2.0)), np.array([[0.5, 0.5]]))
     path.write_text("\n".join(mutate(path.read_text().splitlines())) + "\n")
     with pytest.raises(ParseError) as err:
         read_pf_csv(path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paretotsp.errors import ContractError, ParseError
-from paretotsp.instances import (MotspInstance, Tour, evaluate_objectives,
+from paretotsp.instances import (MotspInstance, evaluate_objectives,
                                  load_native, load_tsplib_pair, save_native,
                                  tour_costs_batch)
 
@@ -36,25 +36,25 @@ def test_two_node_tour_doubles_the_edge():
     a, b = inst.features
     edge = np.hypot(a[0::2] - b[0::2], a[1::2] - b[1::2])      # one per objective
     for order in [(0, 1), (1, 0)]:
-        obj = evaluate_objectives(inst, Tour(order))
+        obj = evaluate_objectives(inst.features, [order])[0]
         np.testing.assert_allclose(obj, 2.0 * edge, atol=1e-15)
 
 
 def test_rotation_and_reversal_invariance():
     inst = random_instance(9, seed=11)
     base = list(np.random.default_rng(0).permutation(9))
-    ref = evaluate_objectives(inst, Tour(base))
     rotated = base[4:] + base[:4]
     reversed_ = base[::-1]
-    np.testing.assert_allclose(evaluate_objectives(inst, Tour(rotated)), ref, atol=1e-12)
-    np.testing.assert_allclose(evaluate_objectives(inst, Tour(reversed_)), ref, atol=1e-12)
+    ref, rot, rev = evaluate_objectives(inst.features, [base, rotated, reversed_])
+    np.testing.assert_allclose(rot, ref, atol=1e-12)
+    np.testing.assert_allclose(rev, ref, atol=1e-12)
 
 
 def test_four_node_extremes_match_enumeration():
     for seed in range(20):
         inst = random_instance(4, seed=seed)
         tours, objs = enumerate_objectives(inst.features)
-        ours = np.stack([evaluate_objectives(inst, Tour(t)) for t in tours])
+        ours = evaluate_objectives(inst.features, tours)
         np.testing.assert_allclose(ours, objs, atol=1e-12)
         # 4 nodes have exactly 3 distinct closed tours
         assert len({tuple(np.round(o, 12)) for o in objs}) <= 3
@@ -65,7 +65,7 @@ def test_four_node_extremes_match_enumeration():
 def test_objectives_match_pure_python_arithmetic():
     inst = random_instance(7, seed=2)
     order = [3, 1, 6, 0, 2, 5, 4]
-    np.testing.assert_allclose(evaluate_objectives(inst, Tour(order)),
+    np.testing.assert_allclose(evaluate_objectives(inst.features, [order])[0],
                                tour_objectives_slow(inst.features, order), atol=1e-12)
 
 
@@ -73,7 +73,7 @@ def test_invalid_tours_rejected():
     inst = random_instance(5, seed=1)
     for bad in [(0, 1, 2, 3), (0, 1, 2, 3, 3), (0, 1, 2, 3, 5)]:
         with pytest.raises(ContractError):
-            evaluate_objectives(inst, Tour(bad))
+            evaluate_objectives(inst.features, [bad])
 
 
 def test_tour_costs_batch_matches_single():
@@ -83,7 +83,7 @@ def test_tour_costs_batch_matches_single():
     batch = tour_costs_batch(feats, tours)
     for b in range(6):
         inst = MotspInstance(feats[b])
-        np.testing.assert_allclose(batch[b], evaluate_objectives(inst, Tour(tours[b])),
+        np.testing.assert_allclose(batch[b], evaluate_objectives(inst.features, tours[b:b + 1])[0],
                                    atol=1e-12)
 
 
@@ -184,11 +184,11 @@ def test_tsplib_pair_loads(tmp_path):
 def test_tsplib_raw_objectives_scale(tmp_path):
     pa, pb = _write_pair(tmp_path)
     inst = load_tsplib_pair(pa, pb)
-    tour = Tour((0, 1, 2))
-    raw = tour_costs_batch(inst.raw_coords[None], np.array([tour.order]))[0]
+    tour = [[0, 1, 2]]
+    raw = evaluate_objectives(inst.raw_coords, tour)[0]
     # objective 1 on raw A coordinates: 30 + 50 + 40
     assert abs(raw[0] - 120.0) < 1e-9
-    scaled = evaluate_objectives(inst, tour)
+    scaled = evaluate_objectives(inst.features, tour)[0]
     assert scaled[0] < raw[0]
 
 

@@ -8,7 +8,7 @@ from paretotsp import autodiff as ad
 from paretotsp.decomposition import RunConfig
 from paretotsp.errors import (ContractError, DimensionError,
                               NoFeasibleActionError)
-from paretotsp.instances import MotspInstance, Tour
+from paretotsp.instances import MotspInstance
 from paretotsp.model import (_GROUP, ActorParams, BatchDecodeState, CriticParams,
                              ModelConfig, _decode_step_batch, critic_batch, encode_batch,
                              greedy_tours, rollout, rollout_batch)
@@ -208,7 +208,7 @@ def test_rollout_valid_permutation_and_finite_logp():
     for seed in range(5):
         inst = random_instance(11, seed=seed)
         tour, logp = rollout(inst, tiny_actor(seed), mode="sample", seed=seed)
-        assert sorted(tour.order) == list(range(11))
+        assert tour.dtype == np.intp and sorted(tour.tolist()) == list(range(11))
         assert math.isfinite(logp)
 
 
@@ -217,7 +217,7 @@ def test_rollout_greedy_deterministic():
     actor = tiny_actor(6)
     a, lp_a = rollout(inst, actor, mode="greedy")
     b, lp_b = rollout(inst, actor, mode="greedy")
-    assert a.order == b.order
+    np.testing.assert_array_equal(a, b)
     assert lp_a == lp_b
 
 
@@ -226,7 +226,7 @@ def test_rollout_greedy_ties_take_lowest_index():
     feats = np.tile([0.3, 0.7, 0.4, 0.6], (5, 1))
     inst = MotspInstance(feats)
     tour, _ = rollout(inst, tiny_actor(9), mode="greedy")
-    assert tour.order == (0, 1, 2, 3, 4)
+    assert tour.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_rollout_bad_mode():
@@ -247,7 +247,7 @@ def test_rollout_chain_rule_consistency():
     tour, logp = rollout(inst, actor, mode="sample", seed=3)
     state = decode_state(inst.features, actor)
     total = 0.0
-    for node in tour.order:
+    for node in tour:
         probs = _decode_step_batch(state, actor).data[0]
         total += math.log(probs[node])
         state.advance(np.array([node]))
@@ -287,7 +287,7 @@ def test_rollout_batch_matches_single_greedy():
     tours, logp, _ = rollout_batch(feats, actor, mode="greedy")
     for b in range(4):
         tour, lp = rollout(MotspInstance(feats[b]), actor, mode="greedy")
-        assert tuple(tours[b]) == tour.order
+        np.testing.assert_array_equal(tours[b], tour)
         assert abs(lp - logp.data[b]) < 1e-12
 
 

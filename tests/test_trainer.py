@@ -244,7 +244,7 @@ def test_policy_learns_to_prefer_the_cheapest_tour(monkeypatch):
 
     inst = MotspInstance(feats)
     tour, _ = rollout(inst, actor, mode="greedy")
-    got = evaluate_objectives(inst, tour) @ w
+    got = evaluate_objectives(inst.features, tour[None])[0] @ w
     assert got == pytest.approx(best, abs=1e-9)
 
 
