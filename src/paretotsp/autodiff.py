@@ -5,43 +5,29 @@ backward closure on the implicit tape (the creation-ordered graph of Array
 nodes), so `backward` on a scalar loss fills `.grad` on every reachable
 parameter. There is no implicit broadcasting: each op states the exact shapes
 it accepts and raises DimensionError otherwise. Forward outputs are checked
-for NaN/Inf on creation. Under `no_grad()` ops still run every check but
-record nothing on the tape, for forward passes that nothing differentiates.
+for NaN/Inf on creation. Each op computes its forward with the kernel of the
+same name in `plain`; a forward pass that nothing differentiates runs on
+those kernels directly and builds no Array.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 
 import numpy as np
 
+from . import plain
 from .errors import (
     BatchTooSmallError,
     BoundsError,
     ContractError,
     DimensionError,
-    NoFeasibleActionError,
     NonFiniteError,
 )
+from .plain import BN_EPS  # re-exported: batch_norm's epsilon
 
 _ids = itertools.count()
-_grad_enabled = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Within the block, op results keep no parents and no backward closure,
-    so they hold no reference to their inputs and `backward` cannot reach
-    through them. Shape and finiteness checks still run."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = previous
 
 
 class Array:
@@ -61,14 +47,9 @@ class Array:
             raise NonFiniteError(f"non-finite values entering op '{_op}'")
         self.data = arr
         self.grad = None
-        if _grad_enabled:
-            self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
-            self._parents = _parents
-            self._backward = _backward
-        else:
-            self.requires_grad = requires_grad
-            self._parents = ()
-            self._backward = None
+        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+        self._parents = _parents
+        self._backward = _backward
         self._op = _op
         self._id = next(_ids)
 
@@ -172,7 +153,7 @@ def matmul(a: Array, b: Array) -> Array:
     _require_2d(b, "matmul")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    out_data = a.data @ b.data
+    out_data = plain.matmul(a.data, b.data)
 
     def back(g):
         return g @ b.data.T, a.data.T @ g
@@ -186,7 +167,7 @@ def bmm(a: Array, b: Array) -> Array:
         raise DimensionError(f"bmm expects 3-D arrays, got {a.shape} and {b.shape}")
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise DimensionError(f"bmm shapes disagree: {a.shape} vs {b.shape}")
-    out_data = a.data @ b.data
+    out_data = plain.bmm(a.data, b.data)
 
     def back(g):
         return g @ np.swapaxes(b.data, 1, 2), np.swapaxes(a.data, 1, 2) @ g
@@ -201,7 +182,7 @@ def add(a: Array, b: Array) -> Array:
     def back(g):
         return g, g
 
-    return Array(a.data + b.data, _parents=(a, b), _backward=back, _op="add")
+    return Array(plain.add(a.data, b.data), _parents=(a, b), _backward=back, _op="add")
 
 
 def add_bias(x: Array, b: Array) -> Array:
@@ -213,7 +194,7 @@ def add_bias(x: Array, b: Array) -> Array:
     def back(g):
         return g, g.sum(axis=0)
 
-    return Array(x.data + b.data, _parents=(x, b), _backward=back, _op="add_bias")
+    return Array(plain.add_bias(x.data, b.data), _parents=(x, b), _backward=back, _op="add_bias")
 
 
 def mul(a: Array, b: Array) -> Array:
@@ -223,7 +204,7 @@ def mul(a: Array, b: Array) -> Array:
     def back(g):
         return g * b.data, g * a.data
 
-    return Array(a.data * b.data, _parents=(a, b), _backward=back, _op="mul")
+    return Array(plain.mul(a.data, b.data), _parents=(a, b), _backward=back, _op="mul")
 
 
 def scale(x: Array, c: float) -> Array:
@@ -232,7 +213,7 @@ def scale(x: Array, c: float) -> Array:
     def back(g):
         return (g * c,)
 
-    return Array(x.data * c, _parents=(x,), _backward=back, _op="scale")
+    return Array(plain.scale(x.data, c), _parents=(x,), _backward=back, _op="scale")
 
 
 def relu(x: Array) -> Array:
@@ -241,12 +222,11 @@ def relu(x: Array) -> Array:
     def back(g):
         return (g * (data > 0),)
 
-    # maximum may return either zero on a ±0 tie; `+ 0` makes every zero +0.0.
-    return Array(np.maximum(data, 0) + 0, _parents=(x,), _backward=back, _op="relu")
+    return Array(plain.relu(data), _parents=(x,), _backward=back, _op="relu")
 
 
 def tanh(x: Array) -> Array:
-    t = np.tanh(x.data)
+    t = plain.tanh(x.data)
 
     def back(g):
         return (g * (1.0 - t * t),)
@@ -255,13 +235,10 @@ def tanh(x: Array) -> Array:
 
 
 def log(x: Array) -> Array:
-    if np.any(x.data <= 0):
-        raise ContractError("log requires strictly positive inputs")
-
     def back(g):
         return (g / x.data,)
 
-    return Array(np.log(x.data), _parents=(x,), _backward=back, _op="log")
+    return Array(plain.log(x.data), _parents=(x,), _backward=back, _op="log")
 
 
 def concat(parts: list[Array], axis: int = -1) -> Array:
@@ -280,7 +257,7 @@ def concat(parts: list[Array], axis: int = -1) -> Array:
     def back(g):
         return tuple(np.split(g, splits, axis=ax))
 
-    return Array(np.concatenate([p.data for p in parts], axis=ax),
+    return Array(plain.concat([p.data for p in parts], axis=ax),
                  _parents=tuple(parts), _backward=back, _op="concat")
 
 
@@ -293,11 +270,11 @@ def mean_over_axis(x: Array, axis: int) -> Array:
     def back(g):
         return (np.repeat(np.expand_dims(g / k, ax), k, axis=ax),)
 
-    return Array(x.data.mean(axis=ax), _parents=(x,), _backward=back, _op="mean_over_axis")
+    return Array(plain.mean_over_axis(x.data, ax), _parents=(x,), _backward=back, _op="mean_over_axis")
 
 
 def reshape(x: Array, shape) -> Array:
-    out_data = x.data.reshape(shape)
+    out_data = plain.reshape(x.data, shape)
     orig = x.data.shape
 
     def back(g):
@@ -313,7 +290,7 @@ def transpose_last2(x: Array) -> Array:
     def back(g):
         return (np.swapaxes(g, -1, -2),)
 
-    return Array(np.swapaxes(x.data, -1, -2), _parents=(x,), _backward=back, _op="transpose_last2")
+    return Array(plain.transpose_last2(x.data), _parents=(x,), _backward=back, _op="transpose_last2")
 
 
 def permute(x: Array, axes) -> Array:
@@ -326,7 +303,7 @@ def permute(x: Array, axes) -> Array:
     def back(g):
         return (np.transpose(g, inverse),)
 
-    return Array(np.transpose(x.data, axes), _parents=(x,), _backward=back, _op="permute")
+    return Array(plain.permute(x.data, axes), _parents=(x,), _backward=back, _op="permute")
 
 
 def gather_rows(x: Array, idx) -> Array:
@@ -345,7 +322,7 @@ def gather_rows(x: Array, idx) -> Array:
         np.add.at(gx, idx, g)
         return (gx,)
 
-    return Array(x.data[idx], _parents=(x,), _backward=back, _op="gather_rows")
+    return Array(plain.gather_rows(x.data, idx), _parents=(x,), _backward=back, _op="gather_rows")
 
 
 def masked_softmax(logits: Array, mask) -> Array:
@@ -354,18 +331,12 @@ def masked_softmax(logits: Array, mask) -> Array:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != logits.shape:
         raise DimensionError(f"mask shape {mask.shape} does not match logits {logits.shape}")
-    if mask.all(axis=-1).any():
-        raise NoFeasibleActionError("masked_softmax: a row has every entry masked")
-    shifted = np.where(mask, -np.inf, logits.data)
-    # Every row has a finite maximum, and exp(-inf) is exactly 0.
-    ex = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
-    return _softmax_node(ex / ex.sum(axis=-1, keepdims=True), logits, "masked_softmax")
+    return _softmax_node(plain.masked_softmax(logits.data, mask), logits, "masked_softmax")
 
 
 def softmax(logits: Array) -> Array:
     """Softmax over the last axis; equals `masked_softmax` with nothing masked."""
-    ex = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
-    return _softmax_node(ex / ex.sum(axis=-1, keepdims=True), logits, "softmax")
+    return _softmax_node(plain.softmax(logits.data), logits, "softmax")
 
 
 def _softmax_node(probs: np.ndarray, logits: Array, op: str) -> Array:
@@ -376,7 +347,6 @@ def _softmax_node(probs: np.ndarray, logits: Array, op: str) -> Array:
     return Array(probs, _parents=(logits,), _backward=back, _op=op)
 
 
-BN_EPS = 1e-5           # added to the variance before the square root
 BN_MOMENTUM = 0.1       # weight of the batch statistics in the running EMA
 
 
@@ -388,6 +358,14 @@ class BatchNormState:
         self.shift = param(np.zeros(dim), dtype=dtype)
         self.running_mean = np.zeros(dim, dtype=dtype)
         self.running_var = np.ones(dim, dtype=dtype)
+
+    @classmethod
+    def of(cls, scale: Array, shift: Array, running_mean, running_var) -> "BatchNormState":
+        """A state that holds the given arrays."""
+        self = cls.__new__(cls)
+        self.scale, self.shift = scale, shift
+        self.running_mean, self.running_var = running_mean, running_var
+        return self
 
 
 def batch_norm(x: Array, state: BatchNormState, mode: str) -> Array:
@@ -409,8 +387,7 @@ def batch_norm(x: Array, state: BatchNormState, mode: str) -> Array:
             raise BatchTooSmallError("batch_norm train mode needs at least 2 rows")
         mean = x.data.mean(axis=0)
         var = x.data.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x.data - mean) * inv_std
+        xhat, inv_std, out = plain.normalize(x.data, mean, var, state.scale.data, state.shift.data)
         m = BN_MOMENTUM
         state.running_mean = (1.0 - m) * state.running_mean + m * mean
         state.running_var = (1.0 - m) * state.running_var + m * var * (rows / (rows - 1))
@@ -423,8 +400,8 @@ def batch_norm(x: Array, state: BatchNormState, mode: str) -> Array:
             return gx, gscale, gshift
 
     else:
-        inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
-        xhat = (x.data - state.running_mean) * inv_std
+        xhat, inv_std, out = plain.normalize(x.data, state.running_mean, state.running_var,
+                                             state.scale.data, state.shift.data)
 
         def back(g):
             gscale = (g * xhat).sum(axis=0)
@@ -432,7 +409,6 @@ def batch_norm(x: Array, state: BatchNormState, mode: str) -> Array:
             gx = g * state.scale.data * inv_std
             return gx, gscale, gshift
 
-    out = xhat * state.scale.data + state.shift.data
     return Array(out, _parents=(x, state.scale, state.shift), _backward=back, _op="batch_norm")
 
 

@@ -223,7 +223,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingDivergedError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
+        where = ", ".join(f"{key} {exc.snapshot[key]}" for key in ("subproblem", "iteration")
+                          if key in exc.snapshot)
+        print(f"training diverged{' in ' + where if where else ''}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, TrainingDivergedError
 from .instances import PRNG_NAME
 from .model import DEFAULT_CRITIC_CHANNELS, ActorParams, CriticParams, ModelConfig
 from .trainer import train_subproblem
@@ -241,16 +241,13 @@ def pack_models(actor: ActorParams, critic: CriticParams) -> dict[str, np.ndarra
 
 def unpack_models(arrays: dict[str, np.ndarray], cfg: RunConfig,
                   dtype=np.float32) -> tuple[ActorParams, CriticParams]:
-    actor = ActorParams.zeros(cfg.model_config(), dtype=dtype)
-    critic = CriticParams.zeros(dtype=dtype)
     actor_arrays = {k[len("actor."):]: v for k, v in arrays.items() if k.startswith("actor.")}
     critic_arrays = {k[len("critic."):]: v for k, v in arrays.items() if k.startswith("critic.")}
     if len(actor_arrays) + len(critic_arrays) != len(arrays):
         extra = [k for k in arrays if not k.startswith(("actor.", "critic."))]
         raise ContractError(f"checkpoint holds arrays outside actor./critic.: {extra}")
-    actor.load_state(actor_arrays)
-    critic.load_state(critic_arrays)
-    return actor, critic
+    return (ActorParams.from_state(cfg.model_config(), actor_arrays, dtype),
+            CriticParams.from_state(DEFAULT_CRITIC_CHANNELS, critic_arrays, dtype))
 
 
 def save_models(path, actor: ActorParams, critic: CriticParams) -> None:
@@ -365,7 +362,9 @@ def run_schedule(cfg: RunConfig, workdir, resume: bool = False,
     trains on its own stream [seed, i], so a resumed run retrains any
     unfinished subproblem from scratch and lands on identical checkpoints.
     `progress(i, M, weights, epochs)`, if given, is called as subproblem i
-    starts. Returns the M final actors in schedule order.
+    starts. Returns the M final actors in schedule order. A
+    `TrainingDivergedError` leaves with the failing `subproblem` in its
+    snapshot, beside `train_subproblem`'s iteration and last metrics.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -403,8 +402,12 @@ def run_schedule(cfg: RunConfig, workdir, resume: bool = False,
 
         if progress is not None:
             progress(i, cfg.m_sub, weights, epochs)
-        report = train_subproblem(weights, actor, critic, cfg, epochs,
-                                  rng=rng, epoch_callback=persist_epoch)
+        try:
+            report = train_subproblem(weights, actor, critic, cfg, epochs,
+                                      rng=rng, epoch_callback=persist_epoch)
+        except TrainingDivergedError as exc:
+            exc.snapshot["subproblem"] = i
+            raise
         report.write_csv(metrics_path)
         save_models(workdir / checkpoint_name(i), actor, critic)
         completed.append(i)

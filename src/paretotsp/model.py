@@ -23,16 +23,24 @@ step by step without a tape, then scores all n steps of them in one
 teacher-forced decoder pass on the tape. `greedy_tours` decodes one instance
 under many actors, a group at a time: a group's decoder inputs are stacked on
 a leading model axis, so its actors are the batch rows of a single decode.
+
+The encoder, the decode step and the glimpse and pointer take their ops from
+a namespace, `ops`: `autodiff` records the tape, and `plain` runs the same
+numpy calls on bare ndarrays with no tape. Every forward pass that nothing
+differentiates (the sampling loop, and the whole of `greedy_tours`) runs on
+`plain`, so the math exists once and both paths give the same bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
+from . import plain
 from .errors import ContractError, DimensionError
 from .instances import MotspInstance
 
@@ -59,20 +67,18 @@ class ModelConfig:
         return self.d_h // self.n_heads
 
 
-def _linear(x: ad.Array, w: ad.Array, b: ad.Array | None = None) -> ad.Array:
+def _linear(x, w, b=None, ops=ad):
     """x (rows, in) with w stored (out, in) as in the math; optional bias.
 
     A 3-D w (rows, out, in) holds one weight per row of x, and row r is the
-    matrix-vector product w[r] @ x[r]; that form needs no transposed view of
-    the stacked weights, whose finiteness check would cost a full pass over
-    them on every call.
+    matrix-vector product w[r] @ x[r].
     """
-    if w.data.ndim == 3:
+    if len(w.shape) == 3:
         rows, out, d_in = w.shape
-        h = ad.reshape(ad.bmm(w, ad.reshape(x, (rows, d_in, 1))), (rows, out))
+        h = ops.reshape(ops.bmm(w, ops.reshape(x, (rows, d_in, 1))), (rows, out))
     else:
-        h = ad.matmul(x, ad.transpose_last2(w))
-    return ad.add_bias(h, b) if b is not None else h
+        h = ops.matmul(x, ops.transpose_last2(w))
+    return ops.add_bias(h, b) if b is not None else h
 
 
 # The axis along which a fused projection stacks its H per-head blocks.
@@ -102,26 +108,59 @@ class _Params:
             out[f"{name}.running_var"] = state.running_var
         return out
 
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        expected = set(self.state_arrays())
-        if set(arrays) != expected:
-            missing = expected - set(arrays)
-            extra = set(arrays) - expected
+    def _checked(self, arrays: dict[str, np.ndarray], shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+        """`arrays` in this dtype and in the order of `shapes`, whose names and
+        shapes they must have."""
+        if set(arrays) != set(shapes):
+            missing = set(shapes) - set(arrays)
+            extra = set(arrays) - set(shapes)
             raise ContractError(f"{type(self).__name__} state mismatch: "
                                 f"missing={sorted(missing)} extra={sorted(extra)}")
+        out = {}
+        for name, shape in shapes.items():
+            out[name] = np.asarray(arrays[name], dtype=self.dtype)
+            if out[name].shape != shape:
+                raise DimensionError(f"{name}: shape {out[name].shape} != {shape}")
+        return out
+
+    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Overwrite every array in place; names and shapes must match."""
+        state = self._checked(arrays, {name: a.shape for name, a in self.state_arrays().items()})
         for name, p in self.params.items():
-            arr = np.asarray(arrays[name], dtype=self.dtype)
-            if arr.shape != p.data.shape:
-                raise DimensionError(f"{name}: shape {arr.shape} != {p.data.shape}")
-            p.data = arr
-        for name, state in self.bn.items():
-            state.running_mean = np.asarray(arrays[f"{name}.running_mean"], dtype=self.dtype)
-            state.running_var = np.asarray(arrays[f"{name}.running_var"], dtype=self.dtype)
+            p.data = state[name]
+        for name, bn in self.bn.items():
+            bn.running_mean = state[f"{name}.running_mean"]
+            bn.running_var = state[f"{name}.running_var"]
+
+    @classmethod
+    def from_state(cls, key, arrays: dict[str, np.ndarray], dtype=np.float32):
+        """A new `cls(key, dtype)` (key: an actor's config, a critic's
+        channels) that holds `arrays`, named and shaped as its `state_arrays`
+        would be. No zero-filled arrays are built; the layout to check against
+        is read once per key off a zero-filled twin."""
+        self = cls(key, dtype)
+        state = self._checked(arrays, dict(_layout(cls, self._key)))
+        for name, arr in state.items():        # every param precedes the running stats
+            if name.endswith(".running_mean"):
+                layer = name[:-len(".running_mean")]
+                self.bn[layer] = ad.BatchNormState.of(self.params[f"{layer}.scale"],
+                                                      self.params[f"{layer}.shift"],
+                                                      arr, state[f"{layer}.running_var"])
+            elif not name.endswith(".running_var"):
+                self.params[name] = ad.param(arr, dtype=self.dtype)
+        return self
 
     def copy(self):
-        dup = self._blank()
-        dup.load_state({k: v.copy() for k, v in self.state_arrays().items()})
-        return dup
+        return type(self).from_state(self._key, {k: v.copy() for k, v in self.state_arrays().items()},
+                                     self.dtype)
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(cls, key) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(name, shape) of every state array of a `cls` built on `key`, in
+    `state_arrays` order."""
+    blank = cls.zeros(key) if cls is ActorParams else cls.zeros(channels=key)
+    return tuple((name, arr.shape) for name, arr in blank.state_arrays().items())
 
 
 class ActorParams(_Params):
@@ -130,6 +169,7 @@ class ActorParams(_Params):
     def __init__(self, cfg: ModelConfig, dtype=np.float32):
         super().__init__(dtype)
         self.cfg = cfg
+        self._key = cfg
 
     def _add(self, name: str, arr: np.ndarray) -> None:
         self.params[name] = ad.param(arr, dtype=self.dtype)
@@ -150,9 +190,6 @@ class ActorParams(_Params):
         """Every array at its shape, zero-filled: a target for `load_state`
         that draws no random numbers."""
         return cls._build(cfg, dtype, lambda *shape: np.zeros(shape, dtype))
-
-    def _blank(self) -> "ActorParams":
-        return ActorParams.zeros(self.cfg, self.dtype)
 
     @classmethod
     def _build(cls, cfg: ModelConfig, dtype, u) -> "ActorParams":
@@ -199,6 +236,7 @@ class CriticParams(_Params):
     def __init__(self, channels=DEFAULT_CRITIC_CHANNELS, dtype=np.float32):
         super().__init__(dtype)
         self.channels = tuple((int(i), int(o)) for i, o in channels)
+        self._key = self.channels
 
     @classmethod
     def init(cls, rng: np.random.Generator, dtype=np.float32,
@@ -209,9 +247,6 @@ class CriticParams(_Params):
     def zeros(cls, dtype=np.float32, channels=DEFAULT_CRITIC_CHANNELS) -> "CriticParams":
         """Every array at its shape, zero-filled: a target for `load_state`."""
         return cls._build(channels, dtype, lambda bound, shape: np.zeros(shape, dtype))
-
-    def _blank(self) -> "CriticParams":
-        return CriticParams.zeros(self.dtype, self.channels)
 
     @classmethod
     def _build(cls, channels, dtype, u) -> "CriticParams":
@@ -236,14 +271,15 @@ class EncodedBatch:
     embeddings. The rest are the decoder's projections of the nodes:
     `keys_t` (B*H, d_k, n) and `values` (B*H, n, d_k) hold the glimpse's
     heads, `final_keys_t` (B, d_h, n) the pointer's keys; the keys are
-    transposed here, once per rollout.
+    transposed here, once per rollout. The five are Arrays on the tape, or
+    ndarrays for a plain decode.
     """
 
-    nodes2d: ad.Array
-    graph: ad.Array
-    keys_t: ad.Array
-    values: ad.Array
-    final_keys_t: ad.Array
+    nodes2d: ad.Array | np.ndarray
+    graph: ad.Array | np.ndarray
+    keys_t: ad.Array | np.ndarray
+    values: ad.Array | np.ndarray
+    final_keys_t: ad.Array | np.ndarray
 
     @property
     def batch(self) -> int:
@@ -258,8 +294,12 @@ class EncodedBatch:
         """One encoding whose batch rows are the rows of `encs`, in order."""
         return cls(*(_stack_rows([getattr(e, f.name) for e in encs]) for f in fields(cls)))
 
+    def untaped(self) -> "EncodedBatch":
+        """The same encoding as ndarrays, views of the Arrays' data."""
+        return EncodedBatch(*(getattr(self, f.name).data for f in fields(self)))
 
-def _split_heads(x2d: ad.Array, batch: int, heads: int, axes) -> ad.Array:
+
+def _split_heads(x2d, batch: int, heads: int, axes, ops=ad):
     """(B*n, H*d_k) rows, head-major in each row, as (B*H, ., .) per-head blocks.
 
     `axes` orders (B, H, n, d_k): (0, 2, 1, 3) gives (B*H, n, d_k) and
@@ -267,21 +307,26 @@ def _split_heads(x2d: ad.Array, batch: int, heads: int, axes) -> ad.Array:
     """
     n = x2d.shape[0] // batch
     d_k = x2d.shape[1] // heads
-    blocks = ad.permute(ad.reshape(x2d, (batch, n, heads, d_k)), axes)
-    return ad.reshape(blocks, (batch * heads,) + blocks.shape[2:])
+    blocks = ops.permute(ops.reshape(x2d, (batch, n, heads, d_k)), axes)
+    return ops.reshape(blocks, (batch * heads,) + blocks.shape[2:])
 
 
-def _merge_heads(blocks: ad.Array, batch: int) -> ad.Array:
+def _merge_heads(blocks, batch: int, ops=ad):
     """(B*H, n, d_k) per-head blocks back to (B*n, H*d_k) rows, head-major in each row."""
     rows, n, d_k = blocks.shape
     heads = rows // batch
     if n == 1:      # the heads of each row are already adjacent
-        return ad.reshape(blocks, (batch, heads * d_k))
-    return ad.reshape(ad.permute(ad.reshape(blocks, (batch, heads, n, d_k)), (0, 2, 1, 3)),
-                      (batch * n, heads * d_k))
+        return ops.reshape(blocks, (batch, heads * d_k))
+    return ops.reshape(ops.permute(ops.reshape(blocks, (batch, heads, n, d_k)), (0, 2, 1, 3)),
+                       (batch * n, heads * d_k))
 
 
-def encode_batch(features: np.ndarray, actor: ActorParams, mode: str) -> EncodedBatch:
+def encode_batch(features: np.ndarray, actor: ActorParams, mode: str, ops=ad) -> EncodedBatch:
+    """The encoding of B instances' features (B, n, d_x); batch norm in `mode`.
+
+    With `ops=plain` it is built from ndarrays without a tape, in infer mode,
+    and its five arrays are checked for NaN and Inf once, at the end.
+    """
     cfg = actor.cfg
     feats = np.asarray(features)
     if feats.ndim != 3 or feats.shape[2] != cfg.d_x:
@@ -289,47 +334,52 @@ def encode_batch(features: np.ndarray, actor: ActorParams, mode: str) -> Encoded
     batch, n = feats.shape[0], feats.shape[1]
     if n < 2:
         raise ContractError("encoder needs n >= 2 nodes")
-    p = actor.params
+    p = actor.params if ops is ad else actor.state_arrays()
     d_h, heads = cfg.d_h, cfg.n_heads
     inv_sqrt_dk = 1.0 / math.sqrt(cfg.d_k)
 
-    x = ad.constant(feats.reshape(batch * n, cfg.d_x), dtype=actor.dtype)
-    h = _linear(x, p["enc.init.W"], p["enc.init.b"])
+    x = ops.constant(feats.reshape(batch * n, cfg.d_x), dtype=actor.dtype)
+    h = _linear(x, p["enc.init.W"], p["enc.init.b"], ops=ops)
     for l in range(1, cfg.n_layers + 1):
-        q = _split_heads(_linear(h, p[f"enc.l{l}.Wq"]), batch, heads, (0, 2, 1, 3))
-        keys_t = _split_heads(_linear(h, p[f"enc.l{l}.Wk"]), batch, heads, (0, 2, 3, 1))
-        v = _split_heads(_linear(h, p[f"enc.l{l}.Wv"]), batch, heads, (0, 2, 1, 3))
-        weights = ad.softmax(ad.scale(ad.bmm(q, keys_t), inv_sqrt_dk))     # (B*H, n, n)
-        mha = _linear(_merge_heads(ad.bmm(weights, v), batch), p[f"enc.l{l}.Wo"])
-        h = ad.batch_norm(ad.add(h, mha), actor.bn[f"enc.l{l}.bn1"], mode)
-        ff = _linear(ad.relu(_linear(h, p[f"enc.l{l}.ff.W0"], p[f"enc.l{l}.ff.b0"])),
-                     p[f"enc.l{l}.ff.W1"], p[f"enc.l{l}.ff.b1"])
-        h = ad.batch_norm(ad.add(h, ff), actor.bn[f"enc.l{l}.bn2"], mode)
-    graph = ad.mean_over_axis(ad.reshape(h, (batch, n, d_h)), 1)
-    keys_t = _split_heads(_linear(h, p["dec.Wk"]), batch, heads, (0, 2, 3, 1))
-    values = _split_heads(_linear(h, p["dec.Wv"]), batch, heads, (0, 2, 1, 3))
-    final_keys_t = ad.transpose_last2(ad.reshape(_linear(h, p["dec.final.Wk"]), (batch, n, d_h)))
-    return EncodedBatch(h, graph, keys_t, values, final_keys_t)
+        q = _split_heads(_linear(h, p[f"enc.l{l}.Wq"], ops=ops), batch, heads, (0, 2, 1, 3), ops)
+        keys_t = _split_heads(_linear(h, p[f"enc.l{l}.Wk"], ops=ops), batch, heads, (0, 2, 3, 1), ops)
+        v = _split_heads(_linear(h, p[f"enc.l{l}.Wv"], ops=ops), batch, heads, (0, 2, 1, 3), ops)
+        weights = ops.softmax(ops.scale(ops.bmm(q, keys_t), inv_sqrt_dk))     # (B*H, n, n)
+        mha = _linear(_merge_heads(ops.bmm(weights, v), batch, ops), p[f"enc.l{l}.Wo"], ops=ops)
+        h = ops.batch_norm(ops.add(h, mha), actor.bn[f"enc.l{l}.bn1"], mode)
+        ff = _linear(ops.relu(_linear(h, p[f"enc.l{l}.ff.W0"], p[f"enc.l{l}.ff.b0"], ops=ops)),
+                     p[f"enc.l{l}.ff.W1"], p[f"enc.l{l}.ff.b1"], ops=ops)
+        h = ops.batch_norm(ops.add(h, ff), actor.bn[f"enc.l{l}.bn2"], mode)
+    graph = ops.mean_over_axis(ops.reshape(h, (batch, n, d_h)), 1)
+    keys_t = _split_heads(_linear(h, p["dec.Wk"], ops=ops), batch, heads, (0, 2, 3, 1), ops)
+    values = _split_heads(_linear(h, p["dec.Wv"], ops=ops), batch, heads, (0, 2, 1, 3), ops)
+    final_keys = ops.reshape(_linear(h, p["dec.final.Wk"], ops=ops), (batch, n, d_h))
+    final_keys_t = ops.transpose_last2(final_keys)
+    enc = EncodedBatch(h, graph, keys_t, values, final_keys_t)
+    if ops is plain:        # the tape checks each op's output as it goes
+        for f in fields(enc):
+            plain.finite(getattr(enc, f.name), "encode_batch")
+    return enc
 
 
 # ---------------------------------------------------------------------------
 # decoder
 
 
-def _stack_rows(parts: list[ad.Array]) -> ad.Array:
-    """Concatenate along the leading axis, outside the tape, packing the
-    trailing axes in the first part's memory order (a transposed key block
-    stays column-major), so a product against the stack makes the same BLAS
-    call per row as against one part. `np.concatenate` alone would interleave
-    the parts along their outermost memory axis.
+def _stack_rows(parts: list[np.ndarray]) -> np.ndarray:
+    """Concatenate along the leading axis, packing the trailing axes in the
+    first part's memory order (a transposed key block stays column-major), so
+    a product against the stack makes the same BLAS call per row as against
+    one part. `np.concatenate` alone would interleave the parts along their
+    outermost memory axis.
     """
-    first = parts[0].data
+    first = parts[0]
     inner = sorted(range(1, first.ndim), key=lambda ax: -first.strides[ax])   # outermost first
     packed = np.empty((sum(p.shape[0] for p in parts),) + tuple(first.shape[ax] for ax in inner),
                       dtype=first.dtype)
     out = np.transpose(packed, (0,) + tuple(int(ax) + 1 for ax in np.argsort(inner)))
-    np.concatenate([p.data for p in parts], out=out)
-    return ad.constant(out)
+    np.concatenate(parts, out=out)
+    return out
 
 
 class BatchDecodeState:
@@ -338,7 +388,7 @@ class BatchDecodeState:
         self.visited = np.zeros((enc.batch, enc.n), dtype=bool)
         self.first = np.zeros(enc.batch, dtype=np.intp)
         self.last = np.zeros(enc.batch, dtype=np.intp)
-        self.first_rows: ad.Array | None = None     # embeddings of `first`, gathered once
+        self.first_rows = None      # embeddings of `first`, gathered once
         self.t = 1
 
     def advance(self, chosen: np.ndarray) -> None:
@@ -352,7 +402,8 @@ class BatchDecodeState:
         self.t += 1
 
 
-def _decode_step_batch(state: BatchDecodeState, actor: "ActorParams | _StackedDecoder") -> ad.Array:
+def _decode_step_batch(state: BatchDecodeState, actor: "ActorParams | _Decoder", ops=ad):
+    """Step t's probabilities (B, n) over the nodes, for `state`'s encoding."""
     cfg = actor.cfg
     p = actor.params
     enc = state.enc
@@ -362,22 +413,22 @@ def _decode_step_batch(state: BatchDecodeState, actor: "ActorParams | _StackedDe
     if state.t == 1:
         # A (d_h,) placeholder serves every row; a stacked (rows, d_h) one
         # gives each row its own.
-        own = np.arange(batch) if p["dec.v1"].data.ndim == 2 else np.zeros(batch, dtype=np.intp)
-        first = ad.gather_rows(ad.reshape(p["dec.v1"], (-1, d_h)), own)
-        last = ad.gather_rows(ad.reshape(p["dec.vf"], (-1, d_h)), own)
+        own = np.arange(batch) if len(p["dec.v1"].shape) == 2 else np.zeros(batch, dtype=np.intp)
+        first = ops.gather_rows(ops.reshape(p["dec.v1"], (-1, d_h)), own)
+        last = ops.gather_rows(ops.reshape(p["dec.vf"], (-1, d_h)), own)
     else:
         base = np.arange(batch) * n
         if state.first_rows is None:
-            state.first_rows = ad.gather_rows(enc.nodes2d, base + state.first)
+            state.first_rows = ops.gather_rows(enc.nodes2d, base + state.first)
         first = state.first_rows
-        last = ad.gather_rows(enc.nodes2d, base + state.last)
-    context = ad.concat([enc.graph, first, last], axis=1)     # (B, 3*d_h)
+        last = ops.gather_rows(enc.nodes2d, base + state.last)
+    context = ops.concat([enc.graph, first, last], axis=1)     # (B, 3*d_h)
 
-    q = ad.reshape(_linear(context, p["dec.Wq"]), (batch * heads, 1, cfg.d_k))
-    return ad.reshape(_attend(q, state.visited[:, None, :], enc, actor), (batch, n))
+    q = ops.reshape(_linear(context, p["dec.Wq"], ops=ops), (batch * heads, 1, cfg.d_k))
+    return ops.reshape(_attend(q, state.visited[:, None, :], enc, actor, ops), (batch, n))
 
 
-def _attend(q: ad.Array, visited: np.ndarray, enc: EncodedBatch, actor) -> ad.Array:
+def _attend(q, visited: np.ndarray, enc: EncodedBatch, actor, ops=ad):
     """The decoder's glimpse and pointer for S query rows per instance.
 
     q (B*H, S, d_k) holds each row's projected context, per head; visited
@@ -388,15 +439,15 @@ def _attend(q: ad.Array, visited: np.ndarray, enc: EncodedBatch, actor) -> ad.Ar
     p = actor.params
     batch, steps, n = visited.shape
     heads = cfg.n_heads
-    compat = ad.scale(ad.reshape(ad.bmm(q, enc.keys_t), (batch, heads, steps, n)),
-                      1.0 / math.sqrt(cfg.d_k))
-    attn = ad.masked_softmax(compat, np.broadcast_to(visited[:, None], (batch, heads, steps, n)))
-    mixed = ad.bmm(ad.reshape(attn, (batch * heads, steps, n)), enc.values)     # (B*H, S, d_k)
-    glimpse = _linear(_merge_heads(mixed, batch), p["dec.Wo"])
+    compat = ops.scale(ops.reshape(ops.bmm(q, enc.keys_t), (batch, heads, steps, n)),
+                       1.0 / math.sqrt(cfg.d_k))
+    attn = ops.masked_softmax(compat, np.broadcast_to(visited[:, None], (batch, heads, steps, n)))
+    mixed = ops.bmm(ops.reshape(attn, (batch * heads, steps, n)), enc.values)     # (B*H, S, d_k)
+    glimpse = _linear(_merge_heads(mixed, batch, ops), p["dec.Wo"], ops=ops)
 
-    q_final = ad.reshape(_linear(glimpse, p["dec.final.Wq"]), (batch, steps, cfg.d_h))
-    logits = ad.scale(ad.tanh(ad.bmm(q_final, enc.final_keys_t)), cfg.clip)
-    return ad.masked_softmax(logits, visited)
+    q_final = ops.reshape(_linear(glimpse, p["dec.final.Wq"], ops=ops), (batch, steps, cfg.d_h))
+    logits = ops.scale(ops.tanh(ops.bmm(q_final, enc.final_keys_t)), cfg.clip)
+    return ops.masked_softmax(logits, visited)
 
 
 def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -420,9 +471,9 @@ def rollout_batch(features: np.ndarray, actor: ActorParams, mode: str,
     current parameters.
 
     The encoding, with the decoder's key and value projections, is built on
-    the tape; the n decode steps that choose the tours run without one, and
-    `_score_tours` then puts the chosen tours' log-probability on the tape in
-    a single pass.
+    the tape; the n decode steps that choose the tours run on `plain` ops over
+    the encoding's data, and `_score_tours` then puts the chosen tours'
+    log-probability on the tape in a single pass.
     """
     if mode not in ("sample", "greedy"):
         raise ContractError(f"rollout mode must be 'sample' or 'greedy', got {mode!r}")
@@ -440,22 +491,22 @@ def rollout_batch(features: np.ndarray, actor: ActorParams, mode: str,
     enc = encode_batch(feats, actor, bn_mode)
     tours, step_probs = forced_tours, None
     if forced_tours is None or want_step_probs:
-        with ad.no_grad():
-            tours, step_probs = _decode(enc, actor, mode, rng, want_step_probs, forced_tours)
+        tours, step_probs = _decode(enc.untaped(), _Decoder(actor.cfg, actor.state_arrays()),
+                                    mode, rng, want_step_probs, forced_tours)
     return tours, _score_tours(enc, actor, tours), step_probs
 
 
-def _decode(enc: EncodedBatch, actor, mode: str, rng=None, want_step_probs: bool = False,
-            forced_tours: np.ndarray | None = None):
-    """The n decode steps of `enc`; returns (tours, step probs)."""
+def _decode(enc: EncodedBatch, decoder: "_Decoder", mode: str, rng=None,
+            want_step_probs: bool = False, forced_tours: np.ndarray | None = None):
+    """The n plain decode steps of the ndarray encoding `enc`; returns (tours, step probs)."""
     state = BatchDecodeState(enc)
     batch, n = enc.batch, enc.n
     tours = np.empty((batch, n), dtype=np.intp)
     step_probs = [] if want_step_probs else None
     for t in range(n):
-        probs = _decode_step_batch(state, actor).data
+        probs = _decode_step_batch(state, decoder, plain)
         if want_step_probs:
-            step_probs.append(probs.copy())
+            step_probs.append(probs)
         if forced_tours is not None:
             chosen = forced_tours[:, t]
         elif mode == "sample":
@@ -513,11 +564,12 @@ def _score_tours(enc: EncodedBatch, actor: ActorParams, tours: np.ndarray) -> ad
 
 
 @dataclass
-class _StackedDecoder:
-    """The weights a decode step reads, one leading row per actor."""
+class _Decoder:
+    """The weights a plain decode step reads, as ndarrays: one actor's, or a
+    group's with one leading row per actor."""
 
     cfg: ModelConfig
-    params: dict[str, ad.Array]
+    params: dict[str, np.ndarray]
 
 
 # Actors per stacked decode. Only one group's parts are held, so the solve's
@@ -532,7 +584,7 @@ def greedy_tours(features: np.ndarray, actors) -> np.ndarray:
     """(M, n) greedy tours of one instance, row i under the i-th of `actors`.
 
     `actors` is any iterable of actors sharing one config and dtype. Each is
-    encoded without a tape as soon as it is drawn; only its encoding and the
+    encoded on `plain` ops as soon as it is drawn; only its encoding and the
     decoder weights that the encoding has not already applied are kept. The
     actors decode in groups of `_GROUP`: a group's encodings and weights are
     stacked on a leading model axis, so its actors are the batch rows of one
@@ -543,23 +595,22 @@ def greedy_tours(features: np.ndarray, actors) -> np.ndarray:
     feats = np.asarray(features)[None, :, :]
     cfg = dtype = None
     parts, tours = [], []
-    with ad.no_grad():
-        for actor in actors:
-            if cfg is None:
-                cfg, dtype = actor.cfg, actor.dtype
-            elif (actor.cfg, actor.dtype) != (cfg, dtype):
-                raise ContractError("greedy_tours needs actors of one model config and dtype")
-            # The key/value projections are in the encoding; the rest is read per step.
-            parts.append((encode_batch(feats, actor, "infer"),
-                          {name: p.data for name, p in actor.params.items()
-                           if name.startswith("dec.") and not name.endswith(("Wk", "Wv"))}))
-            if len(parts) == _GROUP:
-                tours.append(_decode_group(parts, cfg))
-                parts = []
+    for actor in actors:
         if cfg is None:
-            raise ContractError("greedy_tours needs at least one actor")
-        if parts:
+            cfg, dtype = actor.cfg, actor.dtype
+        elif (actor.cfg, actor.dtype) != (cfg, dtype):
+            raise ContractError("greedy_tours needs actors of one model config and dtype")
+        # The key/value projections are in the encoding; the rest is read per step.
+        parts.append((encode_batch(feats, actor, "infer", plain),
+                      {name: p.data for name, p in actor.params.items()
+                       if name.startswith("dec.") and not name.endswith(("Wk", "Wv"))}))
+        if len(parts) == _GROUP:
             tours.append(_decode_group(parts, cfg))
+            parts = []
+    if cfg is None:
+        raise ContractError("greedy_tours needs at least one actor")
+    if parts:
+        tours.append(_decode_group(parts, cfg))
     return np.concatenate(tours)
 
 
@@ -567,8 +618,7 @@ def _decode_group(parts: list, cfg: ModelConfig) -> np.ndarray:
     """Greedy tours of the (encoding, decoder weights) `parts`, one row per
     actor, decoded as the batch rows of one stacked loop."""
     encs, weights = zip(*parts)
-    decoder = _StackedDecoder(cfg, {name: ad.constant(np.stack([w[name] for w in weights]))
-                                    for name in weights[0]})
+    decoder = _Decoder(cfg, {name: np.stack([w[name] for w in weights]) for name in weights[0]})
     return _decode(EncodedBatch.stack(encs), decoder, "greedy")[0]
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -147,6 +147,8 @@ def train_subproblem(weights, actor: ActorParams, critic: CriticParams,
 
     `epoch_callback(epoch, actor, critic, report)` runs after each epoch —
     the hook for per-epoch metrics. Deterministic for a fixed rng state.
+    A `TrainingDivergedError` leaves with the failing `iteration` and the
+    `last_metrics` row before it (None on the first) in its snapshot.
     """
     actor_opt = Adam(actor.trainable(), cfg.lr_actor, cfg.beta1, cfg.beta2, cfg.eps)
     critic_opt = Adam(critic.trainable(), cfg.lr_critic, cfg.beta1, cfg.beta2, cfg.eps)
@@ -156,7 +158,12 @@ def train_subproblem(weights, actor: ActorParams, critic: CriticParams,
         for _ in range(cfg.dataset_size // cfg.batch_size):
             iteration += 1
             started = time.perf_counter()
-            metrics = reinforce_iteration(weights, actor, critic, cfg, rng, actor_opt, critic_opt)
+            try:
+                metrics = reinforce_iteration(weights, actor, critic, cfg, rng, actor_opt, critic_opt)
+            except TrainingDivergedError as exc:
+                exc.snapshot["iteration"] = iteration
+                exc.snapshot["last_metrics"] = asdict(report.rows[-1]) if report.rows else None
+                raise
             report.rows.append(IterationMetrics(
                 iteration=iteration,
                 mean_gws=metrics["mean_gws"],

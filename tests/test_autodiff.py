@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paretotsp import autodiff as ad
+from paretotsp import plain
 from paretotsp.errors import (BatchTooSmallError, BoundsError, ContractError,
                               DimensionError, NoFeasibleActionError,
                               NonFiniteError)
@@ -298,53 +299,34 @@ def test_backward_frees_the_graph_and_refuses_a_second_sweep():
 
 
 # ---------------------------------------------------------------------------
-# no_grad
+# plain kernels
 
 
-def test_no_grad_records_nothing():
+def test_plain_forward_builds_no_array_and_equals_the_taped_forward():
     p = ad.param(np.array([[1.0, -2.0], [3.0, 0.5]]))
-    with ad.no_grad():
-        h = ad.relu(ad.matmul(p, p))
-        loss = to_scalar(h)
-    assert p.requires_grad
-    for out in (h, loss):
-        assert out._parents == ()
-        assert out._backward is None
-        assert not out.requires_grad
-    np.testing.assert_array_equal(h.data, np.maximum(p.data @ p.data, 0.0))
+    taped = ad.tanh(ad.relu(ad.matmul(p, ad.transpose_last2(p))))
+    h = plain.tanh(plain.relu(plain.matmul(p.data, plain.transpose_last2(p.data))))
+    assert type(h) is np.ndarray
+    assert h.tobytes() == taped.data.tobytes()
+    assert p.grad is None and p._parents == ()
 
 
-def test_no_grad_restores_state_after_nesting_and_errors():
-    p = ad.param(np.ones(2))
-    with ad.no_grad():
-        with ad.no_grad():
-            pass
-        assert not ad.scale(p, 2.0).requires_grad
-    assert ad.scale(p, 2.0).requires_grad
-    with pytest.raises(RuntimeError):
-        with ad.no_grad():
-            raise RuntimeError("boom")
-    out = ad.scale(p, 2.0)
-    assert out.requires_grad and out._parents == (p,)
-
-
-def test_no_grad_still_checks_values_and_shapes():
-    big = ad.param(np.array([1e200, 1.0]))
-    with ad.no_grad(), np.errstate(over="ignore"):
-        with pytest.raises(NonFiniteError):
-            ad.mul(big, big)
-        with pytest.raises(NonFiniteError):
-            ad.constant(np.array([np.nan]))
-        with pytest.raises(DimensionError):
-            ad.matmul(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 3))))
-
-
-def test_backward_through_grad_free_result_leaves_params_untouched():
-    p = ad.param(np.array([1.0, 2.0]))
-    with ad.no_grad():
-        loss = to_scalar(ad.mul(p, p))
-    ad.backward(loss)
-    assert p.grad is None
+def test_plain_kernels_reject_inputs_that_would_hide_a_non_finite_value():
+    """relu, tanh and the softmaxes map some non-finite inputs to finite
+    outputs, so each checks its input; NaN under a mask counts too."""
+    hidden = np.array([[-np.inf, 1.0, 2.0]])
+    with np.errstate(invalid="ignore"):
+        for call in (lambda: plain.relu(hidden), lambda: plain.tanh(-hidden),
+                     lambda: plain.softmax(-hidden),
+                     lambda: plain.masked_softmax(np.array([[np.nan, 1.0, 2.0]]),
+                                                  np.array([[True, False, False]]))):
+            with pytest.raises(NonFiniteError):
+                call()
+    with pytest.raises(NonFiniteError, match="'encode_batch'"):
+        plain.finite(np.array([1.0, np.nan]), "encode_batch")
+    with pytest.raises(NoFeasibleActionError):
+        plain.masked_softmax(np.zeros((1, 3)), np.ones((1, 3), dtype=bool))
+    np.testing.assert_array_equal(plain.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

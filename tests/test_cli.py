@@ -184,6 +184,16 @@ def test_train_progress_lines(tmp_path, capsys):
     assert "trained 2 subproblem(s)" in out
 
 
+def test_train_divergence_names_the_subproblem_and_iteration(tmp_path, capsys, diverge_on_call):
+    config = tmp_path / "run.conf"
+    config.write_text(TINY_CONFIG)
+    diverge_on_call(3)              # two iterations per subproblem: subproblem 2, iteration 1
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "w")]) == 1
+    err = capsys.readouterr().err
+    assert "training diverged in subproblem 2, iteration 1: " in err
+    assert "Traceback" not in err
+
+
 def test_train_manifest_rerun_is_bitwise_identical(trained, tmp_path):
     manifest = trained["ckpt"] / MANIFEST_NAME
     redo = tmp_path / "redo"

@@ -13,7 +13,7 @@ from paretotsp.decomposition import (MANIFEST_NAME, RunConfig,
                                      read_checkpoint, run_schedule,
                                      save_models, unpack_models,
                                      write_checkpoint, write_manifest)
-from paretotsp.errors import ContractError, ParseError
+from paretotsp.errors import ContractError, ParseError, TrainingDivergedError
 from paretotsp.instances import MotspInstance
 from paretotsp.model import ActorParams, CriticParams, rollout, rollout_batch
 
@@ -291,6 +291,17 @@ def test_run_schedule_produces_all_artifacts(tmp_path):
     inst = MotspInstance(np.random.default_rng(0).random((4, 4)))
     tour, _ = rollout(inst, actors[0], mode="greedy")
     assert sorted(tour.tolist()) == [0, 1, 2, 3]
+
+
+def test_run_schedule_reports_the_subproblem_that_diverged(tmp_path, diverge_on_call):
+    cfg = RunConfig(**TINY)         # two iterations per subproblem
+    diverge_on_call(4)              # subproblem 2, iteration 2
+    with pytest.raises(TrainingDivergedError) as err:
+        run_schedule(cfg, tmp_path)
+    snapshot = err.value.snapshot
+    assert (snapshot["subproblem"], snapshot["iteration"]) == (2, 2)
+    assert snapshot["last_metrics"]["iteration"] == 1
+    assert load_manifest(tmp_path)[1] == [1]
 
 
 def test_zero_rest_epochs_copies_checkpoints_bitwise(tmp_path):

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from paretotsp import autodiff as ad
+from paretotsp import plain
 from paretotsp.decomposition import RunConfig
 from paretotsp.errors import (ContractError, DimensionError,
-                              NoFeasibleActionError)
+                              NoFeasibleActionError, NonFiniteError)
 from paretotsp.instances import MotspInstance
 from paretotsp.model import (_GROUP, ActorParams, BatchDecodeState, CriticParams,
-                             ModelConfig, _decode_step_batch, critic_batch, encode_batch,
-                             greedy_tours, rollout, rollout_batch)
+                             ModelConfig, _decode_step_batch, _Decoder,
+                             critic_batch, encode_batch, greedy_tours, rollout,
+                             rollout_batch)
 
 from oracles import (check_gradients, fuse_heads, per_head_actor_arrays,
                      per_head_decode_step, per_head_encode, random_instance,
@@ -367,6 +369,63 @@ def test_greedy_tours_memory_does_not_grow_with_the_actor_count():
 
     one, three = peak(_GROUP), peak(3 * _GROUP)
     assert three <= 1.25 * one, (one, three)
+
+
+# ---------------------------------------------------------------------------
+# the plain forward path against the tape
+
+PLAIN_SHAPES = [(DESK, 8, 10), (DESK, 8, 20), (ModelConfig(), 4, 20)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cfg,batch,n", PLAIN_SHAPES)
+def test_plain_encoding_is_bitwise_the_taped_one(cfg, batch, n, dtype):
+    actor = ActorParams.init(cfg, np.random.default_rng(n), dtype=dtype)
+    for bn in actor.bn.values():        # running statistics away from (0, 1)
+        bn.running_mean = np.full_like(bn.running_mean, 0.25)
+        bn.running_var = np.full_like(bn.running_var, 1.5)
+    feats = np.random.default_rng(n + 1).random((batch, n, 4))
+    got = encode_batch(feats, actor, "infer", plain)
+    want = encode_batch(feats, actor, "infer")
+    for field in ("nodes2d", "graph", "keys_t", "values", "final_keys_t"):
+        a, b = getattr(got, field), getattr(want, field).data
+        assert type(a) is np.ndarray and a.dtype == dtype, field
+        assert a.shape == b.shape and a.strides == b.strides, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cfg,batch,n", PLAIN_SHAPES)
+def test_plain_decode_step_is_bitwise_the_taped_attend(cfg, batch, n, dtype):
+    """The sampling loop's step (plain ops on the data of a train-mode taped
+    encoding) against the taped step, which runs `_attend` with S=1."""
+    actor = ActorParams.init(cfg, np.random.default_rng(n), dtype=dtype)
+    feats = np.random.default_rng(n + 1).random((batch, n, 4))
+    enc = encode_batch(feats, actor, "train")
+    taped, untaped = BatchDecodeState(enc), BatchDecodeState(enc.untaped())
+    decoder = _Decoder(actor.cfg, actor.state_arrays())
+    order = np.argsort(np.random.default_rng(n + 2).random((batch, n)), axis=1)
+    for t in range(n):
+        got = _decode_step_batch(untaped, decoder, plain)
+        want = _decode_step_batch(taped, actor)
+        assert type(got) is np.ndarray and got.tobytes() == want.data.tobytes(), t
+        taped.advance(order[:, t])
+        untaped.advance(order[:, t])
+
+
+def test_hidden_overflow_is_reported_on_both_tape_free_paths():
+    """Pointer weights scaled by 1e30 overflow the float32 pointer logits to
+    inf, which tanh would clip to a finite 1; the greedy solve and the
+    sampling loop must both raise instead of decoding."""
+    actor = ActorParams.init(DESK, np.random.default_rng(30))
+    for name in ("dec.final.Wq", "dec.final.Wk"):
+        actor.params[name].data = actor.params[name].data * np.float32(1e30)
+    feats = np.random.default_rng(31).random((1, 10, 4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            greedy_tours(feats[0], [actor])
+        with pytest.raises(NonFiniteError):
+            rollout_batch(feats, actor, "sample", rng=np.random.default_rng(0))
 
 
 def test_forced_tours_must_be_permutations():

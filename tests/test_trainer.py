@@ -185,7 +185,7 @@ def test_iteration_metrics_are_finite_and_positive():
     assert all(math.isfinite(v) for v in metrics.values())
 
 
-def test_divergence_is_reported(monkeypatch):
+def test_divergence_is_reported(monkeypatch, diverge_on_call):
     actor, critic = fresh_pair(3)
     actor.params["enc.init.W"].data[0, 0] = float("nan")
     cfg = tiny_run(n_nodes=4, batch_size=4, dataset_size=8)
@@ -195,6 +195,17 @@ def test_divergence_is_reported(monkeypatch):
                             Adam(actor.trainable(), 1e-4),
                             Adam(critic.trainable(), 1e-4))
     assert "weights" in err.value.snapshot
+
+    # train_subproblem adds the failing iteration and the last finite metrics row
+    diverge_on_call(3)
+    actor, critic = fresh_pair(3)
+    with pytest.raises(TrainingDivergedError) as err:
+        train_subproblem((0.5, 0.5), actor, critic, cfg, 2, np.random.default_rng(0))
+    snapshot = err.value.snapshot
+    assert snapshot["iteration"] == 3
+    last = snapshot["last_metrics"]
+    assert last["iteration"] == 2
+    assert all(math.isfinite(last[k]) for k in ("mean_gws", "critic_loss", "grad_norm"))
 
 
 def test_actor_gradient_invariant_to_common_cost_shift():
