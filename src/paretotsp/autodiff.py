@@ -359,14 +359,6 @@ class BatchNormState:
         self.running_mean = np.zeros(dim, dtype=dtype)
         self.running_var = np.ones(dim, dtype=dtype)
 
-    @classmethod
-    def of(cls, scale: Array, shift: Array, running_mean, running_var) -> "BatchNormState":
-        """A state that holds the given arrays."""
-        self = cls.__new__(cls)
-        self.scale, self.shift = scale, shift
-        self.running_mean, self.running_var = running_mean, running_var
-        return self
-
 
 def batch_norm(x: Array, state: BatchNormState, mode: str) -> Array:
     """Per-feature normalization of an (B, d) array.

@@ -33,7 +33,6 @@ differentiates (the sampling loop, and the whole of `greedy_tours`) runs on
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -108,59 +107,34 @@ class _Params:
             out[f"{name}.running_var"] = state.running_var
         return out
 
-    def _checked(self, arrays: dict[str, np.ndarray], shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
-        """`arrays` in this dtype and in the order of `shapes`, whose names and
-        shapes they must have."""
-        if set(arrays) != set(shapes):
-            missing = set(shapes) - set(arrays)
-            extra = set(arrays) - set(shapes)
-            raise ContractError(f"{type(self).__name__} state mismatch: "
+    @classmethod
+    def from_state(cls, key, arrays: dict[str, np.ndarray], dtype=np.float32):
+        """A `cls` built on `key` (an actor's config, a critic's channels) that
+        holds `arrays`, whose names and shapes must be those of its
+        `state_arrays`. Their values are not checked here: `read_checkpoint`
+        rejects a NaN or Inf it reads, and every op checks what it reads."""
+        self = cls.zeros(key, dtype)
+        expected = self.state_arrays()
+        if set(arrays) != set(expected):
+            missing = set(expected) - set(arrays)
+            extra = set(arrays) - set(expected)
+            raise ContractError(f"{cls.__name__} state mismatch: "
                                 f"missing={sorted(missing)} extra={sorted(extra)}")
-        out = {}
-        for name, shape in shapes.items():
-            out[name] = np.asarray(arrays[name], dtype=self.dtype)
-            if out[name].shape != shape:
-                raise DimensionError(f"{name}: shape {out[name].shape} != {shape}")
-        return out
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Overwrite every array in place; names and shapes must match."""
-        state = self._checked(arrays, {name: a.shape for name, a in self.state_arrays().items()})
+        state = {}
+        for name, blank in expected.items():
+            state[name] = np.asarray(arrays[name], dtype=self.dtype)
+            if state[name].shape != blank.shape:
+                raise DimensionError(f"{name}: shape {state[name].shape} != {blank.shape}")
         for name, p in self.params.items():
             p.data = state[name]
         for name, bn in self.bn.items():
             bn.running_mean = state[f"{name}.running_mean"]
             bn.running_var = state[f"{name}.running_var"]
-
-    @classmethod
-    def from_state(cls, key, arrays: dict[str, np.ndarray], dtype=np.float32):
-        """A new `cls(key, dtype)` (key: an actor's config, a critic's
-        channels) that holds `arrays`, named and shaped as its `state_arrays`
-        would be. No zero-filled arrays are built; the layout to check against
-        is read once per key off a zero-filled twin."""
-        self = cls(key, dtype)
-        state = self._checked(arrays, dict(_layout(cls, self._key)))
-        for name, arr in state.items():        # every param precedes the running stats
-            if name.endswith(".running_mean"):
-                layer = name[:-len(".running_mean")]
-                self.bn[layer] = ad.BatchNormState.of(self.params[f"{layer}.scale"],
-                                                      self.params[f"{layer}.shift"],
-                                                      arr, state[f"{layer}.running_var"])
-            elif not name.endswith(".running_var"):
-                self.params[name] = ad.param(arr, dtype=self.dtype)
         return self
 
     def copy(self):
         return type(self).from_state(self._key, {k: v.copy() for k, v in self.state_arrays().items()},
                                      self.dtype)
-
-
-@functools.lru_cache(maxsize=16)
-def _layout(cls, key) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """(name, shape) of every state array of a `cls` built on `key`, in
-    `state_arrays` order."""
-    blank = cls.zeros(key) if cls is ActorParams else cls.zeros(channels=key)
-    return tuple((name, arr.shape) for name, arr in blank.state_arrays().items())
 
 
 class ActorParams(_Params):
@@ -187,8 +161,7 @@ class ActorParams(_Params):
 
     @classmethod
     def zeros(cls, cfg: ModelConfig, dtype=np.float32) -> "ActorParams":
-        """Every array at its shape, zero-filled: a target for `load_state`
-        that draws no random numbers."""
+        """Every array at its shape, zero-filled, drawing no random numbers."""
         return cls._build(cfg, dtype, lambda *shape: np.zeros(shape, dtype))
 
     @classmethod
@@ -244,8 +217,8 @@ class CriticParams(_Params):
         return cls._build(channels, dtype, lambda bound, shape: rng.uniform(-bound, bound, shape))
 
     @classmethod
-    def zeros(cls, dtype=np.float32, channels=DEFAULT_CRITIC_CHANNELS) -> "CriticParams":
-        """Every array at its shape, zero-filled: a target for `load_state`."""
+    def zeros(cls, channels=DEFAULT_CRITIC_CHANNELS, dtype=np.float32) -> "CriticParams":
+        """Every array at its shape, zero-filled."""
         return cls._build(channels, dtype, lambda bound, shape: np.zeros(shape, dtype))
 
     @classmethod

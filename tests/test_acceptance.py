@@ -19,7 +19,7 @@ from paretotsp.evaluation import (Front, approximate_pf, compute_hv_protocol,
                                   hypervolume_2d, pareto_filter_indices)
 from paretotsp.instances import (MotspInstance, evaluate_objectives,
                                  tour_costs_batch)
-from paretotsp.model import (ActorParams, CriticParams, ModelConfig,
+from paretotsp.model import (DEFAULT_CRITIC_CHANNELS, ActorParams, CriticParams, ModelConfig,
                              critic_batch, rollout_batch)
 from paretotsp.trainer import train_subproblem
 
@@ -62,10 +62,8 @@ def _pipeline_error(seed: int) -> float:
     picked_c = c_names[seed % len(c_names)]
 
     def build(leaves):
-        a2 = ActorParams.init(PIPE_CFG, np.random.default_rng(0), dtype=np.float64)
-        a2.load_state(actor_state)
-        c2 = CriticParams.init(np.random.default_rng(0), dtype=np.float64)
-        c2.load_state(critic_state)
+        a2 = ActorParams.from_state(PIPE_CFG, actor_state, np.float64)
+        c2 = CriticParams.from_state(DEFAULT_CRITIC_CHANNELS, critic_state, np.float64)
         a2.params[picked_a] = leaves[0]
         c2.params[picked_c] = leaves[1]
         # batch-norm scale/shift are read through the BN state, not the dict

@@ -10,8 +10,8 @@ from paretotsp.decomposition import RunConfig
 from paretotsp.errors import (ContractError, DimensionError,
                               NoFeasibleActionError, NonFiniteError)
 from paretotsp.instances import MotspInstance
-from paretotsp.model import (_GROUP, ActorParams, BatchDecodeState, CriticParams,
-                             ModelConfig, _decode_step_batch, _Decoder,
+from paretotsp.model import (_GROUP, DEFAULT_CRITIC_CHANNELS, ActorParams, BatchDecodeState,
+                             CriticParams, ModelConfig, _decode_step_batch, _Decoder,
                              critic_batch, encode_batch, greedy_tours, rollout,
                              rollout_batch)
 
@@ -589,8 +589,8 @@ def test_critic_gradient_matches_finite_differences():
 def test_actor_state_round_trip():
     actor = tiny_actor(40)
     state = {k: v.copy() for k, v in actor.state_arrays().items()}
-    other = tiny_actor(41)
-    other.load_state(state)
+    other = ActorParams.from_state(TINY, state, np.float64)
+    assert list(other.state_arrays()) == list(state)
     for k, v in actor.state_arrays().items():
         np.testing.assert_array_equal(other.state_arrays()[k], v)
 
@@ -600,20 +600,24 @@ def test_actor_load_rejects_wrong_names():
     state = actor.state_arrays()
     broken = dict(state)
     broken.pop("dec.v1")
-    with pytest.raises(ContractError):
-        actor.load_state(broken)
+    with pytest.raises(ContractError, match=r"missing=\['dec.v1'\]"):
+        ActorParams.from_state(TINY, broken, np.float64)
     extra = dict(state)
     extra["bogus"] = np.zeros(3)
-    with pytest.raises(ContractError):
-        actor.load_state(extra)
+    with pytest.raises(ContractError, match=r"extra=\['bogus'\]"):
+        ActorParams.from_state(TINY, extra, np.float64)
+    critic_state = dict(CriticParams.init(np.random.default_rng(42)).state_arrays())
+    critic_state["conv9.b"] = critic_state.pop("conv1.b")
+    with pytest.raises(ContractError, match="CriticParams state mismatch"):
+        CriticParams.from_state(DEFAULT_CRITIC_CHANNELS, critic_state)
 
 
 def test_actor_load_rejects_wrong_shape():
     actor = tiny_actor(43)
     state = {k: v.copy() for k, v in actor.state_arrays().items()}
     state["dec.v1"] = np.zeros(3)
-    with pytest.raises(DimensionError):
-        actor.load_state(state)
+    with pytest.raises(DimensionError, match="dec.v1"):
+        ActorParams.from_state(TINY, state, np.float64)
 
 
 def test_copies_are_independent():
@@ -667,8 +671,7 @@ def test_fused_model_matches_per_head_oracle():
         heads[f"{bn}.running_var"] = rng.uniform(0.8, 1.2, 16)
         heads[f"{bn}.scale"] = rng.uniform(0.5, 1.5, 16)
         heads[f"{bn}.shift"] = rng.standard_normal(16) * 0.1
-    actor = ActorParams.zeros(cfg, dtype=np.float64)
-    actor.load_state(fuse_heads(heads))
+    actor = ActorParams.from_state(cfg, fuse_heads(heads), np.float64)
     feats = rng.random((3, 7, 4))
 
     enc = encode_batch(feats, actor, "infer")
