@@ -1,13 +1,18 @@
 """Minimal reverse-mode differentiation over dense numpy arrays.
 
-Arrays are immutable once created; every operation records its inputs and a
-backward closure on the implicit tape (the creation-ordered graph of Array
-nodes), so `backward` on a scalar loss fills `.grad` on every reachable
-parameter. There is no implicit broadcasting: each op states the exact shapes
-it accepts and raises DimensionError otherwise. Forward outputs are checked
-for NaN/Inf on creation. Each op computes its forward with the kernel of the
-same name in `plain`; a forward pass that nothing differentiates runs on
-those kernels directly and builds no Array.
+Arrays are immutable once created. Each op result that needs a gradient gets
+a node on the implicit tape (the creation-ordered graph of nodes), so
+`backward` on a scalar loss fills `.grad` on every reachable parameter. A node
+holds its parents' nodes, its backward closure and its creation id, but no
+data; a trainable leaf is its own node. A closure keeps only the ndarrays it
+reads (the inputs of `matmul`, `bmm`, `mul` and `log`, the outputs of `relu`,
+`tanh` and the softmaxes, `batch_norm`'s normalized input), so the tape frees
+an intermediate's data with its Array unless a closure reads it. There is no
+implicit broadcasting: each op states the exact shapes it accepts and raises
+DimensionError otherwise. Forward outputs are checked for NaN/Inf on
+creation. Each op computes its forward with the kernel of the same name in
+`plain`; a forward pass that nothing differentiates runs on those kernels
+directly and builds no Array.
 """
 
 from __future__ import annotations
@@ -30,14 +35,29 @@ from .plain import BN_EPS  # re-exported: batch_norm's epsilon
 _ids = itertools.count()
 
 
+class _Node:
+    """An op result's place on the tape: its parents' nodes (None for a parent
+    that needs no gradient), its backward closure and its creation id."""
+
+    __slots__ = ("_parents", "_backward", "_id")
+
+    def __init__(self, parents, backward, node_id):
+        self._parents, self._backward, self._id = parents, backward, node_id
+
+
+def _link(a: Array):
+    """The node that stands for `a` on the tape, or None if it needs no gradient."""
+    return a._node if a._node is not None else (a if a.requires_grad else None)
+
+
 class Array:
-    """A dense real array plus its place on the tape.
+    """A dense real array plus, if it needs a gradient, its place on the tape.
 
     `data` is never written after construction. `grad` accumulates across
     backward calls until `zero_grad`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_id")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_op", "_id")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None, _op: str = "leaf"):
         arr = np.asarray(data)
@@ -48,10 +68,14 @@ class Array:
         self.data = arr
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
-        self._parents = _parents
-        self._backward = _backward
         self._op = _op
         self._id = next(_ids)
+        self._node = (_Node(tuple(map(_link, _parents)), _backward, self._id)
+                      if self.requires_grad and _backward is not None else None)
+
+    # Its node's backward closure, or None; settable, so a tracer can wrap it.
+    _backward = property(lambda self: self._node and self._node._backward,
+                         lambda self, back: setattr(self._node, "_backward", back))
 
     @property
     def shape(self):
@@ -104,32 +128,34 @@ def backward(loss: Array) -> None:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
     reachable = []
     seen = set()
-    stack = [loss]
+    root = _link(loss)
+    stack = [root]
     while stack:
         node = stack.pop()
-        if id(node) in seen or not node.requires_grad:
+        if node is None or id(node) in seen:
             continue
         seen.add(id(node))
         reachable.append(node)
-        stack.extend(node._parents)
+        if type(node) is _Node:
+            stack.extend(node._parents)
     # Nodes are created in topological order, so popping the highest id first
     # is a valid reverse-topological sweep of the reachable subgraph.
     reachable.sort(key=lambda n: n._id)
 
-    staged = {id(loss): np.ones((), dtype=loss.dtype)}
+    staged = {id(root): np.ones((), dtype=loss.dtype)}
     while reachable:
         node = reachable.pop()
         g = staged.pop(id(node), None)
         if g is None:
             continue
-        if node._backward is None:
+        if type(node) is Array:
             node.accumulate_grad(g)
             continue
         parent_grads = node._backward(g)
         parents = node._parents
         node._backward, node._parents = _spent, ()
         for parent, pg in zip(parents, parent_grads):
-            if pg is None or not parent.requires_grad:
+            if pg is None or parent is None:
                 continue
             key = id(parent)
             if key in staged:
@@ -153,12 +179,12 @@ def matmul(a: Array, b: Array) -> Array:
     _require_2d(b, "matmul")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    out_data = plain.matmul(a.data, b.data)
+    x, y = a.data, b.data
 
     def back(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ y.T, x.T @ g
 
-    return Array(out_data, _parents=(a, b), _backward=back, _op="matmul")
+    return Array(plain.matmul(x, y), _parents=(a, b), _backward=back, _op="matmul")
 
 
 def bmm(a: Array, b: Array) -> Array:
@@ -167,12 +193,12 @@ def bmm(a: Array, b: Array) -> Array:
         raise DimensionError(f"bmm expects 3-D arrays, got {a.shape} and {b.shape}")
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise DimensionError(f"bmm shapes disagree: {a.shape} vs {b.shape}")
-    out_data = plain.bmm(a.data, b.data)
+    x, y = a.data, b.data
 
     def back(g):
-        return g @ np.swapaxes(b.data, 1, 2), np.swapaxes(a.data, 1, 2) @ g
+        return g @ np.swapaxes(y, 1, 2), np.swapaxes(x, 1, 2) @ g
 
-    return Array(out_data, _parents=(a, b), _backward=back, _op="bmm")
+    return Array(plain.bmm(x, y), _parents=(a, b), _backward=back, _op="bmm")
 
 
 def add(a: Array, b: Array) -> Array:
@@ -200,11 +226,12 @@ def add_bias(x: Array, b: Array) -> Array:
 def mul(a: Array, b: Array) -> Array:
     if a.shape != b.shape:
         raise DimensionError(f"mul shapes disagree: {a.shape} vs {b.shape}")
+    x, y = a.data, b.data
 
     def back(g):
-        return g * b.data, g * a.data
+        return g * y, g * x
 
-    return Array(plain.mul(a.data, b.data), _parents=(a, b), _backward=back, _op="mul")
+    return Array(plain.mul(x, y), _parents=(a, b), _backward=back, _op="mul")
 
 
 def scale(x: Array, c: float) -> Array:
@@ -217,12 +244,12 @@ def scale(x: Array, c: float) -> Array:
 
 
 def relu(x: Array) -> Array:
-    data = x.data
+    out = plain.relu(x.data)
 
     def back(g):
-        return (g * (data > 0),)
+        return (g * (out > 0),)   # out > 0 exactly where x > 0
 
-    return Array(plain.relu(data), _parents=(x,), _backward=back, _op="relu")
+    return Array(out, _parents=(x,), _backward=back, _op="relu")
 
 
 def tanh(x: Array) -> Array:
@@ -235,10 +262,12 @@ def tanh(x: Array) -> Array:
 
 
 def log(x: Array) -> Array:
-    def back(g):
-        return (g / x.data,)
+    data = x.data
 
-    return Array(plain.log(x.data), _parents=(x,), _backward=back, _op="log")
+    def back(g):
+        return (g / data,)
+
+    return Array(plain.log(data), _parents=(x,), _backward=back, _op="log")
 
 
 def concat(parts: list[Array], axis: int = -1) -> Array:
@@ -316,9 +345,10 @@ def gather_rows(x: Array, idx) -> Array:
     n = x.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise BoundsError(f"gather_rows index out of range for {n} rows")
+    shape, dtype = x.shape, x.dtype
 
     def back(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype)
         np.add.at(gx, idx, g)
         return (gx,)
 

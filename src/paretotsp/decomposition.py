@@ -221,7 +221,7 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
             fail(f"bad dimensions for array {name!r}")
         if any(d < 0 for d in dims):
             fail(f"negative dimension for array {name!r}")
-        nbytes = 4 * int(np.prod(dims, dtype=np.int64)) if dims else 4
+        nbytes = 4 * math.prod(dims)     # Python ints: a huge shape cannot wrap to a small size
         if pos + nbytes > len(data):
             fail(f"truncated data for array {name!r}")
         arrays[name] = np.frombuffer(data[pos:pos + nbytes], dtype="<f4").reshape(dims).copy()

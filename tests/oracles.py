@@ -358,26 +358,29 @@ def sequential_rollout(features: np.ndarray, actor, mode: str, rng=None, bn_mode
 
 
 def sequential_backward(loss: ad.Array) -> None:
-    """`ad.backward` without freeing: sort the reachable nodes once, newest
-    first, and run every closure, leaving the graph intact."""
-    reachable, seen, stack = [], set(), [loss]
+    """`ad.backward` without freeing: walk the tape's node links from the
+    loss, sort the reachable nodes once, newest first, and run every closure,
+    leaving the graph intact."""
+    root = ad._link(loss)
+    reachable, seen, stack = [], set(), [root]
     while stack:
         node = stack.pop()
-        if id(node) in seen or not node.requires_grad:
+        if node is None or id(node) in seen:
             continue
         seen.add(id(node))
         reachable.append(node)
-        stack.extend(node._parents)
+        if isinstance(node, ad._Node):
+            stack.extend(node._parents)
     reachable.sort(key=lambda n: n._id, reverse=True)
-    staged = {id(loss): np.ones((), dtype=loss.dtype)}
+    staged = {id(root): np.ones((), dtype=loss.dtype)}
     for node in reachable:
         g = staged.pop(id(node), None)
         if g is None:
             continue
-        if node._backward is None:
+        if isinstance(node, ad.Array):
             node.accumulate_grad(g)
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None or not parent.requires_grad:
+            if pg is None or parent is None:
                 continue
             staged[id(parent)] = staged[id(parent)] + pg if id(parent) in staged else pg

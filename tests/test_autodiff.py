@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,10 +294,30 @@ def test_backward_frees_the_graph_and_refuses_a_second_sweep():
     hidden = ad.mul(p, p)
     loss = to_scalar(hidden)
     ad.backward(loss)
-    assert hidden._parents == () and loss._parents == ()
+    assert hidden._node._parents == () and loss._node._parents == ()
     with pytest.raises(ContractError, match="already consumed"):
         ad.backward(loss)
     np.testing.assert_array_equal(p.grad, [2.0, -1.0])
+
+
+def test_the_tape_frees_intermediates_that_no_closure_reads():
+    """add_bias reads neither input and relu reads only its output, so the
+    data of a matmul under add_bias and of an add_bias under relu die with
+    their Arrays; the gradients still match the sweep that keeps the graph."""
+    rng = np.random.default_rng(3)
+    inputs = [rng.standard_normal((4, 3)), rng.standard_normal((3, 5)), rng.standard_normal(5)]
+    grads = []
+    for sweep in (ad.backward, sequential_backward):
+        x, w, b = (ad.param(v) for v in inputs)
+        product = ad.matmul(x, w)
+        biased = ad.add_bias(product, b)
+        loss = to_scalar(ad.relu(biased))
+        freed = [weakref.ref(product.data), weakref.ref(biased.data)]
+        del product, biased
+        assert [ref() for ref in freed] == [None, None]
+        sweep(loss)
+        grads.append([leaf.grad.tobytes() for leaf in (x, w, b)])
+    assert grads[0] == grads[1]
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +330,7 @@ def test_plain_forward_builds_no_array_and_equals_the_taped_forward():
     h = plain.tanh(plain.relu(plain.matmul(p.data, plain.transpose_last2(p.data))))
     assert type(h) is np.ndarray
     assert h.tobytes() == taped.data.tobytes()
-    assert p.grad is None and p._parents == ()
+    assert p.grad is None and p._node is None
 
 
 def test_plain_kernels_reject_inputs_that_would_hide_a_non_finite_value():

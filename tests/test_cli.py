@@ -425,6 +425,22 @@ def test_solve_rejects_non_finite_checkpoint(trained, tmp_path, capsys):
     assert "model_2.ckpt" in err and "actor.dec.Wq" in err
 
 
+def test_solve_rejects_a_checkpoint_shape_whose_size_overflows_int64(trained, tmp_path, capsys):
+    """2**32 x 2**32 elements wrap to 0 in int64; the reader must still see
+    that the file is far too short for them."""
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(trained["ckpt"], ckpt)
+    path = ckpt / checkpoint_name(2)
+    magic, count, first, rest = path.read_bytes().split(b"\n", 3)
+    name = first.split(b" ")[0]
+    path.write_bytes(b"\n".join([magic, count, name + b" 4294967296 4294967296", rest]))
+    assert main(["gen", "--n", "4", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert main(["solve", "--ckpt", str(ckpt), "--instance", str(tmp_path / "rand_n4_s0_0.motsp"),
+                 "--out", str(tmp_path / "pf.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "model_2.ckpt" in err and "truncated data" in err and name.decode() in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_solve_rejects_a_non_finite_instance_feature(trained, tmp_path, capsys, value):
     path = tmp_path / "bad.motsp"

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -89,6 +91,24 @@ def test_adam_skips_missing_gradients():
     opt.step()
     assert p.data[0] == 3.0
     assert q.data[0] != 4.0
+
+
+def test_an_actor_after_backward_and_adam_is_freed_without_the_cycle_collector():
+    """Nothing on the tape or in the optimizer points back at the actor, so
+    refcounting alone frees it once the caller lets go."""
+    actor, _ = fresh_pair()
+    rng = np.random.default_rng(1)
+    gc.disable()
+    try:
+        _, logp, _ = rollout_batch(rng.random((4, 5, 4)), actor, mode="sample", rng=rng,
+                                   bn_mode="train")
+        ad.backward(ad.mean_over_axis(logp, 0))
+        Adam(actor.trainable(), lr=1e-3).step()
+        data = weakref.ref(actor.params["dec.Wq"].data)
+        del actor, logp
+        assert data() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
