@@ -10,8 +10,7 @@ approximate the Pareto front, scored by exact bi-objective hypervolume.
 from .autodiff import Array, backward, constant, param
 from .decomposition import (RunConfig, SubproblemSchedule, load_models,
                             make_weights, run_schedule, save_models)
-from .errors import (BatchTooSmallError, BoundsError, ContractError,
-                     DimensionError, NoFeasibleActionError, NonFiniteError,
+from .errors import (ContractError, DimensionError, NonFiniteError,
                      ParseError, TrainingDivergedError)
 from .evaluation import (Front, approximate_pf, compute_hv_protocol,
                          hypervolume_2d, normalize, read_pf_csv,
@@ -24,10 +23,9 @@ from .trainer import Adam, TrainReport, reinforce_iteration, train_subproblem
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActorParams", "Adam", "Array", "BatchTooSmallError", "BoundsError",
-    "ContractError", "CriticParams", "DimensionError", "Front", "ModelConfig",
-    "MotspInstance", "NoFeasibleActionError", "NonFiniteError", "ParseError",
-    "RunConfig", "SubproblemSchedule", "TrainReport", "TrainingDivergedError",
+    "ActorParams", "Adam", "Array", "ContractError", "CriticParams",
+    "DimensionError", "Front", "ModelConfig", "MotspInstance", "NonFiniteError",
+    "ParseError", "RunConfig", "SubproblemSchedule", "TrainReport", "TrainingDivergedError",
     "approximate_pf", "backward", "compute_hv_protocol", "constant",
     "evaluate_objectives", "hypervolume_2d", "load_models", "load_native",
     "load_tsplib_pair", "make_weights", "normalize", "param", "read_pf_csv",

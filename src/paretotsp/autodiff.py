@@ -23,13 +23,7 @@ import math
 import numpy as np
 
 from . import plain
-from .errors import (
-    BatchTooSmallError,
-    BoundsError,
-    ContractError,
-    DimensionError,
-    NonFiniteError,
-)
+from .errors import ContractError, DimensionError, NonFiniteError
 from .plain import BN_EPS  # re-exported: batch_norm's epsilon
 
 _ids = itertools.count()
@@ -344,7 +338,7 @@ def gather_rows(x: Array, idx) -> Array:
         raise DimensionError("gather_rows expects a 1-D index list")
     n = x.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise BoundsError(f"gather_rows index out of range for {n} rows")
+        raise ContractError(f"gather_rows index out of range for {n} rows")
     shape, dtype = x.shape, x.dtype
 
     def back(g):
@@ -406,7 +400,7 @@ def batch_norm(x: Array, state: BatchNormState, mode: str) -> Array:
 
     if mode == "train":
         if rows < 2:
-            raise BatchTooSmallError("batch_norm train mode needs at least 2 rows")
+            raise ContractError("batch_norm train mode needs at least 2 rows")
         mean = x.data.mean(axis=0)
         var = x.data.var(axis=0)
         xhat, inv_std, out = plain.normalize(x.data, mean, var, state.scale.data, state.shift.data)

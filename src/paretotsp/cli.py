@@ -20,7 +20,7 @@ import numpy as np
 
 from . import decomposition as dec
 from . import evaluation as ev
-from .errors import ContractError, NonFiniteError, ParseError, TrainingDivergedError
+from .errors import ContractError, NonFiniteError, ParseError, TrainingDivergedError, read_text
 from .instances import (MotspInstance, evaluate_objectives, load_native,
                         load_tsplib_pair, save_native)
 
@@ -29,10 +29,8 @@ CKPT_ROOT_ENV = "PARETOTSP_CKPT_ROOT"
 
 def parse_config_file(path) -> dict[str, str]:
     """Flat key=value lines; blank lines and full-line # comments ignored."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     mapping: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         s = raw.strip()
         if not s or s.startswith("#"):
             continue
@@ -162,10 +160,10 @@ def cmd_plot(args) -> int:
         blocks.append("\n".join(f"{ev.format_float(p[0])} {ev.format_float(p[1])}" for p in pts))
         legend.append(f"{k} {Path(path).stem}")
     out = Path(args.out)
-    with open(out, "w", encoding="ascii") as fh:
+    with open(out, "w", encoding="utf-8") as fh:
         fh.write("\n\n".join(blocks) + "\n")
     legend_path = out.with_name(out.name + ".legend")
-    with open(legend_path, "w", encoding="ascii") as fh:
+    with open(legend_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(legend) + "\n")
     print(f"wrote {len(blocks)} block(s) to {out} (legend: {legend_path})")
     return 0

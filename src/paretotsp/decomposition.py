@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ParseError, TrainingDivergedError
+from .errors import ContractError, ParseError, TrainingDivergedError, read_text
 from .instances import PRNG_NAME
 from .model import DEFAULT_CRITIC_CHANNELS, ActorParams, CriticParams, ModelConfig
 from .trainer import train_subproblem
@@ -297,8 +297,7 @@ def load_manifest(path) -> tuple[RunConfig, list[int]]:
     if not path.is_file():
         path = path / MANIFEST_NAME
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(path))
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(path, None, f"unreadable manifest: {exc}") from exc
     if not isinstance(doc, dict):

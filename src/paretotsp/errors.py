@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text reader whose
+decode errors are `ParseError`s."""
 
 
 class ContractError(ValueError):
@@ -7,18 +8,6 @@ class ContractError(ValueError):
 
 class DimensionError(ContractError):
     """Operand shapes are incompatible."""
-
-
-class BoundsError(ContractError):
-    """An index is out of range."""
-
-
-class NoFeasibleActionError(ContractError):
-    """Every candidate entry is masked out."""
-
-
-class BatchTooSmallError(ContractError):
-    """Batch statistics requested over fewer than two rows."""
 
 
 class NonFiniteError(RuntimeError):
@@ -44,3 +33,15 @@ class ParseError(ValueError):
         super().__init__(f"{where}: {message}")
         self.path = str(path)
         self.line_no = line_no
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file `path`; an undecodable byte is a ParseError
+    that names its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
+                         f"not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}") from exc

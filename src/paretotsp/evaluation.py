@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ParseError
+from .errors import ContractError, DimensionError, ParseError, read_text
 from .instances import MotspInstance, evaluate_objectives
 
 log = logging.getLogger(__name__)
@@ -186,8 +186,7 @@ def read_pf_csv(path) -> Front:
     """Parse a PF CSV back into a front; malformed rows, tours that are not
     permutations or differ in length from the first row's, and rows that
     another row dominates or duplicates, name their line."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != PF_CSV_HEADER:
         raise ParseError(path, 1, f"expected header {PF_CSV_HEADER!r}")
     subproblems, objectives, tours, line_nos = [], [], [], []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, read_text
 
 PRNG_NAME = "numpy-pcg64"  # np.random.default_rng; recorded in manifests
 
@@ -97,8 +97,7 @@ def save_native(inst: MotspInstance, path) -> None:
 
 
 def load_native(path) -> MotspInstance:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError(path, 1, "empty file")
     head = lines[0].split()
@@ -144,8 +143,7 @@ def _parse_tsplib(path) -> np.ndarray:
     """Read one EUC_2D TSPLIB file; returns (n, 2) raw coordinates."""
     dimension = None
     coords = None
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     i = 0
     while i < len(lines):
         line = lines[i].strip()
@@ -157,11 +155,11 @@ def _parse_tsplib(path) -> np.ndarray:
         if line == "NODE_COORD_SECTION":
             if dimension is None:
                 raise ParseError(path, i, "NODE_COORD_SECTION before DIMENSION")
+            if len(lines) - i < dimension:      # checked before allocating for them
+                raise ParseError(path, len(lines), f"expected {dimension} coordinate lines")
             coords = np.empty((dimension, 2))
             filled = np.zeros(dimension, dtype=bool)
             for k in range(dimension):
-                if i >= len(lines):
-                    raise ParseError(path, i, f"expected {dimension} coordinate lines")
                 parts = lines[i].split()
                 i += 1
                 if len(parts) != 3:
@@ -192,6 +190,8 @@ def _parse_tsplib(path) -> np.ndarray:
                     dimension = int(value)
                 except ValueError as exc:
                     raise ParseError(path, i, f"bad DIMENSION: {exc}") from exc
+                if dimension < 2:
+                    raise ParseError(path, i, f"DIMENSION must be >= 2, got {dimension}")
             continue
         raise ParseError(path, i, f"unrecognized line {line!r}")
     if coords is None:

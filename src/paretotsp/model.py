@@ -375,10 +375,10 @@ class BatchDecodeState:
         self.t += 1
 
 
-def _decode_step_batch(state: BatchDecodeState, actor: "ActorParams | _Decoder", ops=ad):
-    """Step t's probabilities (B, n) over the nodes, for `state`'s encoding."""
-    cfg = actor.cfg
-    p = actor.params
+def _decode_step_batch(state: BatchDecodeState, cfg: ModelConfig, p, ops=ad):
+    """Step t's probabilities (B, n) over the nodes, for `state`'s encoding,
+    under the weights `p`: an actor's, or a group's with one leading row per
+    actor."""
     enc = state.enc
     batch, n = enc.batch, enc.n
     d_h, heads = cfg.d_h, cfg.n_heads
@@ -398,18 +398,16 @@ def _decode_step_batch(state: BatchDecodeState, actor: "ActorParams | _Decoder",
     context = ops.concat([enc.graph, first, last], axis=1)     # (B, 3*d_h)
 
     q = ops.reshape(_linear(context, p["dec.Wq"], ops=ops), (batch * heads, 1, cfg.d_k))
-    return ops.reshape(_attend(q, state.visited[:, None, :], enc, actor, ops), (batch, n))
+    return ops.reshape(_attend(q, state.visited[:, None, :], enc, cfg, p, ops), (batch, n))
 
 
-def _attend(q, visited: np.ndarray, enc: EncodedBatch, actor, ops=ad):
+def _attend(q, visited: np.ndarray, enc: EncodedBatch, cfg: ModelConfig, p, ops=ad):
     """The decoder's glimpse and pointer for S query rows per instance.
 
     q (B*H, S, d_k) holds each row's projected context, per head; visited
     (B, S, n) masks each row's placed nodes. Returns the pointer's
     probabilities (B, S, n).
     """
-    cfg = actor.cfg
-    p = actor.params
     batch, steps, n = visited.shape
     heads = cfg.n_heads
     compat = ops.scale(ops.reshape(ops.bmm(q, enc.keys_t), (batch, heads, steps, n)),
@@ -430,28 +428,22 @@ def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return (cdf < u[:, None]).sum(axis=1).astype(np.intp)
 
 
-def rollout_batch(features: np.ndarray, actor: ActorParams, mode: str,
-                  rng: np.random.Generator | None = None, bn_mode: str = "infer",
-                  want_step_probs: bool = False,
-                  forced_tours: np.ndarray | None = None):
+def rollout_batch(features: np.ndarray, actor: ActorParams, rng: np.random.Generator | None = None,
+                  bn_mode: str = "infer", forced_tours: np.ndarray | None = None):
     """Construct one tour per instance; returns (tours, log-prob Array, step probs).
 
-    `mode` is "sample" (draws each node from the decode distribution; needs
-    rng) or "greedy" (argmax, ties to the lowest index). The log-probability
-    is the tape-connected sum of log-probabilities of the chosen nodes.
     `forced_tours`, whose rows must be permutations of range(n), replays
-    given tours instead of choosing, to score their log-probability under the
-    current parameters.
+    given tours, to score them under the current parameters. Otherwise each
+    node is drawn from the decode distribution if `rng` is given, or is its
+    argmax (ties to the lowest index) if not. The log-probability is the
+    tape-connected sum of log-probabilities of the chosen nodes; the step
+    probs are the n (B, n) distributions the chosen nodes were taken from.
 
     The encoding, with the decoder's key and value projections, is built on
     the tape; the n decode steps that choose the tours run on `plain` ops over
     the encoding's data, and `_score_tours` then puts the chosen tours'
     log-probability on the tape in a single pass.
     """
-    if mode not in ("sample", "greedy"):
-        raise ContractError(f"rollout mode must be 'sample' or 'greedy', got {mode!r}")
-    if mode == "sample" and rng is None and forced_tours is None:
-        raise ContractError("sample mode needs an rng")
     feats = np.asarray(features)
     batch, n = feats.shape[0], feats.shape[1]
     if forced_tours is not None:
@@ -462,27 +454,22 @@ def rollout_batch(features: np.ndarray, actor: ActorParams, mode: str,
         if bad.size:
             raise ContractError(f"forced_tours row {bad[0]} is not a permutation of range({n})")
     enc = encode_batch(feats, actor, bn_mode)
-    tours, step_probs = forced_tours, None
-    if forced_tours is None or want_step_probs:
-        tours, step_probs = _decode(enc.untaped(), _Decoder(actor.cfg, actor.state_arrays()),
-                                    mode, rng, want_step_probs, forced_tours)
+    tours, step_probs = _decode(enc.untaped(), actor.cfg, actor.state_arrays(), rng, forced_tours)
     return tours, _score_tours(enc, actor, tours), step_probs
 
 
-def _decode(enc: EncodedBatch, decoder: "_Decoder", mode: str, rng=None,
-            want_step_probs: bool = False, forced_tours: np.ndarray | None = None):
-    """The n plain decode steps of the ndarray encoding `enc`; returns (tours, step probs)."""
+def _decode(enc: EncodedBatch, cfg: ModelConfig, p, rng=None, forced_tours: np.ndarray | None = None):
+    """The n plain decode steps of the ndarray encoding `enc` under the
+    weights `p`, choosing as `rollout_batch` does; returns (tours, step probs)."""
     state = BatchDecodeState(enc)
-    batch, n = enc.batch, enc.n
-    tours = np.empty((batch, n), dtype=np.intp)
-    step_probs = [] if want_step_probs else None
-    for t in range(n):
-        probs = _decode_step_batch(state, decoder, plain)
-        if want_step_probs:
-            step_probs.append(probs)
+    tours = np.empty((enc.batch, enc.n), dtype=np.intp)
+    step_probs = []
+    for t in range(enc.n):
+        probs = _decode_step_batch(state, cfg, p, plain)
+        step_probs.append(probs)
         if forced_tours is not None:
             chosen = forced_tours[:, t]
-        elif mode == "sample":
+        elif rng is not None:
             chosen = _sample_rows(probs, rng)
         else:
             chosen = probs.argmax(axis=1).astype(np.intp)
@@ -528,21 +515,12 @@ def _score_tours(enc: EncodedBatch, actor: ActorParams, tours: np.ndarray) -> ad
     q = ad.reshape(ad.permute(ad.reshape(q, (n, batch, heads, d_k)), (1, 2, 0, 3)),
                    (batch * heads, n, d_k))
 
-    probs = _attend(q, visited, enc, actor)                             # (B, step, node)
+    probs = _attend(q, visited, enc, cfg, p)                            # (B, step, node)
     chosen = (base[:, None] + np.arange(n)) * n + tours
     picked = ad.gather_rows(ad.reshape(probs, (batch * n * n, 1)), chosen.reshape(-1))
     step_logp = ad.log(ad.reshape(picked, (batch, n)))
     summed = ad.matmul(step_logp, ad.constant(np.ones((n, 1)), dtype=actor.dtype))   # sum over steps
     return ad.reshape(summed, (batch,))
-
-
-@dataclass
-class _Decoder:
-    """The weights a plain decode step reads, as ndarrays: one actor's, or a
-    group's with one leading row per actor."""
-
-    cfg: ModelConfig
-    params: dict[str, np.ndarray]
 
 
 # Actors per stacked decode. Only one group's parts are held, so the solve's
@@ -563,7 +541,7 @@ def greedy_tours(features: np.ndarray, actors) -> np.ndarray:
     stacked on a leading model axis, so its actors are the batch rows of one
     n-step decode, and the parts are released before the next actor is
     drawn. Row i equals the tour of
-    `rollout_batch(features[None], actor_i, "greedy")`.
+    `rollout_batch(features[None], actor_i)`.
     """
     feats = np.asarray(features)[None, :, :]
     cfg = dtype = None
@@ -591,17 +569,17 @@ def _decode_group(parts: list, cfg: ModelConfig) -> np.ndarray:
     """Greedy tours of the (encoding, decoder weights) `parts`, one row per
     actor, decoded as the batch rows of one stacked loop."""
     encs, weights = zip(*parts)
-    decoder = _Decoder(cfg, {name: np.stack([w[name] for w in weights]) for name in weights[0]})
-    return _decode(EncodedBatch.stack(encs), decoder, "greedy")[0]
+    stacked = {name: np.stack([w[name] for w in weights]) for name in weights[0]}
+    return _decode(EncodedBatch.stack(encs), cfg, stacked)[0]
 
 
-def rollout(inst: MotspInstance, actor: ActorParams, mode: str = "greedy",
-            seed: int | None = None) -> tuple[np.ndarray, float]:
-    """`rollout_batch` on a batch of one; returns the (n,) tour and its log-probability."""
+def rollout(inst: MotspInstance, actor: ActorParams, seed: int | None = None) -> tuple[np.ndarray, float]:
+    """`rollout_batch` on a batch of one, sampling from `seed` if given and
+    greedy if not; returns the (n,) tour and its log-probability."""
     if inst.d_x != actor.cfg.d_x:
         raise DimensionError(f"instance d_x={inst.d_x} != model d_x={actor.cfg.d_x}")
-    rng = np.random.default_rng(seed) if mode == "sample" else None
-    tours, logp, _ = rollout_batch(inst.features[None, :, :], actor, mode, rng=rng)
+    rng = None if seed is None else np.random.default_rng(seed)
+    tours, logp, _ = rollout_batch(inst.features[None, :, :], actor, rng)
     return tours[0], float(logp.data[0])
 
 

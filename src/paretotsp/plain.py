@@ -23,7 +23,7 @@ import operator
 
 import numpy as np
 
-from .errors import ContractError, NoFeasibleActionError, NonFiniteError
+from .errors import ContractError, NonFiniteError
 
 BN_EPS = 1e-5           # added to the variance before the square root
 
@@ -93,7 +93,7 @@ def masked_softmax(logits, mask):
     exactly 0. Stable via max-subtraction over the unmasked entries."""
     finite(logits, "masked_softmax")
     if mask.all(axis=-1).any():
-        raise NoFeasibleActionError("masked_softmax: a row has every entry masked")
+        raise ContractError("masked_softmax: a row has every entry masked")
     shifted = np.where(mask, -np.inf, logits)
     # Every row has a finite maximum, and exp(-inf) is exactly 0.
     ex = np.exp(shifted - shifted.max(axis=-1, keepdims=True))

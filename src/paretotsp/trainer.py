@@ -110,7 +110,7 @@ def reinforce_iteration(weights, actor: ActorParams, critic: CriticParams,
     w = np.asarray(weights, dtype=np.float64)
     feats = sample_batch(cfg, rng, actor.cfg.d_x)
     try:
-        tours, logp, _ = rollout_batch(feats, actor, mode="sample", rng=rng, bn_mode="train")
+        tours, logp, _ = rollout_batch(feats, actor, rng=rng, bn_mode="train")
         costs = tour_costs_batch(feats, tours)          # (B, m)
         gws = costs @ w                                 # (B,) constants
         baseline = critic_batch(feats, critic)          # (B,) on the tape

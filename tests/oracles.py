@@ -330,11 +330,11 @@ def per_head_greedy(features: np.ndarray, arrays: dict, n_heads: int,
 # sequential references
 
 
-def sequential_rollout(features: np.ndarray, actor, mode: str, rng=None, bn_mode: str = "infer",
+def sequential_rollout(features: np.ndarray, actor, rng=None, bn_mode: str = "infer",
                        forced_tours=None) -> tuple[np.ndarray, ad.Array]:
     """(tours, log-prob Array) by the step-by-step decode on the tape: each of
-    the n decoder steps gathers its chosen node's probability, takes the log
-    and adds it to the running sum."""
+    the n decoder steps chooses as `rollout_batch` does, gathers its chosen
+    node's probability, takes the log and adds it to the running sum."""
     enc = encode_batch(np.asarray(features), actor, bn_mode)
     state = BatchDecodeState(enc)
     batch, n = enc.batch, enc.n
@@ -342,10 +342,10 @@ def sequential_rollout(features: np.ndarray, actor, mode: str, rng=None, bn_mode
     rows = np.arange(batch)
     logp = None
     for t in range(n):
-        probs = _decode_step_batch(state, actor)
+        probs = _decode_step_batch(state, actor.cfg, actor.params)
         if forced_tours is not None:
             chosen = np.asarray(forced_tours)[:, t]
-        elif mode == "sample":
+        elif rng is not None:
             chosen = _sample_rows(probs.data, rng)
         else:
             chosen = probs.data.argmax(axis=1).astype(np.intp)

@@ -49,8 +49,7 @@ def _pipeline_error(seed: int) -> float:
     feats = rng.random((2, 4, 4))
     actor = ActorParams.init(PIPE_CFG, rng, dtype=np.float64)
     critic = CriticParams.init(rng, dtype=np.float64)
-    tours, _, _ = rollout_batch(feats, actor, mode="sample",
-                                rng=np.random.default_rng(seed + 1), bn_mode="train")
+    tours, _, _ = rollout_batch(feats, actor, rng=np.random.default_rng(seed + 1), bn_mode="train")
     gws = tour_costs_batch(feats, tours) @ np.array([0.6, 0.4])
     adv = rng.standard_normal(2)
 
@@ -70,7 +69,7 @@ def _pipeline_error(seed: int) -> float:
         base, _, attr = picked_a.rpartition(".")
         if base in a2.bn:
             setattr(a2.bn[base], attr, leaves[0])
-        _, logp, _ = rollout_batch(feats, a2, mode="sample", bn_mode="train",
+        _, logp, _ = rollout_batch(feats, a2, bn_mode="train",
                                    forced_tours=tours)
         actor_term = ad.mean_over_axis(ad.mul(logp, ad.constant(adv)), 0)
         resid = ad.add(critic_batch(feats, c2), ad.constant(-gws))
@@ -107,9 +106,7 @@ def test_rollout_validity(capsys):
     actor = ActorParams.init(PIPE_CFG, rng, dtype=np.float64)
     for n, runs in ((2, 2000), (5, 4000), (20, 4000)):
         feats = rng.random((runs, n, 4))
-        tours, _, probs = rollout_batch(feats, actor, mode="sample",
-                                        rng=np.random.default_rng(n),
-                                        want_step_probs=True)
+        tours, _, probs = rollout_batch(feats, actor, rng=np.random.default_rng(n))
         assert np.all(np.sort(tours, axis=1) == np.arange(n)), f"invalid tour at n={n}"
         for t, p in enumerate(probs):
             worst_sum = max(worst_sum, np.abs(p.sum(axis=1) - 1.0).max())
@@ -172,7 +169,7 @@ def test_small_instance_optimality(capsys, tmp_path):
                      for b in range(20)])
     gaps = np.zeros((20, 5))
     for i, actor in enumerate(actors):
-        tours, _, _ = rollout_batch(feats, actor, mode="greedy")
+        tours, _, _ = rollout_batch(feats, actor)
         gaps[:, i] = (tour_costs_batch(feats, tours) @ weights[i]) / opts[:, i] - 1.0
     elapsed = time.perf_counter() - started
 

@@ -599,6 +599,75 @@ def test_plot_blocks_and_legend(tmp_path, capsys):
     assert legend == ["0 one", "1 two"]
 
 
+def test_plot_legend_names_a_non_ascii_front_file(tmp_path, capsys):
+    pf = tmp_path / "fr\u20acnt.csv"
+    write_front(pf, [((0, 1, 2), (1.0, 5.0)), ((1, 0, 2), (3.0, 3.0))])
+    out = tmp_path / "plot.dat"
+    assert main(["plot", "--pf", str(pf), "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").split() == ["1", "5", "3", "3"]
+    legend = (tmp_path / "plot.dat.legend").read_text(encoding="utf-8")
+    assert legend.splitlines() == ["0 fr\u20acnt"]
+
+
+# ---------------------------------------------------------------------------
+# undecodable text input
+
+
+def _spoil_line_2(path, byte):
+    """Put `byte`, which no UTF-8 text holds there, at the start of line 2."""
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = byte + lines[1]
+    path.write_bytes(b"\n".join(lines))
+    return path
+
+
+def _bad_config(tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text(TINY_CONFIG)
+    return ["train", "--config", str(config), "--out", str(tmp_path / "ckpt")], \
+        _spoil_line_2(config, b"\xff")
+
+
+def _bad_native(tmp_path):
+    run = untrained_run(tmp_path / "run", 2, seed=4)
+    save_native(MotspInstance(np.random.default_rng(4).random((6, 4))), tmp_path / "i.motsp")
+    return ["solve", "--ckpt", str(run), "--instance", str(tmp_path / "i.motsp"),
+            "--out", str(tmp_path / "pf.csv")], _spoil_line_2(tmp_path / "i.motsp", b"\xff")
+
+
+def _bad_tsplib(tmp_path):
+    run = untrained_run(tmp_path / "run", 2, seed=4)
+    (tmp_path / "a.tsp").write_text(TSPLIB_A)
+    (tmp_path / "b.tsp").write_text(TSPLIB_B)
+    return ["solve", "--ckpt", str(run), "--tsplib", str(tmp_path / "a.tsp"), str(tmp_path / "b.tsp"),
+            "--out", str(tmp_path / "pf.csv")], _spoil_line_2(tmp_path / "b.tsp", b"\xff")
+
+
+def _bad_front(command):
+    def build(tmp_path):
+        pf = tmp_path / "front.csv"
+        write_front(pf, [((0, 1, 2), (1.0, 5.0)), ((1, 0, 2), (3.0, 3.0))])
+        return [command, "--pf", str(pf), "--out", str(tmp_path / "out")], _spoil_line_2(pf, b"\xe9")
+    return build
+
+
+def _bad_manifest(tmp_path):
+    run = untrained_run(tmp_path / "run", 2, seed=4)
+    save_native(MotspInstance(np.random.default_rng(4).random((6, 4))), tmp_path / "i.motsp")
+    return ["solve", "--ckpt", str(run), "--instance", str(tmp_path / "i.motsp"),
+            "--out", str(tmp_path / "pf.csv")], _spoil_line_2(run / MANIFEST_NAME, b"\xe9")
+
+
+@pytest.mark.parametrize("build", [
+    _bad_config, _bad_native, _bad_tsplib, _bad_front("eval"), _bad_front("plot"), _bad_manifest,
+], ids=["train-config", "solve-native", "solve-tsplib", "eval-pf", "plot-pf", "solve-manifest"])
+def test_undecodable_text_input_exits_2_naming_the_file_and_line(tmp_path, capsys, build):
+    argv, bad = build(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:2: not UTF-8 text" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # parser behaviour
 

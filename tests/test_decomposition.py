@@ -177,7 +177,7 @@ def test_fused_checkpoint_decodes_like_the_per_head_oracle(tmp_path):
     actor, critic = load_models(path, cfg)
     stored = {k: v.astype(np.float32) for k, v in heads.items()}   # what the file holds
     feats = rng.random((4, 8, 4))
-    tours, logp, _ = rollout_batch(feats, actor, mode="greedy")
+    tours, logp, _ = rollout_batch(feats, actor)
     for b in range(4):
         tour, lp = per_head_greedy(feats[b], stored, 2)
         assert list(tours[b]) == tour
@@ -289,7 +289,7 @@ def test_run_schedule_produces_all_artifacts(tmp_path):
     assert load_manifest(tmp_path)[1] == [1, 2, 3]
     # returned models are usable policies
     inst = MotspInstance(np.random.default_rng(0).random((4, 4)))
-    tour, _ = rollout(inst, actors[0], mode="greedy")
+    tour, _ = rollout(inst, actors[0])
     assert sorted(tour.tolist()) == [0, 1, 2, 3]
 
 

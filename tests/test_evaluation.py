@@ -241,7 +241,7 @@ def test_approximate_pf_needs_models():
 
 def _per_model_candidates(inst, actors) -> Front:
     """Reference: one tape-path greedy rollout per model, each scored alone."""
-    tours = np.stack([rollout(inst, a, mode="greedy")[0] for a in actors])
+    tours = np.stack([rollout(inst, a)[0] for a in actors])
     rows = np.concatenate([evaluate_objectives(inst.features, t[None]) for t in tours])
     return Front(tours, rows, np.arange(1, len(actors) + 1))
 

@@ -209,6 +209,22 @@ def test_tsplib_dimension_mismatch(tmp_path):
         load_tsplib_pair(pa, pb)
 
 
+@pytest.mark.parametrize("dimension", [-3, 0, 1])
+def test_tsplib_dimension_below_two_names_its_line(tmp_path, dimension):
+    """A DIMENSION too small for a tour, in both files and with as many
+    coordinate lines as it states, is a ParseError on its own line."""
+    def shrink(text):
+        head, _, body = text.partition("NODE_COORD_SECTION\n")
+        kept = body.splitlines()[:max(dimension, 0)]
+        return (head.replace("DIMENSION: 3", f"DIMENSION: {dimension}")
+                + "NODE_COORD_SECTION\n" + "\n".join(kept + ["EOF"]) + "\n")
+
+    pa, pb = _write_pair(tmp_path, shrink(TSPLIB_A), shrink(TSPLIB_B))
+    with pytest.raises(ParseError, match="DIMENSION must be >= 2") as err:
+        load_tsplib_pair(pa, pb)
+    assert (err.value.path, err.value.line_no) == (str(pa), 4)
+
+
 @pytest.mark.parametrize("breaker", [
     lambda s: s.replace("EDGE_WEIGHT_TYPE: EUC_2D", "EDGE_WEIGHT_TYPE: GEO"),
     lambda s: s.replace("TYPE: TSP", "TYPE: ATSP"),
@@ -216,6 +232,7 @@ def test_tsplib_dimension_mismatch(tmp_path):
     lambda s: s.replace("2 30.0 0.0", "2 thirty 0.0"),
     lambda s: s.replace("NAME: toyA", "CAPACITY: 7"),
     lambda s: s.replace("2 30.0 0.0", "9 30.0 0.0"),
+    lambda s: s.replace("DIMENSION: 3", "DIMENSION: 1000000000000000"),
 ])
 def test_tsplib_malformed_rejected(tmp_path, breaker):
     pa, pb = _write_pair(tmp_path, breaker(TSPLIB_A), TSPLIB_B)

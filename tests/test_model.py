@@ -7,11 +7,10 @@ import pytest
 from paretotsp import autodiff as ad
 from paretotsp import plain
 from paretotsp.decomposition import RunConfig
-from paretotsp.errors import (ContractError, DimensionError,
-                              NoFeasibleActionError, NonFiniteError)
+from paretotsp.errors import ContractError, DimensionError, NonFiniteError
 from paretotsp.instances import MotspInstance
 from paretotsp.model import (_GROUP, DEFAULT_CRITIC_CHANNELS, ActorParams, BatchDecodeState,
-                             CriticParams, ModelConfig, _decode_step_batch, _Decoder,
+                             CriticParams, ModelConfig, _decode_step_batch,
                              critic_batch, encode_batch, greedy_tours, rollout,
                              rollout_batch)
 
@@ -143,11 +142,11 @@ def test_decode_probabilities_masked_and_normalized():
     inst = random_instance(8, seed=4)
     actor = tiny_actor(2)
     state = decode_state(inst.features, actor)
-    probs = _decode_step_batch(state, actor).data[0]
+    probs = _decode_step_batch(state, actor.cfg, actor.params).data[0]
     assert abs(probs.sum() - 1.0) <= 1e-9
     state.advance(np.array([3]))
     state.advance(np.array([6]))
-    probs = _decode_step_batch(state, actor).data[0]
+    probs = _decode_step_batch(state, actor.cfg, actor.params).data[0]
     assert probs[3] == 0.0 and probs[6] == 0.0
     assert np.all(probs >= 0.0)
     assert abs(probs.sum() - 1.0) <= 1e-9
@@ -161,7 +160,7 @@ def test_decode_forced_last_choice():
     state = decode_state(inst.features, actor)
     for node in (2, 0, 4, 1):
         state.advance(np.array([node]))
-    probs = _decode_step_batch(state, actor).data[0]
+    probs = _decode_step_batch(state, actor.cfg, actor.params).data[0]
     np.testing.assert_array_equal(probs, [0.0, 0.0, 0.0, 1.0, 0.0])
 
 
@@ -171,8 +170,8 @@ def test_decode_all_visited_rejected():
     state = decode_state(inst.features, actor)
     for node in (1, 0, 2):
         state.advance(np.array([node]))
-    with pytest.raises(NoFeasibleActionError):
-        _decode_step_batch(state, actor)
+    with pytest.raises(ContractError, match="every entry masked"):
+        _decode_step_batch(state, actor.cfg, actor.params)
 
 
 def test_decode_logits_clipped_to_ten():
@@ -186,7 +185,7 @@ def test_decode_logits_clipped_to_ten():
     for step, picks in enumerate([None, rng.integers(0, 10, 4)]):
         if picks is not None:
             state.advance(picks.astype(np.intp))
-        probs = _decode_step_batch(state, actor).data
+        probs = _decode_step_batch(state, actor.cfg, actor.params).data
         for b in range(4):
             # logits in [-clip, clip] bound the ratio of any two open nodes' probabilities
             p = probs[b][~state.visited[b]]
@@ -209,7 +208,7 @@ def test_decode_visit_twice_rejected():
 def test_rollout_valid_permutation_and_finite_logp():
     for seed in range(5):
         inst = random_instance(11, seed=seed)
-        tour, logp = rollout(inst, tiny_actor(seed), mode="sample", seed=seed)
+        tour, logp = rollout(inst, tiny_actor(seed), seed=seed)
         assert tour.dtype == np.intp and sorted(tour.tolist()) == list(range(11))
         assert math.isfinite(logp)
 
@@ -217,8 +216,8 @@ def test_rollout_valid_permutation_and_finite_logp():
 def test_rollout_greedy_deterministic():
     inst = random_instance(9, seed=10)
     actor = tiny_actor(6)
-    a, lp_a = rollout(inst, actor, mode="greedy")
-    b, lp_b = rollout(inst, actor, mode="greedy")
+    a, lp_a = rollout(inst, actor)
+    b, lp_b = rollout(inst, actor)
     np.testing.assert_array_equal(a, b)
     assert lp_a == lp_b
 
@@ -227,30 +226,24 @@ def test_rollout_greedy_ties_take_lowest_index():
     # identical nodes make every step a tie among the unvisited
     feats = np.tile([0.3, 0.7, 0.4, 0.6], (5, 1))
     inst = MotspInstance(feats)
-    tour, _ = rollout(inst, tiny_actor(9), mode="greedy")
+    tour, _ = rollout(inst, tiny_actor(9))
     assert tour.tolist() == [0, 1, 2, 3, 4]
-
-
-def test_rollout_bad_mode():
-    inst = random_instance(4, seed=0)
-    with pytest.raises(ContractError):
-        rollout(inst, tiny_actor(), mode="beam")
 
 
 def test_rollout_dx_mismatch():
     feats = np.random.default_rng(0).random((4, 2))
     with pytest.raises(DimensionError):
-        rollout(MotspInstance(feats), tiny_actor(), mode="greedy")
+        rollout(MotspInstance(feats), tiny_actor())
 
 
 def test_rollout_chain_rule_consistency():
     inst = random_instance(8, seed=12)
     actor = tiny_actor(12)
-    tour, logp = rollout(inst, actor, mode="sample", seed=3)
+    tour, logp = rollout(inst, actor, seed=3)
     state = decode_state(inst.features, actor)
     total = 0.0
     for node in tour:
-        probs = _decode_step_batch(state, actor).data[0]
+        probs = _decode_step_batch(state, actor.cfg, actor.params).data[0]
         total += math.log(probs[node])
         state.advance(np.array([node]))
     assert abs(total - logp) < 1e-6
@@ -260,22 +253,36 @@ def test_rollout_forced_tours_replay():
     rng = np.random.default_rng(14)
     feats = rng.random((6, 7, 4))
     actor = tiny_actor(14)
-    tours, logp, _ = rollout_batch(feats, actor, mode="sample",
-                                   rng=np.random.default_rng(0))
-    replayed, logp2, _ = rollout_batch(feats, actor, mode="sample",
-                                       forced_tours=tours)
+    tours, logp, _ = rollout_batch(feats, actor, rng=np.random.default_rng(0))
+    replayed, logp2, _ = rollout_batch(feats, actor, forced_tours=tours)
     np.testing.assert_array_equal(replayed, tours)
     np.testing.assert_allclose(logp2.data, logp.data, atol=1e-12)
+
+
+def test_replay_returns_the_step_probabilities_of_the_replayed_tours():
+    """Replay runs the same decode loop as sampling: its step probabilities
+    are the sampling call's byte for byte, and the logs of the entries its
+    tours pick sum to the scored log-probability."""
+    feats = np.random.default_rng(16).random((6, 7, 4))
+    actor = tiny_actor(16)
+    tours, _, probs = rollout_batch(feats, actor, rng=np.random.default_rng(1))
+    replayed, logp, replay_probs = rollout_batch(feats, actor, forced_tours=tours)
+    np.testing.assert_array_equal(replayed, tours)
+    assert len(replay_probs) == len(probs) == 7
+    for got, want in zip(replay_probs, probs):
+        assert got.dtype == want.dtype and got.shape == want.shape == (6, 7)
+        assert got.tobytes() == want.tobytes()
+    picked = np.stack([p[np.arange(6), tours[:, t]] for t, p in enumerate(replay_probs)], axis=1)
+    np.testing.assert_allclose(np.log(picked).sum(axis=1), logp.data, rtol=0, atol=1e-12)
 
 
 def test_rollout_first_step_frequencies_match_distribution():
     n, runs = 5, 10_000
     inst = random_instance(n, seed=20)
     actor = tiny_actor(20)
-    probs = _decode_step_batch(decode_state(inst.features, actor), actor).data[0]
+    probs = _decode_step_batch(decode_state(inst.features, actor), actor.cfg, actor.params).data[0]
     feats = np.broadcast_to(inst.features, (runs, n, 4))
-    tours, _, _ = rollout_batch(feats, actor, mode="sample",
-                                rng=np.random.default_rng(78))
+    tours, _, _ = rollout_batch(feats, actor, rng=np.random.default_rng(78))
     counts = np.bincount(tours[:, 0], minlength=n)
     freq = counts / runs
     sigma = np.sqrt(probs * (1.0 - probs) / runs)
@@ -286,9 +293,9 @@ def test_rollout_batch_matches_single_greedy():
     rng = np.random.default_rng(21)
     feats = rng.random((4, 6, 4))
     actor = tiny_actor(21)
-    tours, logp, _ = rollout_batch(feats, actor, mode="greedy")
+    tours, logp, _ = rollout_batch(feats, actor)
     for b in range(4):
-        tour, lp = rollout(MotspInstance(feats[b]), actor, mode="greedy")
+        tour, lp = rollout(MotspInstance(feats[b]), actor)
         np.testing.assert_array_equal(tours[b], tour)
         assert abs(lp - logp.data[b]) < 1e-12
 
@@ -310,7 +317,7 @@ def test_greedy_tours_every_row_equals_its_per_model_rollout():
     tours = greedy_tours(feats, chosen)
     assert tours.shape == (2, 100)
     for row, actor in zip(tours, chosen):
-        ref, _, _ = rollout_batch(feats[None], actor, "greedy")
+        ref, _, _ = rollout_batch(feats[None], actor)
         np.testing.assert_array_equal(row, ref[0])
 
 
@@ -328,7 +335,7 @@ def test_greedy_tours_group_boundary_between_the_ulp_tie():
     tours = greedy_tours(feats, chosen)
     assert tours.shape == (_GROUP + 1, 100)
     for row, actor in zip(tours, chosen):
-        ref, _, _ = rollout_batch(feats[None], actor, "greedy")
+        ref, _, _ = rollout_batch(feats[None], actor)
         np.testing.assert_array_equal(row, ref[0])
 
 
@@ -347,7 +354,7 @@ def test_greedy_tours_draws_a_generator_like_a_list():
     lazy = greedy_tours(feats, draw())
     np.testing.assert_array_equal(lazy, greedy_tours(feats, built))
     for row, actor in zip(lazy, built):
-        ref, _, _ = rollout_batch(feats[None], actor, "greedy")
+        ref, _, _ = rollout_batch(feats[None], actor)
         np.testing.assert_array_equal(row, ref[0])
 
 
@@ -403,11 +410,11 @@ def test_plain_decode_step_is_bitwise_the_taped_attend(cfg, batch, n, dtype):
     feats = np.random.default_rng(n + 1).random((batch, n, 4))
     enc = encode_batch(feats, actor, "train")
     taped, untaped = BatchDecodeState(enc), BatchDecodeState(enc.untaped())
-    decoder = _Decoder(actor.cfg, actor.state_arrays())
+    weights = actor.state_arrays()
     order = np.argsort(np.random.default_rng(n + 2).random((batch, n)), axis=1)
     for t in range(n):
-        got = _decode_step_batch(untaped, decoder, plain)
-        want = _decode_step_batch(taped, actor)
+        got = _decode_step_batch(untaped, actor.cfg, weights, plain)
+        want = _decode_step_batch(taped, actor.cfg, actor.params)
         assert type(got) is np.ndarray and got.tobytes() == want.data.tobytes(), t
         taped.advance(order[:, t])
         untaped.advance(order[:, t])
@@ -425,7 +432,7 @@ def test_hidden_overflow_is_reported_on_both_tape_free_paths():
         with pytest.raises(NonFiniteError):
             greedy_tours(feats[0], [actor])
         with pytest.raises(NonFiniteError):
-            rollout_batch(feats, actor, "sample", rng=np.random.default_rng(0))
+            rollout_batch(feats, actor, rng=np.random.default_rng(0))
 
 
 def test_forced_tours_must_be_permutations():
@@ -435,7 +442,7 @@ def test_forced_tours_must_be_permutations():
         tours = good.copy()
         tours[row] = bad
         with pytest.raises(ContractError, match=f"forced_tours row {row} is not a permutation"):
-            rollout_batch(feats, tiny_actor(15), "sample", forced_tours=tours)
+            rollout_batch(feats, tiny_actor(15), forced_tours=tours)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +461,8 @@ def _scored_and_sequential(cfg, batch, n, dtype, mode):
     advantage = ad.constant(np.random.default_rng(n + 2).standard_normal(batch), dtype=dtype)
     out = []
     for a, roll in ((actor.copy(), rollout_batch), (actor.copy(), sequential_rollout)):
-        tours, logp = roll(feats, a, mode, rng=np.random.default_rng(5), bn_mode="train")[:2]
+        rng = np.random.default_rng(5) if mode == "sample" else None
+        tours, logp = roll(feats, a, rng=rng, bn_mode="train")[:2]
         ad.backward(ad.mean_over_axis(ad.mul(logp, advantage), 0))
         out.append((tours, logp.data, {name: p.grad for name, p in a.params.items()}))
     return out
@@ -540,8 +548,7 @@ def test_pipeline_gradient_matches_finite_differences():
     feats = rng.random((3, 4, 4))
     base = ActorParams.init(cfg, rng, dtype=np.float64)
     critic = CriticParams.init(rng, dtype=np.float64)
-    tours, _, _ = rollout_batch(feats, base, mode="sample",
-                                rng=np.random.default_rng(1), bn_mode="train")
+    tours, _, _ = rollout_batch(feats, base, rng=np.random.default_rng(1), bn_mode="train")
     advantage = np.array([0.7, -0.3, 1.1])
     checked = ["enc.init.W", "enc.l1.Wq", "dec.final.Wk", "dec.v1"]
 
@@ -554,8 +561,7 @@ def test_pipeline_gradient_matches_finite_differences():
             for key, val in template.items():
                 actor.params[key].data = val.copy()
             actor.params[name] = leaves[0]
-            _, logp, _ = rollout_batch(feats, actor, mode="sample",
-                                       bn_mode="train", forced_tours=tours)
+            _, logp, _ = rollout_batch(feats, actor, bn_mode="train", forced_tours=tours)
             from paretotsp.autodiff import constant, mean_over_axis, mul
             return mean_over_axis(mul(logp, constant(advantage)), 0)
 
@@ -683,7 +689,7 @@ def test_fused_model_matches_per_head_oracle():
         np.testing.assert_allclose(nodes2d[b], oracle[b][0], rtol=0, atol=1e-6)
         np.testing.assert_allclose(enc.graph.data[b], oracle[b][1], rtol=0, atol=1e-6)
     for step in range(len(picks) + 1):
-        probs = _decode_step_batch(state, actor).data
+        probs = _decode_step_batch(state, actor.cfg, actor.params).data
         for b in range(3):
             chosen = [int(p[b]) for p in picks[:step]]
             visited = np.isin(np.arange(7), chosen)

@@ -100,7 +100,7 @@ def test_an_actor_after_backward_and_adam_is_freed_without_the_cycle_collector()
     rng = np.random.default_rng(1)
     gc.disable()
     try:
-        _, logp, _ = rollout_batch(rng.random((4, 5, 4)), actor, mode="sample", rng=rng,
+        _, logp, _ = rollout_batch(rng.random((4, 5, 4)), actor, rng=rng,
                                    bn_mode="train")
         ad.backward(ad.mean_over_axis(logp, 0))
         Adam(actor.trainable(), lr=1e-3).step()
@@ -241,8 +241,7 @@ def test_actor_gradient_invariant_to_common_cost_shift():
     grads = []
     for adv in (g - b, (g + k) - (b + k)):
         actor, _ = fresh_pair(22)
-        tours, logp, _ = rollout_batch(feats, actor, mode="sample",
-                                       rng=np.random.default_rng(23),
+        tours, logp, _ = rollout_batch(feats, actor, rng=np.random.default_rng(23),
                                        bn_mode="train")
         loss = ad.mean_over_axis(ad.mul(logp, ad.constant(adv)), 0)
         actor.zero_grad()
@@ -274,7 +273,7 @@ def test_policy_learns_to_prefer_the_cheapest_tour(monkeypatch):
         reinforce_iteration(w, actor, critic, cfg, rng, actor_opt, critic_opt)
 
     inst = MotspInstance(feats)
-    tour, _ = rollout(inst, actor, mode="greedy")
+    tour, _ = rollout(inst, actor)
     got = evaluate_objectives(inst.features, tour[None])[0] @ w
     assert got == pytest.approx(best, abs=1e-9)
 
