@@ -1,8 +1,10 @@
 """Minimal reverse-mode differentiation over dense numpy arrays.
 
-Arrays are immutable once created. Each op result that needs a gradient gets
-a node on the implicit tape (the creation-ordered graph of nodes), so
-`backward` on a scalar loss fills `.grad` on every reachable parameter. A node
+Op results are never written once created. Only leaves are rebound: by
+Adam, by loading a checkpoint, and by batch norm's train mode, which moves
+its running statistics. Each op result that needs a gradient gets a node on
+the implicit tape (the creation-ordered graph of nodes), so `backward` on a
+scalar loss fills `.grad` on every reachable parameter. A node
 holds its parents' nodes, its backward closure and its creation id, but no
 data; a trainable leaf is its own node. A closure keeps only the ndarrays it
 reads (the inputs of `matmul`, `bmm`, `mul` and `log`, the outputs of `relu`,
@@ -47,8 +49,8 @@ def _link(a: Array):
 class Array:
     """A dense real array plus, if it needs a gradient, its place on the tape.
 
-    `data` is never written after construction. `grad` accumulates across
-    backward calls until `zero_grad`.
+    An op result's `data` is never written; a leaf's `data` may be rebound to
+    a new array. `grad` accumulates across backward calls until `zero_grad`.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_node", "_op", "_id")
@@ -374,58 +376,45 @@ def _softmax_node(probs: np.ndarray, logits: Array, op: str) -> Array:
 BN_MOMENTUM = 0.1       # weight of the batch statistics in the running EMA
 
 
-class BatchNormState:
-    """Learnable scale/shift plus running statistics for one normalization layer."""
+def batch_norm(x: Array, scale: Array, shift: Array, mean: Array, var: Array, mode: str) -> Array:
+    """Per-feature normalization of an (B, d) array, then `scale` and `shift`.
 
-    def __init__(self, dim: int, dtype=np.float64):
-        self.scale = param(np.ones(dim), dtype=dtype)
-        self.shift = param(np.zeros(dim), dtype=dtype)
-        self.running_mean = np.zeros(dim, dtype=dtype)
-        self.running_var = np.ones(dim, dtype=dtype)
-
-
-def batch_norm(x: Array, state: BatchNormState, mode: str) -> Array:
-    """Per-feature normalization of an (B, d) array.
-
-    Train mode normalizes with batch statistics (biased variance) and updates
-    the running estimates by EMA; infer mode normalizes with the running
-    statistics.
+    `mean` and `var` are the running statistics, leaves outside the gradient
+    path. Train mode normalizes with batch statistics (biased variance) and
+    rebinds `mean.data` and `var.data` to their EMA update; infer mode
+    normalizes with them.
     """
     _require_2d(x, "batch_norm")
-    if x.shape[1] != state.scale.shape[0]:
-        raise DimensionError(f"batch_norm feature dim {x.shape[1]} != state dim {state.scale.shape[0]}")
+    for v in (scale, shift, mean, var):
+        if v.shape != x.shape[1:]:
+            raise DimensionError(f"batch_norm vector shape {v.shape} does not match features of {x.shape}")
     if mode not in ("train", "infer"):
         raise ContractError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
     rows = x.shape[0]
+    gamma = scale.data
 
     if mode == "train":
         if rows < 2:
             raise ContractError("batch_norm train mode needs at least 2 rows")
-        mean = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
-        xhat, inv_std, out = plain.normalize(x.data, mean, var, state.scale.data, state.shift.data)
+        batch_mean = x.data.mean(axis=0)
+        batch_var = x.data.var(axis=0)
+        xhat, inv_std, out = plain.normalize(x.data, batch_mean, batch_var, gamma, shift.data)
         m = BN_MOMENTUM
-        state.running_mean = (1.0 - m) * state.running_mean + m * mean
-        state.running_var = (1.0 - m) * state.running_var + m * var * (rows / (rows - 1))
+        mean.data = (1.0 - m) * mean.data + m * batch_mean
+        var.data = (1.0 - m) * var.data + m * batch_var * (rows / (rows - 1))
 
         def back(g):
-            gscale = (g * xhat).sum(axis=0)
-            gshift = g.sum(axis=0)
-            gxhat = g * state.scale.data
+            gxhat = g * gamma
             gx = inv_std * (gxhat - gxhat.mean(axis=0) - xhat * (gxhat * xhat).mean(axis=0))
-            return gx, gscale, gshift
+            return gx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
     else:
-        xhat, inv_std, out = plain.normalize(x.data, state.running_mean, state.running_var,
-                                             state.scale.data, state.shift.data)
+        xhat, inv_std, out = plain.normalize(x.data, mean.data, var.data, gamma, shift.data)
 
         def back(g):
-            gscale = (g * xhat).sum(axis=0)
-            gshift = g.sum(axis=0)
-            gx = g * state.scale.data * inv_std
-            return gx, gscale, gshift
+            return g * gamma * inv_std, (g * xhat).sum(axis=0), g.sum(axis=0)
 
-    return Array(out, _parents=(x, state.scale, state.shift), _backward=back, _op="batch_norm")
+    return Array(out, _parents=(x, scale, shift), _backward=back, _op="batch_norm")
 
 
 def global_grad_norm(params: list[Array]) -> float:

@@ -239,23 +239,22 @@ def pack_models(actor: ActorParams, critic: CriticParams) -> dict[str, np.ndarra
     return out
 
 
-def unpack_models(arrays: dict[str, np.ndarray], cfg: RunConfig,
-                  dtype=np.float32) -> tuple[ActorParams, CriticParams]:
+def unpack_models(arrays: dict[str, np.ndarray], cfg: RunConfig) -> tuple[ActorParams, CriticParams]:
     actor_arrays = {k[len("actor."):]: v for k, v in arrays.items() if k.startswith("actor.")}
     critic_arrays = {k[len("critic."):]: v for k, v in arrays.items() if k.startswith("critic.")}
     if len(actor_arrays) + len(critic_arrays) != len(arrays):
         extra = [k for k in arrays if not k.startswith(("actor.", "critic."))]
         raise ContractError(f"checkpoint holds arrays outside actor./critic.: {extra}")
-    return (ActorParams.from_state(cfg.model_config(), actor_arrays, dtype),
-            CriticParams.from_state(DEFAULT_CRITIC_CHANNELS, critic_arrays, dtype))
+    return (ActorParams.from_state(cfg.model_config(), actor_arrays),
+            CriticParams.from_state(DEFAULT_CRITIC_CHANNELS, critic_arrays))
 
 
 def save_models(path, actor: ActorParams, critic: CriticParams) -> None:
     write_checkpoint(path, pack_models(actor, critic))
 
 
-def load_models(path, cfg: RunConfig, dtype=np.float32) -> tuple[ActorParams, CriticParams]:
-    return unpack_models(read_checkpoint(path), cfg, dtype=dtype)
+def load_models(path, cfg: RunConfig) -> tuple[ActorParams, CriticParams]:
+    return unpack_models(read_checkpoint(path), cfg)
 
 
 def checkpoint_name(i: int) -> str:
@@ -333,7 +332,7 @@ class TrainedActors:
 
     def __init__(self, workdir):
         self.workdir = Path(workdir)
-        self.cfg, completed = load_manifest(self.workdir / MANIFEST_NAME)
+        self.cfg, completed = load_manifest(self.workdir)
         if len(completed) != self.cfg.m_sub:
             raise ContractError(
                 f"checkpoint directory {self.workdir} holds {len(completed)}/{self.cfg.m_sub} "

@@ -136,11 +136,13 @@ def union_bounds(fronts) -> tuple[np.ndarray, np.ndarray]:
 
 def compute_hv_protocol(fronts, ref=DEFAULT_REF_POINT) -> list[float]:
     """HV of each front under the ideal/nadir bounds of the union of the
-    fronts and a common ref."""
+    fronts and a common ref. An objective on which every point agrees gets a
+    span of 1, so a one-point front scores the ref's area."""
     if not fronts:
         raise ContractError("compute_hv_protocol needs at least one front")
     ideal, nadir = union_bounds(fronts)
-    return [hypervolume_2d(normalize(f.objectives, ideal, nadir), ref) if len(f) else 0.0
+    span = np.where(nadir > ideal, nadir - ideal, 1.0)
+    return [hypervolume_2d(normalize(f.objectives - ideal, 0.0, span), ref) if len(f) else 0.0
             for f in fronts]
 
 

@@ -85,27 +85,23 @@ _FUSED_AXIS = {"Wq": 0, "Wk": 0, "Wv": 0, "Wo": 1}
 
 
 class _Params:
-    """Named trainable arrays, plus the running statistics of any batch norms."""
+    """Named arrays in checkpoint order: the trainable weights, then any batch
+    norms' running statistics as leaves outside the gradient path."""
 
     def __init__(self, dtype):
         self.dtype = np.dtype(dtype)
         self.params: dict[str, ad.Array] = {}
-        self.bn: dict[str, ad.BatchNormState] = {}
 
     def trainable(self) -> list[ad.Array]:
-        return list(self.params.values())
+        return [p for p in self.params.values() if p.requires_grad]
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """Named arrays for serialization: trainables plus batch-norm running stats."""
-        out = {name: p.data for name, p in self.params.items()}
-        for name, state in self.bn.items():
-            out[f"{name}.running_mean"] = state.running_mean
-            out[f"{name}.running_var"] = state.running_var
-        return out
+        """Named arrays for serialization, in store order."""
+        return {name: p.data for name, p in self.params.items()}
 
     @classmethod
     def from_state(cls, key, arrays: dict[str, np.ndarray], dtype=np.float32):
@@ -127,9 +123,6 @@ class _Params:
                 raise DimensionError(f"{name}: shape {state[name].shape} != {blank.shape}")
         for name, p in self.params.items():
             p.data = state[name]
-        for name, bn in self.bn.items():
-            bn.running_mean = state[f"{name}.running_mean"]
-            bn.running_var = state[f"{name}.running_var"]
         return self
 
     def copy(self):
@@ -138,21 +131,19 @@ class _Params:
 
 
 class ActorParams(_Params):
-    """All trainable arrays of one encoder+decoder, keyed by layer names."""
+    """All arrays of one encoder+decoder, keyed by layer names."""
 
     def __init__(self, cfg: ModelConfig, dtype=np.float32):
         super().__init__(dtype)
         self.cfg = cfg
         self._key = cfg
 
-    def _add(self, name: str, arr: np.ndarray) -> None:
-        self.params[name] = ad.param(arr, dtype=self.dtype)
+    def _add(self, name: str, arr: np.ndarray, leaf=ad.param) -> None:
+        self.params[name] = leaf(arr, dtype=self.dtype)
 
     def _add_bn(self, name: str) -> None:
-        state = ad.BatchNormState(self.cfg.d_h, dtype=self.dtype)
-        self.bn[name] = state
-        self.params[f"{name}.scale"] = state.scale
-        self.params[f"{name}.shift"] = state.shift
+        self._add(f"{name}.scale", np.ones(self.cfg.d_h))
+        self._add(f"{name}.shift", np.zeros(self.cfg.d_h))
 
     @classmethod
     def init(cls, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> "ActorParams":
@@ -200,6 +191,11 @@ class ActorParams(_Params):
         attention("dec", 3 * d_h)
         self._add("dec.final.Wq", u(d_h, d_h))
         self._add("dec.final.Wk", u(d_h, d_h))
+        # The batch norms' running statistics come last, as checkpoints store them.
+        for l in range(1, cfg.n_layers + 1):
+            for bn in ("bn1", "bn2"):
+                self._add(f"enc.l{l}.{bn}.running_mean", np.zeros(d_h), ad.constant)
+                self._add(f"enc.l{l}.{bn}.running_var", np.ones(d_h), ad.constant)
         return self
 
 
@@ -311,6 +307,9 @@ def encode_batch(features: np.ndarray, actor: ActorParams, mode: str, ops=ad) ->
     d_h, heads = cfg.d_h, cfg.n_heads
     inv_sqrt_dk = 1.0 / math.sqrt(cfg.d_k)
 
+    def bn(name):
+        return [p[f"{name}.{k}"] for k in ("scale", "shift", "running_mean", "running_var")]
+
     x = ops.constant(feats.reshape(batch * n, cfg.d_x), dtype=actor.dtype)
     h = _linear(x, p["enc.init.W"], p["enc.init.b"], ops=ops)
     for l in range(1, cfg.n_layers + 1):
@@ -319,10 +318,10 @@ def encode_batch(features: np.ndarray, actor: ActorParams, mode: str, ops=ad) ->
         v = _split_heads(_linear(h, p[f"enc.l{l}.Wv"], ops=ops), batch, heads, (0, 2, 1, 3), ops)
         weights = ops.softmax(ops.scale(ops.bmm(q, keys_t), inv_sqrt_dk))     # (B*H, n, n)
         mha = _linear(_merge_heads(ops.bmm(weights, v), batch, ops), p[f"enc.l{l}.Wo"], ops=ops)
-        h = ops.batch_norm(ops.add(h, mha), actor.bn[f"enc.l{l}.bn1"], mode)
+        h = ops.batch_norm(ops.add(h, mha), *bn(f"enc.l{l}.bn1"), mode)
         ff = _linear(ops.relu(_linear(h, p[f"enc.l{l}.ff.W0"], p[f"enc.l{l}.ff.b0"], ops=ops)),
                      p[f"enc.l{l}.ff.W1"], p[f"enc.l{l}.ff.b1"], ops=ops)
-        h = ops.batch_norm(ops.add(h, ff), actor.bn[f"enc.l{l}.bn2"], mode)
+        h = ops.batch_norm(ops.add(h, ff), *bn(f"enc.l{l}.bn2"), mode)
     graph = ops.mean_over_axis(ops.reshape(h, (batch, n, d_h)), 1)
     keys_t = _split_heads(_linear(h, p["dec.Wk"], ops=ops), batch, heads, (0, 2, 3, 1), ops)
     values = _split_heads(_linear(h, p["dec.Wv"], ops=ops), batch, heads, (0, 2, 1, 3), ops)

@@ -114,10 +114,10 @@ def normalize(x, mean, var, gamma, beta):
     return xhat, inv_std, xhat * gamma + beta
 
 
-def batch_norm(x, state, mode: str):
+def batch_norm(x, scale, shift, mean, var, mode: str):
     """Infer-mode batch norm of an (r, d) array: normalize by the running
-    statistics of `state`. Train mode updates those statistics for a backward
-    pass to follow, so it exists only on the tape."""
+    statistics `mean` and `var`. Train mode updates those statistics for a
+    backward pass to follow, so it exists only on the tape."""
     if mode != "infer":
         raise ContractError(f"a tape-free batch_norm runs in infer mode only, got {mode!r}")
-    return normalize(x, state.running_mean, state.running_var, state.scale.data, state.shift.data)[2]
+    return normalize(x, mean, var, scale, shift)[2]

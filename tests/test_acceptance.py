@@ -55,7 +55,7 @@ def _pipeline_error(seed: int) -> float:
 
     actor_state = {k: v.copy() for k, v in actor.state_arrays().items()}
     critic_state = {k: v.copy() for k, v in critic.state_arrays().items()}
-    a_names = sorted(actor.params)
+    a_names = sorted(name for name, p in actor.params.items() if p.requires_grad)
     c_names = sorted(critic.params)
     picked_a = a_names[seed % len(a_names)]
     picked_c = c_names[seed % len(c_names)]
@@ -65,10 +65,6 @@ def _pipeline_error(seed: int) -> float:
         c2 = CriticParams.from_state(DEFAULT_CRITIC_CHANNELS, critic_state, np.float64)
         a2.params[picked_a] = leaves[0]
         c2.params[picked_c] = leaves[1]
-        # batch-norm scale/shift are read through the BN state, not the dict
-        base, _, attr = picked_a.rpartition(".")
-        if base in a2.bn:
-            setattr(a2.bn[base], attr, leaves[0])
         _, logp, _ = rollout_batch(feats, a2, bn_mode="train",
                                    forced_tours=tours)
         actor_term = ad.mean_over_axis(ad.mul(logp, ad.constant(adv)), 0)

@@ -184,47 +184,50 @@ def test_softmax_kernels_are_bitwise_the_two_where_formula(dtype):
 # batch norm
 
 
+def _bn_leaves(dim):
+    """A fresh norm's scale, shift, running mean and running variance."""
+    return (ad.param(np.ones(dim)), ad.param(np.zeros(dim)),
+            ad.constant(np.zeros(dim)), ad.constant(np.ones(dim)))
+
+
 def test_batch_norm_constant_column_zeros():
-    state = ad.BatchNormState(3, dtype=np.float64)
     x = ad.constant(np.tile([2.0, -1.0, 0.5], (4, 1)))
-    out = ad.batch_norm(x, state, "train")
+    out = ad.batch_norm(x, *_bn_leaves(3), "train")
     np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
 
 
 def test_batch_norm_identity_stats_infer():
-    state = ad.BatchNormState(2, dtype=np.float64)
-    state.running_mean = np.zeros(2)
-    state.running_var = np.ones(2) - ad.BN_EPS   # (x-0)/sqrt(var+eps) == x
+    scale, shift, _, _ = _bn_leaves(2)
+    mean = ad.constant(np.zeros(2))
+    var = ad.constant(np.ones(2) - ad.BN_EPS)   # (x-0)/sqrt(var+eps) == x
     x = np.random.default_rng(0).standard_normal((5, 2))
-    out = ad.batch_norm(ad.constant(x), state, "infer")
+    out = ad.batch_norm(ad.constant(x), scale, shift, mean, var, "infer")
     np.testing.assert_allclose(out.data, x, rtol=0, atol=1e-12)
 
 
 def test_batch_norm_normalizes_batch():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((8, 4)) * 100.0 + 37.0
-    state = ad.BatchNormState(4, dtype=np.float64)
-    out = ad.batch_norm(ad.constant(x), state, "train").data
+    out = ad.batch_norm(ad.constant(x), *_bn_leaves(4), "train").data
     assert np.all(np.abs(out.mean(axis=0)) < 1e-9)
     assert np.all(np.abs(out.var(axis=0) - 1.0) < 1e-6)
 
 
 def test_batch_norm_batch_of_one_rejected():
-    state = ad.BatchNormState(3, dtype=np.float64)
     with pytest.raises(ContractError, match="at least 2 rows"):
-        ad.batch_norm(ad.constant(np.ones((1, 3))), state, "train")
+        ad.batch_norm(ad.constant(np.ones((1, 3))), *_bn_leaves(3), "train")
 
 
 def test_batch_norm_running_stats_ema():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((6, 3)) * 2.0 + 1.0
-    state = ad.BatchNormState(3, dtype=np.float64)
-    before_mean = state.running_mean.copy()
-    before_var = state.running_var.copy()
-    ad.batch_norm(ad.constant(x), state, "train")
-    np.testing.assert_allclose(state.running_mean,
+    scale, shift, mean, var = _bn_leaves(3)
+    before_mean = mean.data.copy()
+    before_var = var.data.copy()
+    ad.batch_norm(ad.constant(x), scale, shift, mean, var, "train")
+    np.testing.assert_allclose(mean.data,
                                0.9 * before_mean + 0.1 * x.mean(axis=0), atol=1e-12)
-    np.testing.assert_allclose(state.running_var,
+    np.testing.assert_allclose(var.data,
                                0.9 * before_var + 0.1 * x.var(axis=0, ddof=1), atol=1e-12)
 
 
@@ -407,21 +410,15 @@ def _op_cases(rng):
     ]
 
     def bn_train(v):
-        state = ad.BatchNormState(3, dtype=np.float64)
-        state.scale = v[1]
-        state.shift = v[2]
-        return to_scalar(ad.mul(ad.batch_norm(v[0], state, "train"), w43))
+        stats = ad.constant(np.zeros(3)), ad.constant(np.ones(3))
+        return to_scalar(ad.mul(ad.batch_norm(v[0], v[1], v[2], *stats, "train"), w43))
 
     run_mean = rng.standard_normal(3)
     run_var = rng.uniform(0.5, 2.0, 3)
 
     def bn_infer(v):
-        state = ad.BatchNormState(3, dtype=np.float64)
-        state.scale = v[1]
-        state.shift = v[2]
-        state.running_mean = run_mean
-        state.running_var = run_var
-        return to_scalar(ad.mul(ad.batch_norm(v[0], state, "infer"), w43))
+        stats = ad.constant(run_mean), ad.constant(run_var)
+        return to_scalar(ad.mul(ad.batch_norm(v[0], v[1], v[2], *stats, "infer"), w43))
 
     cases.append(("batch_norm_train", bn_train,
                   [rng.standard_normal((4, 3)), rng.uniform(0.5, 1.5, 3),

@@ -401,6 +401,16 @@ def test_solve_rejects_unfinished_checkpoints(tmp_path, capsys):
     assert "0/2" in capsys.readouterr().err
 
 
+def test_solve_names_a_missing_manifest_once(tmp_path, capsys):
+    missing = tmp_path / "nowhere"
+    assert main(["gen", "--n", "4", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert main(["solve", "--ckpt", str(missing), "--instance", str(tmp_path / "rand_n4_s0_0.motsp"),
+                 "--out", str(tmp_path / "pf.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{missing / MANIFEST_NAME}: unreadable manifest" in err
+    assert f"{MANIFEST_NAME}/{MANIFEST_NAME}" not in err
+
+
 def test_solve_checks_instance_before_reading_checkpoints(tmp_path, capsys):
     cfg = RunConfig(d_h=8, n_heads=2, d_ff=16, n_nodes=4, batch_size=4,
                     dataset_size=8, m_sub=2, seed=3)
@@ -515,6 +525,18 @@ def test_eval_protocol_over_two_fronts(tmp_path, capsys):
     hv_one = float(lines[1].split(",")[2])
     hv_two = float(lines[2].split(",")[2])
     assert 0.0 < hv_one <= 1.44 and 0.0 < hv_two <= 1.44
+
+
+def test_eval_scores_a_one_point_front_from_solve(trained, tmp_path, capsys):
+    # Every tour of a 3-node instance has the same length, so the front is one point.
+    assert main(["gen", "--n", "3", "--seed", "0", "--out", str(tmp_path)]) == 0
+    pf = tmp_path / "pf.csv"
+    assert main(["solve", "--ckpt", str(trained["ckpt"]),
+                 "--instance", str(tmp_path / "rand_n3_s0_0.motsp"), "--out", str(pf)]) == 0
+    assert len(ev.read_pf_csv(pf)) == 1
+    capsys.readouterr()
+    assert main(["eval", "--pf", str(pf), "--out", str(tmp_path / "hv.csv")]) == 0
+    assert "pf: hv=1.440000 points=1" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("label, stem", [

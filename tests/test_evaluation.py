@@ -335,10 +335,12 @@ def test_protocol_dominating_archive_scores_higher():
     assert hvs[0] > hvs[1]
 
 
-def test_protocol_degenerate_bounds_rejected():
+def test_protocol_one_point_fronts_score_the_ref_area():
+    # Every point agrees on both objectives, so each span is taken as 1.
     single = _front((1.0, 1.0))
-    with pytest.raises(ContractError):
-        compute_hv_protocol([single, single])
+    assert compute_hv_protocol([single, single]) == pytest.approx([1.44, 1.44], abs=1e-12)
+    # 1e20 + 1 rounds to 1e20, so the span must not be built as nadir = ideal + 1.
+    assert compute_hv_protocol([_front((1e20, 3.0))]) == pytest.approx([1.44], abs=1e-12)
 
 
 def test_union_bounds():

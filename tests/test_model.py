@@ -101,9 +101,9 @@ def test_encoder_matches_hand_computation():
     rng = np.random.default_rng(99)
     actor = ActorParams.init(cfg, rng, dtype=np.float64)
     # freeze hand-set inference statistics
-    for state in actor.bn.values():
-        state.running_mean = rng.standard_normal(4) * 0.1
-        state.running_var = rng.uniform(0.8, 1.2, 4)
+    for name in ("enc.l1.bn1", "enc.l1.bn2"):
+        actor.params[f"{name}.running_mean"].data = rng.standard_normal(4) * 0.1
+        actor.params[f"{name}.running_var"].data = rng.uniform(0.8, 1.2, 4)
     feats = rng.random((3, 4))
 
     p = {k: v.data for k, v in actor.params.items()}
@@ -120,9 +120,8 @@ def test_encoder_matches_hand_computation():
     mha = (w @ v) @ p["enc.l1.Wo"].T
 
     def bn_infer(x, name):
-        state = actor.bn[name]
-        return (p[f"{name}.scale"] * (x - state.running_mean)
-                / np.sqrt(state.running_var + 1e-5) + p[f"{name}.shift"])
+        return (p[f"{name}.scale"] * (x - p[f"{name}.running_mean"])
+                / np.sqrt(p[f"{name}.running_var"] + 1e-5) + p[f"{name}.shift"])
 
     h1 = bn_infer(h0 + mha, "enc.l1.bn1")
     ff = np.maximum(h1 @ p["enc.l1.ff.W0"].T + p["enc.l1.ff.b0"], 0.0) \
@@ -388,9 +387,9 @@ PLAIN_SHAPES = [(DESK, 8, 10), (DESK, 8, 20), (ModelConfig(), 4, 20)]
 @pytest.mark.parametrize("cfg,batch,n", PLAIN_SHAPES)
 def test_plain_encoding_is_bitwise_the_taped_one(cfg, batch, n, dtype):
     actor = ActorParams.init(cfg, np.random.default_rng(n), dtype=dtype)
-    for bn in actor.bn.values():        # running statistics away from (0, 1)
-        bn.running_mean = np.full_like(bn.running_mean, 0.25)
-        bn.running_var = np.full_like(bn.running_var, 1.5)
+    for name, a in actor.params.items():        # running statistics away from (0, 1)
+        if not a.requires_grad:
+            a.data = np.full_like(a.data, 0.25 if name.endswith(".running_mean") else 1.5)
     feats = np.random.default_rng(n + 1).random((batch, n, 4))
     got = encode_batch(feats, actor, "infer", plain)
     want = encode_batch(feats, actor, "infer")
@@ -464,7 +463,7 @@ def _scored_and_sequential(cfg, batch, n, dtype, mode):
         rng = np.random.default_rng(5) if mode == "sample" else None
         tours, logp = roll(feats, a, rng=rng, bn_mode="train")[:2]
         ad.backward(ad.mean_over_axis(ad.mul(logp, advantage), 0))
-        out.append((tours, logp.data, {name: p.grad for name, p in a.params.items()}))
+        out.append((tours, logp.data, {name: p.grad for name, p in a.params.items() if p.requires_grad}))
     return out
 
 
@@ -640,6 +639,38 @@ def test_copies_are_independent():
     assert not np.array_equal(critic.params["conv1.W"].data, cdup.params["conv1.W"].data)
 
 
+STATS = (".running_mean", ".running_var")
+
+
+def test_state_lists_the_weights_in_build_order_then_the_statistics():
+    actor = ActorParams.init(ModelConfig(d_h=8, n_heads=2, d_ff=16, n_layers=2), np.random.default_rng(0))
+    layer = [".Wq", ".Wk", ".Wv", ".Wo", ".bn1.scale", ".bn1.shift",
+             ".ff.W0", ".ff.b0", ".ff.W1", ".ff.b1", ".bn2.scale", ".bn2.shift"]
+    weights = (["enc.init.W", "enc.init.b"] + [f"enc.l{l}{s}" for l in (1, 2) for s in layer]
+               + ["dec.v1", "dec.vf", "dec.Wq", "dec.Wk", "dec.Wv", "dec.Wo", "dec.final.Wq", "dec.final.Wk"])
+    stats = [f"enc.l{l}.{bn}{s}" for l in (1, 2) for bn in ("bn1", "bn2") for s in STATS]
+    assert list(actor.state_arrays()) == weights + stats
+
+
+def test_trainable_excludes_exactly_the_running_statistics():
+    actor = tiny_actor(46)
+    want = [a for name, a in actor.params.items() if not name.endswith(STATS)]
+    got = actor.trainable()
+    assert len(got) == len(want) == len(actor.params) - 4
+    assert all(a is b for a, b in zip(got, want))
+
+
+def test_train_mode_on_a_copy_leaves_the_original_statistics():
+    actor = tiny_actor(47)
+    before = {k: v.copy() for k, v in actor.state_arrays().items()}
+    dup = actor.copy()
+    encode_batch(np.random.default_rng(48).random((4, 5, 4)), dup, "train")
+    for name, arr in actor.state_arrays().items():
+        np.testing.assert_array_equal(arr, before[name], err_msg=name)
+        moved = not np.array_equal(dup.state_arrays()[name], arr)
+        assert moved == name.endswith(STATS), name
+
+
 def test_zeros_constructors_lay_out_like_init():
     rng = np.random.default_rng(45)
     cfg = ModelConfig(d_h=16, n_heads=2, d_ff=64)
@@ -664,7 +695,7 @@ def test_init_is_the_fused_v1_draw():
         assert sorted(got) == sorted(heads)
         for name, arr in heads.items():
             np.testing.assert_array_equal(got[name], arr, err_msg=name)
-    assert len(fused.params) == 22 + 12   # 12 more arrays for the second encoder layer
+    assert len(fused.trainable()) == 22 + 12   # 12 more arrays for the second encoder layer
 
 
 def test_fused_model_matches_per_head_oracle():

@@ -175,7 +175,7 @@ def test_zero_signal_is_a_fixed_point(monkeypatch):
     for p in critic.params.values():
         p.data = np.zeros_like(p.data)
     cfg = tiny_run(n_nodes=4, batch_size=4, dataset_size=8)
-    before_a = {k: v.data.copy() for k, v in actor.params.items()}
+    before_a = {k: v.data.copy() for k, v in actor.params.items() if v.requires_grad}
     before_c = {k: v.data.copy() for k, v in critic.params.items()}
 
     actor_opt = Adam(actor.trainable(), cfg.lr_actor)
