@@ -11,10 +11,12 @@ reads (the inputs of `matmul`, `bmm`, `mul` and `log`, the outputs of `relu`,
 `tanh` and the softmaxes, `batch_norm`'s normalized input), so the tape frees
 an intermediate's data with its Array unless a closure reads it. There is no
 implicit broadcasting: each op states the exact shapes it accepts and raises
-DimensionError otherwise. Forward outputs are checked for NaN/Inf on
-creation. Each op computes its forward with the kernel of the same name in
-`plain`; a forward pass that nothing differentiates runs on those kernels
-directly and builds no Array.
+DimensionError otherwise. Each op computes its forward with the kernel of
+the same name in `plain`; a forward pass that nothing differentiates runs
+on those kernels directly and builds no Array. NaN and Inf follow `plain`'s
+one policy: leaves are checked when built, op results never; `relu`, `tanh`
+and the softmaxes check their input; `model._decode`, `read_checkpoint` and
+`clip_gradients` check the encoding, checkpoints and the gradient norm.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import numpy as np
 
 from . import plain
-from .errors import ContractError, DimensionError, NonFiniteError
+from .errors import ContractError, DimensionError
 from .plain import BN_EPS  # re-exported: batch_norm's epsilon
 
 _ids = itertools.count()
@@ -53,18 +55,15 @@ class Array:
     a new array. `grad` accumulates across backward calls until `zero_grad`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_node", "_op", "_id")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_id")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None, _op: str = "leaf"):
+    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
-        if not np.isfinite(arr).all():
-            raise NonFiniteError(f"non-finite values entering op '{_op}'")
-        self.data = arr
+        self.data = arr if _parents else plain.finite(arr, "leaf")
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
-        self._op = _op
         self._id = next(_ids)
         self._node = (_Node(tuple(map(_link, _parents)), _backward, self._id)
                       if self.requires_grad and _backward is not None else None)
@@ -82,7 +81,7 @@ class Array:
         return self.data.dtype
 
     def __repr__(self):
-        return f"Array(op={self._op}, shape={self.data.shape})"
+        return f"Array(shape={self.data.shape}, dtype={self.data.dtype})"
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -180,7 +179,7 @@ def matmul(a: Array, b: Array) -> Array:
     def back(g):
         return g @ y.T, x.T @ g
 
-    return Array(plain.matmul(x, y), _parents=(a, b), _backward=back, _op="matmul")
+    return Array(plain.matmul(x, y), _parents=(a, b), _backward=back)
 
 
 def bmm(a: Array, b: Array) -> Array:
@@ -194,7 +193,7 @@ def bmm(a: Array, b: Array) -> Array:
     def back(g):
         return g @ np.swapaxes(y, 1, 2), np.swapaxes(x, 1, 2) @ g
 
-    return Array(plain.bmm(x, y), _parents=(a, b), _backward=back, _op="bmm")
+    return Array(plain.bmm(x, y), _parents=(a, b), _backward=back)
 
 
 def add(a: Array, b: Array) -> Array:
@@ -204,7 +203,7 @@ def add(a: Array, b: Array) -> Array:
     def back(g):
         return g, g
 
-    return Array(plain.add(a.data, b.data), _parents=(a, b), _backward=back, _op="add")
+    return Array(plain.add(a.data, b.data), _parents=(a, b), _backward=back)
 
 
 def add_bias(x: Array, b: Array) -> Array:
@@ -216,7 +215,7 @@ def add_bias(x: Array, b: Array) -> Array:
     def back(g):
         return g, g.sum(axis=0)
 
-    return Array(plain.add_bias(x.data, b.data), _parents=(x, b), _backward=back, _op="add_bias")
+    return Array(plain.add_bias(x.data, b.data), _parents=(x, b), _backward=back)
 
 
 def mul(a: Array, b: Array) -> Array:
@@ -227,7 +226,7 @@ def mul(a: Array, b: Array) -> Array:
     def back(g):
         return g * y, g * x
 
-    return Array(plain.mul(x, y), _parents=(a, b), _backward=back, _op="mul")
+    return Array(plain.mul(x, y), _parents=(a, b), _backward=back)
 
 
 def scale(x: Array, c: float) -> Array:
@@ -236,7 +235,7 @@ def scale(x: Array, c: float) -> Array:
     def back(g):
         return (g * c,)
 
-    return Array(plain.scale(x.data, c), _parents=(x,), _backward=back, _op="scale")
+    return Array(plain.scale(x.data, c), _parents=(x,), _backward=back)
 
 
 def relu(x: Array) -> Array:
@@ -245,7 +244,7 @@ def relu(x: Array) -> Array:
     def back(g):
         return (g * (out > 0),)   # out > 0 exactly where x > 0
 
-    return Array(out, _parents=(x,), _backward=back, _op="relu")
+    return Array(out, _parents=(x,), _backward=back)
 
 
 def tanh(x: Array) -> Array:
@@ -254,7 +253,7 @@ def tanh(x: Array) -> Array:
     def back(g):
         return (g * (1.0 - t * t),)
 
-    return Array(t, _parents=(x,), _backward=back, _op="tanh")
+    return Array(t, _parents=(x,), _backward=back)
 
 
 def log(x: Array) -> Array:
@@ -263,7 +262,7 @@ def log(x: Array) -> Array:
     def back(g):
         return (g / data,)
 
-    return Array(plain.log(data), _parents=(x,), _backward=back, _op="log")
+    return Array(plain.log(data), _parents=(x,), _backward=back)
 
 
 def concat(parts: list[Array], axis: int = -1) -> Array:
@@ -282,8 +281,7 @@ def concat(parts: list[Array], axis: int = -1) -> Array:
     def back(g):
         return tuple(np.split(g, splits, axis=ax))
 
-    return Array(plain.concat([p.data for p in parts], axis=ax),
-                 _parents=tuple(parts), _backward=back, _op="concat")
+    return Array(plain.concat([p.data for p in parts], axis=ax), _parents=tuple(parts), _backward=back)
 
 
 def mean_over_axis(x: Array, axis: int) -> Array:
@@ -295,7 +293,7 @@ def mean_over_axis(x: Array, axis: int) -> Array:
     def back(g):
         return (np.repeat(np.expand_dims(g / k, ax), k, axis=ax),)
 
-    return Array(plain.mean_over_axis(x.data, ax), _parents=(x,), _backward=back, _op="mean_over_axis")
+    return Array(plain.mean_over_axis(x.data, ax), _parents=(x,), _backward=back)
 
 
 def reshape(x: Array, shape) -> Array:
@@ -305,7 +303,7 @@ def reshape(x: Array, shape) -> Array:
     def back(g):
         return (g.reshape(orig),)
 
-    return Array(out_data, _parents=(x,), _backward=back, _op="reshape")
+    return Array(out_data, _parents=(x,), _backward=back)
 
 
 def transpose_last2(x: Array) -> Array:
@@ -315,7 +313,7 @@ def transpose_last2(x: Array) -> Array:
     def back(g):
         return (np.swapaxes(g, -1, -2),)
 
-    return Array(plain.transpose_last2(x.data), _parents=(x,), _backward=back, _op="transpose_last2")
+    return Array(plain.transpose_last2(x.data), _parents=(x,), _backward=back)
 
 
 def permute(x: Array, axes) -> Array:
@@ -328,7 +326,7 @@ def permute(x: Array, axes) -> Array:
     def back(g):
         return (np.transpose(g, inverse),)
 
-    return Array(plain.permute(x.data, axes), _parents=(x,), _backward=back, _op="permute")
+    return Array(plain.permute(x.data, axes), _parents=(x,), _backward=back)
 
 
 def gather_rows(x: Array, idx) -> Array:
@@ -348,7 +346,7 @@ def gather_rows(x: Array, idx) -> Array:
         np.add.at(gx, idx, g)
         return (gx,)
 
-    return Array(plain.gather_rows(x.data, idx), _parents=(x,), _backward=back, _op="gather_rows")
+    return Array(plain.gather_rows(x.data, idx), _parents=(x,), _backward=back)
 
 
 def masked_softmax(logits: Array, mask) -> Array:
@@ -357,20 +355,20 @@ def masked_softmax(logits: Array, mask) -> Array:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != logits.shape:
         raise DimensionError(f"mask shape {mask.shape} does not match logits {logits.shape}")
-    return _softmax_node(plain.masked_softmax(logits.data, mask), logits, "masked_softmax")
+    return _softmax_node(plain.masked_softmax(logits.data, mask), logits)
 
 
 def softmax(logits: Array) -> Array:
     """Softmax over the last axis; equals `masked_softmax` with nothing masked."""
-    return _softmax_node(plain.softmax(logits.data), logits, "softmax")
+    return _softmax_node(plain.softmax(logits.data), logits)
 
 
-def _softmax_node(probs: np.ndarray, logits: Array, op: str) -> Array:
+def _softmax_node(probs: np.ndarray, logits: Array) -> Array:
     def back(g):
         dot = (g * probs).sum(axis=-1, keepdims=True)
         return (probs * (g - dot),)
 
-    return Array(probs, _parents=(logits,), _backward=back, _op=op)
+    return Array(probs, _parents=(logits,), _backward=back)
 
 
 BN_MOMENTUM = 0.1       # weight of the batch statistics in the running EMA
@@ -414,7 +412,7 @@ def batch_norm(x: Array, scale: Array, shift: Array, mean: Array, var: Array, mo
         def back(g):
             return g * gamma * inv_std, (g * xhat).sum(axis=0), g.sum(axis=0)
 
-    return Array(out, _parents=(x, scale, shift), _backward=back, _op="batch_norm")
+    return Array(out, _parents=(x, scale, shift), _backward=back)
 
 
 def global_grad_norm(params: list[Array]) -> float:

@@ -293,8 +293,8 @@ def _merge_heads(blocks, batch: int, ops=ad):
 def encode_batch(features: np.ndarray, actor: ActorParams, mode: str, ops=ad) -> EncodedBatch:
     """The encoding of B instances' features (B, n, d_x); batch norm in `mode`.
 
-    With `ops=plain` it is built from ndarrays without a tape, in infer mode,
-    and its five arrays are checked for NaN and Inf once, at the end.
+    With `ops=plain` it is built from ndarrays without a tape, in infer mode.
+    `_decode` checks the five arrays for NaN and Inf, once per decode.
     """
     cfg = actor.cfg
     feats = np.asarray(features)
@@ -327,11 +327,7 @@ def encode_batch(features: np.ndarray, actor: ActorParams, mode: str, ops=ad) ->
     values = _split_heads(_linear(h, p["dec.Wv"], ops=ops), batch, heads, (0, 2, 1, 3), ops)
     final_keys = ops.reshape(_linear(h, p["dec.final.Wk"], ops=ops), (batch, n, d_h))
     final_keys_t = ops.transpose_last2(final_keys)
-    enc = EncodedBatch(h, graph, keys_t, values, final_keys_t)
-    if ops is plain:        # the tape checks each op's output as it goes
-        for f in fields(enc):
-            plain.finite(getattr(enc, f.name), "encode_batch")
-    return enc
+    return EncodedBatch(h, graph, keys_t, values, final_keys_t)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +455,10 @@ def rollout_batch(features: np.ndarray, actor: ActorParams, rng: np.random.Gener
 
 def _decode(enc: EncodedBatch, cfg: ModelConfig, p, rng=None, forced_tours: np.ndarray | None = None):
     """The n plain decode steps of the ndarray encoding `enc` under the
-    weights `p`, choosing as `rollout_batch` does; returns (tours, step probs)."""
+    weights `p`, choosing as `rollout_batch` does; returns (tours, step probs).
+    An encoding that holds a NaN or Inf raises NonFiniteError first."""
+    for f in fields(enc):
+        plain.finite(getattr(enc, f.name), "encode_batch")
     state = BatchDecodeState(enc)
     tours = np.empty((enc.batch, enc.n), dtype=np.intp)
     step_probs = []

@@ -6,15 +6,16 @@ computes its forward by calling it. So a forward pass that takes its ops
 from this module instead of `autodiff` makes the same numpy calls in the
 same order and gives the same bits, but builds no Array and records no tape.
 
-Nothing here checks shapes, and results are not checked for NaN/Inf one by
-one. The ops that can turn a non-finite input into a finite output check
-their input instead: `relu` (max(-inf, 0) = 0), `tanh` (tanh(±inf) = ±1) and
-the softmaxes, whose max-subtraction and masking can hide an overflowed
-logit. Every other op either carries a NaN or Inf into its output or leaves
-the entry out (`gather_rows`), so a caller that checks what it keeps with
-`finite` sees every one it uses. On the tape those input checks repeat the
-check of the Array they read; that costs about 1 ms of a full-width
-training step.
+Nothing here checks shapes. Both paths follow one NaN/Inf policy, and no op
+result is checked. What is checked, and where:
+- leaves, when `autodiff` builds them;
+- the inputs of the ops that can map a non-finite input to a finite output:
+  `relu` (max(-inf, 0) = 0), `tanh` (tanh(±inf) = ±1) and the softmaxes;
+- an encoding, once, in `model._decode`, for the sampling loop and the solve;
+- every array that `decomposition.read_checkpoint` reads;
+- the gradient norm, in `trainer.clip_gradients`.
+Every other op carries a NaN or Inf into its output or leaves the entry out
+(`gather_rows`), so every value that is used meets one of these checks.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ def tanh(x):
 
 
 def log(x):
+    """A non-positive input is a caller's error (ContractError): the model logs
+    chosen nodes' probabilities, zero only for a replayed tour it cannot make."""
     if np.any(x <= 0):
         raise ContractError("log requires strictly positive inputs")
     return np.log(x)

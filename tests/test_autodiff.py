@@ -85,15 +85,32 @@ def test_forward_determinism_bitwise():
 
 
 def test_non_finite_values_rejected():
-    with pytest.raises(NonFiniteError):
-        ad.constant(np.array([1.0, np.nan]))
-    with pytest.raises(NonFiniteError):
-        ad.constant(np.array([np.inf]))
+    """Every way of building a leaf checks it."""
+    for build in (lambda: ad.constant(np.array([1.0, np.nan])),
+                  lambda: ad.constant(np.array([np.inf])),
+                  lambda: ad.param(np.array([np.nan, 2.0])),
+                  lambda: ad.Array(np.array([[0.5], [np.nan]]))):
+        with pytest.raises(NonFiniteError, match="'leaf'"):
+            build()
+
+
+def test_op_results_are_not_checked_but_the_next_checked_kernel_is():
+    """An op result may hold Inf; relu, tanh and softmax, which could turn it
+    into a finite value, each reject it as their input."""
+    big = ad.param(np.full((2, 3), 1e30), dtype=np.float32)
+    with np.errstate(over="ignore"):
+        product = ad.mul(big, big)
+    assert np.isposinf(product.data).all()
+    for op in (ad.relu, ad.tanh, ad.softmax):
+        with pytest.raises(NonFiniteError, match=f"'{op.__name__}'"):
+            op(product)
 
 
 def test_log_rejects_nonpositive():
     with pytest.raises(ContractError):
         ad.log(ad.constant(np.array([1.0, 0.0])))
+    with pytest.raises(ContractError):
+        plain.log(np.array([2.0, -np.inf]))
 
 
 def test_gather_rows_duplicate_indices_accumulate():

@@ -285,7 +285,7 @@ def test_run_schedule_produces_all_artifacts(tmp_path):
     for name in run_files(tmp_path, 3):
         assert (tmp_path / name).exists(), name
     assert (tmp_path / MANIFEST_NAME).exists()
-    assert not list(tmp_path.glob("*.partial"))
+    assert not list(tmp_path.glob("*.tmp"))
     assert load_manifest(tmp_path)[1] == [1, 2, 3]
     # returned models are usable policies
     inst = MotspInstance(np.random.default_rng(0).random((4, 4)))

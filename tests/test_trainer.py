@@ -228,6 +228,20 @@ def test_divergence_is_reported(monkeypatch, diverge_on_call):
     assert all(math.isfinite(last[k]) for k in ("mean_gws", "critic_loss", "grad_norm"))
 
 
+def test_a_nan_born_in_the_taped_train_mode_encoder_stops_training():
+    """No op result on the tape is checked: a float32 feed-forward weight
+    scaled by 1e38 overflows, batch norm turns the Inf into NaN, and the
+    encoding check in the sampling loop stops the first iteration."""
+    actor, critic = fresh_pair(3, dtype=np.float32)
+    actor.params["enc.l1.ff.W1"].data = actor.params["enc.l1.ff.W1"].data * np.float32(1e38)
+    cfg = tiny_run(n_nodes=4, batch_size=4, dataset_size=8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergedError, match="'encode_batch'") as err:
+            train_subproblem((0.5, 0.5), actor, critic, cfg, 1, np.random.default_rng(0))
+    assert err.value.snapshot["iteration"] == 1
+    assert err.value.snapshot["last_metrics"] is None
+
+
 def test_actor_gradient_invariant_to_common_cost_shift():
     """Adding one constant to every cost and to the baseline must not move
     the actor gradient.  Dyadic-rational values keep the float arithmetic
