@@ -13,10 +13,9 @@ an intermediate's data with its Array unless a closure reads it. There is no
 implicit broadcasting: each op states the exact shapes it accepts and raises
 DimensionError otherwise. Each op computes its forward with the kernel of
 the same name in `plain`; a forward pass that nothing differentiates runs
-on those kernels directly and builds no Array. NaN and Inf follow `plain`'s
-one policy: leaves are checked when built, op results never; `relu`, `tanh`
-and the softmaxes check their input; `model._decode`, `read_checkpoint` and
-`clip_gradients` check the encoding, checkpoints and the gradient norm.
+on those kernels directly and builds no Array. NaN and Inf follow the one
+policy that `plain`'s docstring lists: here, leaves are checked when built
+and op results never.
 """
 
 from __future__ import annotations

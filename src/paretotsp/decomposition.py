@@ -352,7 +352,7 @@ class TrainedActors:
 
 
 def run_schedule(cfg: RunConfig, workdir, resume: bool = False,
-                 progress=None) -> list[ActorParams]:
+                 progress=None) -> TrainedActors:
     """Train all M subproblems with neighborhood parameter transfer.
 
     Fresh initialization (stream [seed, 0]) for subproblem 1; subproblem i>1
@@ -360,7 +360,9 @@ def run_schedule(cfg: RunConfig, workdir, resume: bool = False,
     trains on its own stream [seed, i], so a resumed run retrains any
     unfinished subproblem from scratch and lands on identical checkpoints.
     `progress(i, M, weights, epochs)`, if given, is called as subproblem i
-    starts. Returns the M final actors in schedule order. A
+    starts. Returns the finished run's `TrainedActors`, which reads the M
+    final actors from their checkpoints, in schedule order, only when
+    iterated. A
     `TrainingDivergedError` leaves with the failing `subproblem` in its
     snapshot, beside `train_subproblem`'s iteration and last metrics.
     """
@@ -411,4 +413,4 @@ def run_schedule(cfg: RunConfig, workdir, resume: bool = False,
         completed.append(i)
         write_manifest(workdir, cfg, completed)
 
-    return list(TrainedActors(workdir))
+    return TrainedActors(workdir)

@@ -18,11 +18,13 @@ ops whatever H is.
 
 Training works on batches: node embeddings live in (B*n, d_h) arrays so batch
 norm statistics run over the node dimension of the whole batch, and attention
-uses per-instance (B, n, ...) views. A training rollout chooses its tours
-step by step without a tape, then scores all n steps of them in one
-teacher-forced decoder pass on the tape. `greedy_tours` decodes one instance
-under many actors, a group at a time: a group's decoder inputs are stacked on
-a leading model axis, so its actors are the batch rows of a single decode.
+uses per-instance (B, n, ...) views. The decoder keeps no state between
+steps: a decode step is a function of the encoding and the tour prefix. A
+training rollout chooses its tours step by step without a tape, then scores
+all n steps of them in one teacher-forced decoder pass on the tape.
+`greedy_tours` decodes one instance under many actors, a group at a time: a
+group's decoder inputs are stacked on a leading model axis, so its actors are
+the batch rows of a single decode.
 
 The encoder, the decode step and the glimpse and pointer take their ops from
 a namespace, `ops`: `autodiff` records the tape, and `plain` runs the same
@@ -284,8 +286,6 @@ def _merge_heads(blocks, batch: int, ops=ad):
     """(B*H, n, d_k) per-head blocks back to (B*n, H*d_k) rows, head-major in each row."""
     rows, n, d_k = blocks.shape
     heads = rows // batch
-    if n == 1:      # the heads of each row are already adjacent
-        return ops.reshape(blocks, (batch, heads * d_k))
     return ops.reshape(ops.permute(ops.reshape(blocks, (batch, heads, n, d_k)), (0, 2, 1, 3)),
                        (batch * n, heads * d_k))
 
@@ -350,35 +350,18 @@ def _stack_rows(parts: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-class BatchDecodeState:
-    def __init__(self, enc: EncodedBatch):
-        self.enc = enc
-        self.visited = np.zeros((enc.batch, enc.n), dtype=bool)
-        self.first = np.zeros(enc.batch, dtype=np.intp)
-        self.last = np.zeros(enc.batch, dtype=np.intp)
-        self.first_rows = None      # embeddings of `first`, gathered once
-        self.t = 1
+def _decode_step_batch(enc: EncodedBatch, placed: np.ndarray, cfg: ModelConfig, p, ops=ad):
+    """The probabilities (B, n) of each row's next node after its tour prefix
+    `placed` (B, t), for the encoding `enc` under the weights `p`: an actor's,
+    or a group's with one leading row per actor.
 
-    def advance(self, chosen: np.ndarray) -> None:
-        rows = np.arange(self.enc.batch)
-        if self.visited[rows, chosen].any():
-            raise ContractError("advance on an already visited node")
-        self.visited[rows, chosen] = True
-        if self.t == 1:
-            self.first = chosen.astype(np.intp)
-        self.last = chosen.astype(np.intp)
-        self.t += 1
-
-
-def _decode_step_batch(state: BatchDecodeState, cfg: ModelConfig, p, ops=ad):
-    """Step t's probabilities (B, n) over the nodes, for `state`'s encoding,
-    under the weights `p`: an actor's, or a group's with one leading row per
-    actor."""
-    enc = state.enc
+    The decoder has no recurrent state: the context reads the prefix's first
+    and last nodes (the `dec.v1`/`dec.vf` placeholders while it is empty), and
+    the mask is the set of nodes it holds.
+    """
     batch, n = enc.batch, enc.n
-    d_h, heads = cfg.d_h, cfg.n_heads
-
-    if state.t == 1:
+    d_h = cfg.d_h
+    if placed.shape[1] == 0:
         # A (d_h,) placeholder serves every row; a stacked (rows, d_h) one
         # gives each row its own.
         own = np.arange(batch) if len(p["dec.v1"].shape) == 2 else np.zeros(batch, dtype=np.intp)
@@ -386,14 +369,14 @@ def _decode_step_batch(state: BatchDecodeState, cfg: ModelConfig, p, ops=ad):
         last = ops.gather_rows(ops.reshape(p["dec.vf"], (-1, d_h)), own)
     else:
         base = np.arange(batch) * n
-        if state.first_rows is None:
-            state.first_rows = ops.gather_rows(enc.nodes2d, base + state.first)
-        first = state.first_rows
-        last = ops.gather_rows(enc.nodes2d, base + state.last)
+        first = ops.gather_rows(enc.nodes2d, base + placed[:, 0])
+        last = ops.gather_rows(enc.nodes2d, base + placed[:, -1])
     context = ops.concat([enc.graph, first, last], axis=1)     # (B, 3*d_h)
+    visited = np.zeros((batch, 1, n), dtype=bool)
+    visited[np.arange(batch)[:, None], 0, placed] = True
 
-    q = ops.reshape(_linear(context, p["dec.Wq"], ops=ops), (batch * heads, 1, cfg.d_k))
-    return ops.reshape(_attend(q, state.visited[:, None, :], enc, cfg, p, ops), (batch, n))
+    q = ops.reshape(_linear(context, p["dec.Wq"], ops=ops), (batch * cfg.n_heads, 1, cfg.d_k))
+    return ops.reshape(_attend(q, visited, enc, cfg, p, ops), (batch, n))
 
 
 def _attend(q, visited: np.ndarray, enc: EncodedBatch, cfg: ModelConfig, p, ops=ad):
@@ -420,7 +403,7 @@ def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     cdf = np.cumsum(probs, axis=1)
     cdf /= cdf[:, -1:]
     u = rng.random(probs.shape[0])
-    return (cdf < u[:, None]).sum(axis=1).astype(np.intp)
+    return (cdf <= u[:, None]).sum(axis=1).astype(np.intp)     # never a zero-probability node
 
 
 def rollout_batch(features: np.ndarray, actor: ActorParams, rng: np.random.Generator | None = None,
@@ -456,23 +439,23 @@ def rollout_batch(features: np.ndarray, actor: ActorParams, rng: np.random.Gener
 def _decode(enc: EncodedBatch, cfg: ModelConfig, p, rng=None, forced_tours: np.ndarray | None = None):
     """The n plain decode steps of the ndarray encoding `enc` under the
     weights `p`, choosing as `rollout_batch` does; returns (tours, step probs).
-    An encoding that holds a NaN or Inf raises NonFiniteError first."""
+    An encoding that holds a NaN or Inf raises NonFiniteError first, and a
+    decode that places a node twice raises ContractError."""
     for f in fields(enc):
         plain.finite(getattr(enc, f.name), "encode_batch")
-    state = BatchDecodeState(enc)
     tours = np.empty((enc.batch, enc.n), dtype=np.intp)
     step_probs = []
     for t in range(enc.n):
-        probs = _decode_step_batch(state, cfg, p, plain)
+        probs = _decode_step_batch(enc, tours[:, :t], cfg, p, plain)
         step_probs.append(probs)
         if forced_tours is not None:
-            chosen = forced_tours[:, t]
+            tours[:, t] = forced_tours[:, t]
         elif rng is not None:
-            chosen = _sample_rows(probs, rng)
+            tours[:, t] = _sample_rows(probs, rng)
         else:
-            chosen = probs.argmax(axis=1).astype(np.intp)
-        tours[:, t] = chosen
-        state.advance(chosen)
+            tours[:, t] = probs.argmax(axis=1)
+    if (np.sort(tours, axis=1) != np.arange(enc.n)).any():
+        raise ContractError("a decode placed a node twice")
     return tours, step_probs
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from paretotsp import autodiff as ad
 from paretotsp.instances import MotspInstance
-from paretotsp.model import BatchDecodeState, _decode_step_batch, _sample_rows, encode_batch
+from paretotsp.model import _decode_step_batch, _sample_rows, encode_batch
 
 
 def random_instance(n: int, seed: int) -> MotspInstance:
@@ -336,13 +336,12 @@ def sequential_rollout(features: np.ndarray, actor, rng=None, bn_mode: str = "in
     the n decoder steps chooses as `rollout_batch` does, gathers its chosen
     node's probability, takes the log and adds it to the running sum."""
     enc = encode_batch(np.asarray(features), actor, bn_mode)
-    state = BatchDecodeState(enc)
     batch, n = enc.batch, enc.n
     tours = np.empty((batch, n), dtype=np.intp)
     rows = np.arange(batch)
     logp = None
     for t in range(n):
-        probs = _decode_step_batch(state, actor.cfg, actor.params)
+        probs = _decode_step_batch(enc, tours[:, :t], actor.cfg, actor.params)
         if forced_tours is not None:
             chosen = np.asarray(forced_tours)[:, t]
         elif rng is not None:
@@ -353,7 +352,6 @@ def sequential_rollout(features: np.ndarray, actor, rng=None, bn_mode: str = "in
         lp = ad.log(ad.reshape(picked, (batch,)))
         logp = lp if logp is None else ad.add(logp, lp)
         tours[:, t] = chosen
-        state.advance(chosen)
     return tours, logp
 
 

@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from paretotsp.decomposition import (MANIFEST_NAME, RunConfig, TrainedActors,
                                      checkpoint_name, config_hash,
                                      read_checkpoint, save_models,
                                      write_checkpoint, write_manifest)
-from paretotsp.errors import ParseError
+from paretotsp.errors import ContractError, ParseError
 from paretotsp.instances import (MotspInstance, evaluate_objectives,
                                  load_native, load_tsplib_pair, save_native)
 from paretotsp.model import ActorParams, CriticParams, greedy_tours
@@ -30,6 +31,8 @@ epochs_first = 1
 epochs_rest = 1
 seed = 3
 """
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TSPLIB_A = """\
 NAME: ta
@@ -132,6 +135,19 @@ def test_parse_config_rejects_json_without_config(tmp_path):
     path.write_text('{"format": "other"}')
     with pytest.raises(ParseError):
         parse_config_file(path)
+
+
+def test_shipped_profiles_parse_to_their_documented_runs(tmp_path):
+    """desk.profile is README's desk row; full.profile and an empty file are
+    both the built-in defaults, as full.profile's header promises."""
+    desk = RunConfig.from_mapping(parse_config_file(CONFIGS / "desk.profile"))
+    assert desk == RunConfig(n_nodes=10, m_sub=10, d_h=16, n_heads=2, d_ff=64, batch_size=64,
+                             dataset_size=32000, epochs_first=8, epochs_rest=1,
+                             lr_actor=1e-3, lr_critic=1e-3, seed=0)
+    assert RunConfig.from_mapping(parse_config_file(CONFIGS / "full.profile")) == RunConfig()
+    empty = tmp_path / "empty.profile"
+    empty.write_text("")
+    assert RunConfig.from_mapping(parse_config_file(empty)) == RunConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +704,86 @@ def test_undecodable_text_input_exits_2_naming_the_file_and_line(tmp_path, capsy
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"{bad}:2: not UTF-8 text" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# byte mutations of every input
+
+
+MUTATION_CONFIG = TINY_CONFIG.replace("n_nodes = 4", "n_nodes = 5")
+
+# Bytes that a mutation writes: mostly ones the formats give meaning to.
+_MUTATION_BYTES = b"0123456789-+.,:= \n\teEinfaNx{}[]\"\xff\x00"
+
+
+def _mutate(data: bytes, rng: np.random.Generator) -> bytes:
+    """`data` after one to three random byte edits: a replaced byte, a
+    deleted span, an inserted byte, or a truncation."""
+    out = bytearray(data)
+    for _ in range(rng.integers(1, 4)):
+        edit, at = rng.integers(4), int(rng.integers(len(out) + 1))
+        byte = _MUTATION_BYTES[rng.integers(len(_MUTATION_BYTES))]
+        if edit == 0 and at < len(out):
+            out[at] = byte
+        elif edit == 1:
+            del out[at:at + int(rng.integers(1, 9))]
+        elif edit == 2:
+            out.insert(at, byte)
+        else:
+            del out[at:]
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def mutation_inputs(tmp_path_factory):
+    """A finished two-model run (n=5, d_h=8) and one file of each input kind;
+    returns {kind: (argv, the file that argv reads)}."""
+    root = tmp_path_factory.mktemp("mutations")
+    (root / "run.conf").write_text(MUTATION_CONFIG)
+    cfg = RunConfig.from_mapping(parse_config_file(root / "run.conf"))
+    run = root / "run"
+    run.mkdir()
+    rng = np.random.default_rng(11)
+    for i in (1, 2):
+        save_models(run / checkpoint_name(i), ActorParams.init(cfg.model_config(), rng), CriticParams.init(rng))
+    write_manifest(run, cfg, [1, 2])
+    save_native(MotspInstance(rng.random((5, 4))), root / "i.motsp")
+    (root / "a.tsp").write_text(tsplib_text("ta", TSPLIB6_A[:5]))
+    (root / "b.tsp").write_text(tsplib_text("tb", TSPLIB6_B[:5]))
+    solve = ["solve", "--ckpt", str(run), "--out", str(root / "pf.csv")]
+    assert main(solve + ["--instance", str(root / "i.motsp")]) == 0
+    pf = root / "front.csv"
+    shutil.copy(root / "pf.csv", pf)
+    return {
+        "config": (None, root / "run.conf"),
+        "motsp": (solve + ["--instance", str(root / "i.motsp")], root / "i.motsp"),
+        "tsplib": (solve + ["--tsplib", str(root / "a.tsp"), str(root / "b.tsp")], root / "b.tsp"),
+        "pf-csv": (["eval", "--pf", str(pf), "--out", str(root / "hv.csv")], pf),
+        "manifest": (solve + ["--instance", str(root / "i.motsp")], run / MANIFEST_NAME),
+        "checkpoint": (solve + ["--instance", str(root / "i.motsp")], run / checkpoint_name(2)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["config", "motsp", "tsplib", "pf-csv", "manifest", "checkpoint"])
+def test_mutated_inputs_exit_0_or_2(mutation_inputs, kind):
+    """Seeded byte mutations of each input either run or exit 2 with a
+    message, never a traceback. A mutated config is only parsed, so that no
+    mutation can start a paper-scale training run."""
+    argv, target = mutation_inputs[kind]
+    original = target.read_bytes()
+    rng = np.random.default_rng(sum(kind.encode()))
+    try:
+        for case in range(100):
+            target.write_bytes(_mutate(original, rng))
+            if argv is None:
+                try:
+                    RunConfig.from_mapping(parse_config_file(target))
+                except (ContractError, ParseError):
+                    pass
+            else:
+                assert main(argv) in (0, 2), (case, target.read_bytes())
+    finally:
+        target.write_bytes(original)
 
 
 # ---------------------------------------------------------------------------

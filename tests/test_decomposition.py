@@ -289,7 +289,7 @@ def test_run_schedule_produces_all_artifacts(tmp_path):
     assert load_manifest(tmp_path)[1] == [1, 2, 3]
     # returned models are usable policies
     inst = MotspInstance(np.random.default_rng(0).random((4, 4)))
-    tour, _ = rollout(inst, actors[0])
+    tour, _ = rollout(inst, next(iter(actors)))
     assert sorted(tour.tolist()) == [0, 1, 2, 3]
 
 

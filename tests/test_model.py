@@ -9,8 +9,8 @@ from paretotsp import plain
 from paretotsp.decomposition import RunConfig
 from paretotsp.errors import ContractError, DimensionError, NonFiniteError
 from paretotsp.instances import MotspInstance
-from paretotsp.model import (_GROUP, DEFAULT_CRITIC_CHANNELS, ActorParams, BatchDecodeState,
-                             CriticParams, ModelConfig, _decode_step_batch,
+from paretotsp.model import (_GROUP, DEFAULT_CRITIC_CHANNELS, ActorParams, CriticParams,
+                             ModelConfig, _decode, _decode_step_batch, _sample_rows,
                              critic_batch, encode_batch, greedy_tours, rollout,
                              rollout_batch)
 
@@ -26,9 +26,14 @@ def tiny_actor(seed=0, cfg=TINY, dtype=np.float64):
     return ActorParams.init(cfg, np.random.default_rng(seed), dtype=dtype)
 
 
-def decode_state(feats, actor):
-    """A fresh decode of the one instance `feats` (n, d_x)."""
-    return BatchDecodeState(encode_batch(feats[None], actor, "infer"))
+def encode_one(feats, actor):
+    """The encoding of the one instance `feats` (n, d_x)."""
+    return encode_batch(feats[None], actor, "infer")
+
+
+def prefix(*nodes):
+    """The tour prefix `nodes` of a batch of one, as a (1, t) array."""
+    return np.array([nodes], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -140,37 +145,30 @@ def test_encoder_matches_hand_computation():
 def test_decode_probabilities_masked_and_normalized():
     inst = random_instance(8, seed=4)
     actor = tiny_actor(2)
-    state = decode_state(inst.features, actor)
-    probs = _decode_step_batch(state, actor.cfg, actor.params).data[0]
+    enc = encode_one(inst.features, actor)
+    probs = _decode_step_batch(enc, prefix(), actor.cfg, actor.params).data[0]
     assert abs(probs.sum() - 1.0) <= 1e-9
-    state.advance(np.array([3]))
-    state.advance(np.array([6]))
-    probs = _decode_step_batch(state, actor.cfg, actor.params).data[0]
+    probs = _decode_step_batch(enc, prefix(3, 6), actor.cfg, actor.params).data[0]
     assert probs[3] == 0.0 and probs[6] == 0.0
     assert np.all(probs >= 0.0)
     assert abs(probs.sum() - 1.0) <= 1e-9
-    visited = state.visited[0]
-    assert visited[3] and visited[6] and visited.sum() == 2
+    # exactly the placed nodes are masked
+    assert np.flatnonzero(probs == 0.0).tolist() == [3, 6]
 
 
 def test_decode_forced_last_choice():
     inst = random_instance(5, seed=6)
     actor = tiny_actor(3)
-    state = decode_state(inst.features, actor)
-    for node in (2, 0, 4, 1):
-        state.advance(np.array([node]))
-    probs = _decode_step_batch(state, actor.cfg, actor.params).data[0]
+    probs = _decode_step_batch(encode_one(inst.features, actor), prefix(2, 0, 4, 1),
+                               actor.cfg, actor.params).data[0]
     np.testing.assert_array_equal(probs, [0.0, 0.0, 0.0, 1.0, 0.0])
 
 
 def test_decode_all_visited_rejected():
     inst = random_instance(3, seed=7)
     actor = tiny_actor(4)
-    state = decode_state(inst.features, actor)
-    for node in (1, 0, 2):
-        state.advance(np.array([node]))
     with pytest.raises(ContractError, match="every entry masked"):
-        _decode_step_batch(state, actor.cfg, actor.params)
+        _decode_step_batch(encode_one(inst.features, actor), prefix(1, 0, 2), actor.cfg, actor.params)
 
 
 def test_decode_logits_clipped_to_ten():
@@ -180,24 +178,36 @@ def test_decode_logits_clipped_to_ten():
     # large pointer queries, so the unclipped logits would span far more than 2 * clip
     actor.params["dec.final.Wq"].data = actor.params["dec.final.Wq"].data * 300.0
     enc = encode_batch(feats, actor, "infer")
-    state = BatchDecodeState(enc)
-    for step, picks in enumerate([None, rng.integers(0, 10, 4)]):
-        if picks is not None:
-            state.advance(picks.astype(np.intp))
-        probs = _decode_step_batch(state, actor.cfg, actor.params).data
+    for placed in (np.empty((4, 0), dtype=np.intp), rng.integers(0, 10, (4, 1))):
+        probs = _decode_step_batch(enc, placed, actor.cfg, actor.params).data
         for b in range(4):
             # logits in [-clip, clip] bound the ratio of any two open nodes' probabilities
-            p = probs[b][~state.visited[b]]
+            p = probs[b][~np.isin(np.arange(10), placed[b])]
             assert np.log(p.max() / p.min()) <= 2 * actor.cfg.clip
 
 
 def test_decode_visit_twice_rejected():
     inst = random_instance(4, seed=8)
     actor = tiny_actor(5)
-    state = decode_state(inst.features, actor)
-    state.advance(np.array([2]))
-    with pytest.raises(ContractError):
-        state.advance(np.array([2]))
+    enc = encode_one(inst.features, actor).untaped()
+    with pytest.raises(ContractError, match="placed a node twice"):
+        _decode(enc, actor.cfg, actor.state_arrays(), forced_tours=np.array([[2, 2, 0, 1]]))
+
+
+class _ZeroDraws:
+    """An rng stub whose uniform draws are all exactly 0.0."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+def test_sampling_never_picks_a_zero_probability_node():
+    """A draw of exactly u = 0 takes the first node of nonzero probability,
+    not a masked node 0; every other draw picks as before."""
+    probs = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.25, 0.75, 0.0]])
+    assert _sample_rows(probs, _ZeroDraws()).tolist() == [1, 2, 0]
+    tours, _, _ = rollout_batch(np.random.default_rng(5).random((3, 6, 4)), tiny_actor(5), rng=_ZeroDraws())
+    assert (np.sort(tours, axis=1) == np.arange(6)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +249,11 @@ def test_rollout_chain_rule_consistency():
     inst = random_instance(8, seed=12)
     actor = tiny_actor(12)
     tour, logp = rollout(inst, actor, seed=3)
-    state = decode_state(inst.features, actor)
+    enc = encode_one(inst.features, actor)
     total = 0.0
-    for node in tour:
-        probs = _decode_step_batch(state, actor.cfg, actor.params).data[0]
+    for t, node in enumerate(tour):
+        probs = _decode_step_batch(enc, tour[None, :t], actor.cfg, actor.params).data[0]
         total += math.log(probs[node])
-        state.advance(np.array([node]))
     assert abs(total - logp) < 1e-6
 
 
@@ -279,7 +288,7 @@ def test_rollout_first_step_frequencies_match_distribution():
     n, runs = 5, 10_000
     inst = random_instance(n, seed=20)
     actor = tiny_actor(20)
-    probs = _decode_step_batch(decode_state(inst.features, actor), actor.cfg, actor.params).data[0]
+    probs = _decode_step_batch(encode_one(inst.features, actor), prefix(), actor.cfg, actor.params).data[0]
     feats = np.broadcast_to(inst.features, (runs, n, 4))
     tours, _, _ = rollout_batch(feats, actor, rng=np.random.default_rng(78))
     counts = np.bincount(tours[:, 0], minlength=n)
@@ -408,15 +417,13 @@ def test_plain_decode_step_is_bitwise_the_taped_attend(cfg, batch, n, dtype):
     actor = ActorParams.init(cfg, np.random.default_rng(n), dtype=dtype)
     feats = np.random.default_rng(n + 1).random((batch, n, 4))
     enc = encode_batch(feats, actor, "train")
-    taped, untaped = BatchDecodeState(enc), BatchDecodeState(enc.untaped())
+    untaped = enc.untaped()
     weights = actor.state_arrays()
     order = np.argsort(np.random.default_rng(n + 2).random((batch, n)), axis=1)
     for t in range(n):
-        got = _decode_step_batch(untaped, actor.cfg, weights, plain)
-        want = _decode_step_batch(taped, actor.cfg, actor.params)
+        got = _decode_step_batch(untaped, order[:, :t], actor.cfg, weights, plain)
+        want = _decode_step_batch(enc, order[:, :t], actor.cfg, actor.params)
         assert type(got) is np.ndarray and got.tobytes() == want.data.tobytes(), t
-        taped.advance(order[:, t])
-        untaped.advance(order[:, t])
 
 
 def test_hidden_overflow_is_reported_on_both_tape_free_paths():
@@ -712,7 +719,6 @@ def test_fused_model_matches_per_head_oracle():
     feats = rng.random((3, 7, 4))
 
     enc = encode_batch(feats, actor, "infer")
-    state = BatchDecodeState(enc)
     picks = [np.array([2, 0, 6]), np.array([5, 3, 1]), np.array([0, 4, 2])]
     nodes2d = enc.nodes2d.data.reshape(3, 7, 16)
     oracle = [per_head_encode(feats[b], heads, 2) for b in range(3)]
@@ -720,7 +726,8 @@ def test_fused_model_matches_per_head_oracle():
         np.testing.assert_allclose(nodes2d[b], oracle[b][0], rtol=0, atol=1e-6)
         np.testing.assert_allclose(enc.graph.data[b], oracle[b][1], rtol=0, atol=1e-6)
     for step in range(len(picks) + 1):
-        probs = _decode_step_batch(state, actor.cfg, actor.params).data
+        placed = np.array(picks[:step], dtype=np.intp).reshape(step, 3).T
+        probs = _decode_step_batch(enc, placed, actor.cfg, actor.params).data
         for b in range(3):
             chosen = [int(p[b]) for p in picks[:step]]
             visited = np.isin(np.arange(7), chosen)
@@ -728,6 +735,4 @@ def test_fused_model_matches_per_head_oracle():
                                         chosen[0] if chosen else None,
                                         chosen[-1] if chosen else None)
             np.testing.assert_allclose(probs[b], want, rtol=0, atol=1e-6)
-        if step < len(picks):
-            state.advance(picks[step])
 
