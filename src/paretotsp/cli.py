@@ -1,10 +1,11 @@
 """Command-line front end: gen, train, solve, eval, plot.
 
-Exit codes: 0 success, 1 runtime failure (I/O, diverged training), 2 usage or
-contract error (bad flags, malformed config/input files, incompatible
-checkpoints). Training runs live in a checkpoint directory (flag --out, or
-the PARETOTSP_CKPT_ROOT environment variable) and are resumable; every run
-writes a manifest that reproduces it exactly when passed back to --config.
+Exit codes: 0 success, 1 runtime failure (I/O, diverged training, out of
+memory), 2 usage or contract error (bad flags, malformed config/input files,
+incompatible checkpoints). Training runs live in a checkpoint directory (flag
+--out, or the PARETOTSP_CKPT_ROOT environment variable) and are resumable;
+every run writes a manifest that reproduces it exactly when passed back to
+--config.
 """
 
 from __future__ import annotations
@@ -227,6 +228,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -3,9 +3,9 @@
 A bi-objective problem is split into M scalarized subproblems along the
 uniform weight sweep λ_i = ((i-1)/(M-1), 1-(i-1)/(M-1)). Subproblem 1 trains
 from fresh initialization for its own epoch budget; every later subproblem
-starts from an exact copy of its predecessor's final parameters and trains
-briefly. Each subproblem's finished model is persisted as `model_<i>.ckpt`
-(named float32 little-endian arrays behind a `v2` header) next to a
+continues training its predecessor's actor and critic, briefly. Each
+subproblem's finished model is persisted as `model_<i>.ckpt` (named float32
+little-endian arrays behind a `v2` header) next to a
 `manifest.json` carrying the full run configuration, its hash, the seeds,
 and the list of completed subproblems — enough to resume or to reproduce the
 run bit for bit.
@@ -355,16 +355,18 @@ def run_schedule(cfg: RunConfig, workdir, resume: bool = False,
                  progress=None) -> TrainedActors:
     """Train all M subproblems with neighborhood parameter transfer.
 
-    Fresh initialization (stream [seed, 0]) for subproblem 1; subproblem i>1
-    starts from an exact copy of i-1's final actor and critic. Subproblem i
-    trains on its own stream [seed, i], so a resumed run retrains any
-    unfinished subproblem from scratch and lands on identical checkpoints.
-    `progress(i, M, weights, epochs)`, if given, is called as subproblem i
-    starts. Returns the finished run's `TrainedActors`, which reads the M
-    final actors from their checkpoints, in schedule order, only when
-    iterated. A
-    `TrainingDivergedError` leaves with the failing `subproblem` in its
-    snapshot, beside `train_subproblem`'s iteration and last metrics.
+    One actor and critic, built fresh from stream [seed, 0] or, on a resume,
+    loaded from the last completed checkpoint, train in place through every
+    remaining subproblem, so subproblem i>1 starts from exactly i-1's final
+    parameters. Subproblem i trains on its own stream [seed, i], so a
+    resumed run retrains any unfinished subproblem from scratch and lands on
+    identical checkpoints. Subproblem i's rows go to `metrics_<i>.csv`
+    after each epoch. `progress(i, M, weights, epochs)`, if given, is called
+    as subproblem i starts. Returns the finished run's `TrainedActors`,
+    which reads the M final actors from their checkpoints, in schedule
+    order, only when iterated. A `TrainingDivergedError` leaves with the
+    failing `subproblem` in its snapshot, beside `train_subproblem`'s
+    iteration and last metrics.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -380,35 +382,25 @@ def run_schedule(cfg: RunConfig, workdir, resume: bool = False,
                 raise ContractError(f"manifest lists subproblem {i} complete but {checkpoint_name(i)} is missing")
     write_manifest(workdir, cfg, completed)
 
-    actor = critic = None
     if completed:
         actor, critic = load_models(workdir / checkpoint_name(completed[-1]), cfg)
+    else:
+        init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+        actor = ActorParams.init(cfg.model_config(), init_rng)
+        critic = CriticParams.init(init_rng)
 
     for i in range(len(completed) + 1, cfg.m_sub + 1):
-        if i == 1:
-            init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-            actor = ActorParams.init(cfg.model_config(), init_rng)
-            critic = CriticParams.init(init_rng)
-        else:
-            actor = actor.copy()
-            critic = critic.copy()
         weights = sched.weights[i - 1]
         epochs = sched.epochs[i - 1]
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
-        metrics_path = workdir / metrics_name(i)
-
-        def persist_epoch(epoch, a, c, report):
-            report.write_csv(metrics_path)
-
         if progress is not None:
             progress(i, cfg.m_sub, weights, epochs)
         try:
-            report = train_subproblem(weights, actor, critic, cfg, epochs,
-                                      rng=rng, epoch_callback=persist_epoch)
+            train_subproblem(weights, actor, critic, cfg, epochs, rng,
+                             metrics_path=workdir / metrics_name(i))
         except TrainingDivergedError as exc:
             exc.snapshot["subproblem"] = i
             raise
-        report.write_csv(metrics_path)
         save_models(workdir / checkpoint_name(i), actor, critic)
         completed.append(i)
         write_manifest(workdir, cfg, completed)

@@ -48,20 +48,12 @@ def pareto_filter_indices(points) -> np.ndarray:
     return np.asarray(keep, dtype=np.intp)
 
 
-def normalize(points, ideal, nadir) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    ideal = np.asarray(ideal, dtype=np.float64)
-    nadir = np.asarray(nadir, dtype=np.float64)
-    if np.any(nadir <= ideal):
-        raise ContractError(f"degenerate bounds: nadir {nadir} must exceed ideal {ideal} per objective")
-    return (pts - ideal) / (nadir - ideal)
-
-
 def hypervolume_2d(points, ref=DEFAULT_REF_POINT) -> float:
     """Exact area dominated by `points` and bounded above by `ref`.
 
     Points with any coordinate at or beyond the reference point contribute
     nothing and are dropped with a warning; dominated points contribute 0.
+    An area too large for a float raises ContractError naming the reference.
     """
     pts = np.asarray(points, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
@@ -80,7 +72,11 @@ def hypervolume_2d(points, ref=DEFAULT_REF_POINT) -> float:
     xs = front[order, 0]
     ys = front[order, 1]
     next_x = np.append(xs[1:], ref[0])
-    return float(np.sum((next_x - xs) * (ref[1] - ys)))
+    with np.errstate(over="ignore"):
+        area = float(np.sum((next_x - xs) * (ref[1] - ys)))
+    if not np.isfinite(area):
+        raise ContractError(f"hypervolume under the reference {ref.tolist()} overflows a float")
+    return area
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,24 +122,18 @@ def approximate_pf(inst: MotspInstance, models) -> Front:
     return Front(tours, evaluate_objectives(inst.features, tours), np.arange(1, len(tours) + 1))
 
 
-def union_bounds(fronts) -> tuple[np.ndarray, np.ndarray]:
-    """Per-objective ideal/nadir over every point of every front."""
-    pts = np.concatenate([np.empty((0, 2))] + [f.objectives for f in fronts])
-    if not len(pts):
-        raise ContractError("no front points to take bounds over")
-    return pts.min(axis=0), pts.max(axis=0)
-
-
 def compute_hv_protocol(fronts, ref=DEFAULT_REF_POINT) -> list[float]:
     """HV of each front under the ideal/nadir bounds of the union of the
     fronts and a common ref. An objective on which every point agrees gets a
     span of 1, so a one-point front scores the ref's area."""
     if not fronts:
         raise ContractError("compute_hv_protocol needs at least one front")
-    ideal, nadir = union_bounds(fronts)
+    pts = np.concatenate([np.empty((0, 2))] + [f.objectives for f in fronts])
+    if not len(pts):
+        raise ContractError("no front points to take bounds over")
+    ideal, nadir = pts.min(axis=0), pts.max(axis=0)
     span = np.where(nadir > ideal, nadir - ideal, 1.0)
-    return [hypervolume_2d(normalize(f.objectives - ideal, 0.0, span), ref) if len(f) else 0.0
-            for f in fronts]
+    return [hypervolume_2d((f.objectives - ideal) / span, ref) if len(f) else 0.0 for f in fronts]
 
 
 # ---------------------------------------------------------------------------

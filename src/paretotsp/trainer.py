@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .model import ActorParams, CriticParams, critic_batch, rollout_batch
 
 @dataclass(frozen=True)
 class IterationMetrics:
+    """One row of the metrics file; the fields are its columns, in order."""
+
     iteration: int
     mean_gws: float
     critic_loss: float
@@ -34,22 +36,13 @@ class IterationMetrics:
     seconds: float
 
 
-@dataclass
-class TrainReport:
-    rows: list[IterationMetrics] = field(default_factory=list)
-
-    def write_csv(self, path) -> None:
-        lines = ["iteration,mean_gws,critic_loss,grad_norm,seconds"]
-        for r in self.rows:
-            lines.append(",".join([
-                str(r.iteration),
-                format(r.mean_gws, ".17g"),
-                format(r.critic_loss, ".17g"),
-                format(r.grad_norm, ".17g"),
-                format(r.seconds, ".17g"),
-            ]))
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+def write_metrics(path, rows: list[IterationMetrics]) -> None:
+    """The rows as CSV under a header of `IterationMetrics`' field names;
+    floats print with 17 significant digits."""
+    lines = [",".join(f.name for f in fields(IterationMetrics))]
+    lines += [",".join(format(v, ".17g") for v in astuple(r)) for r in rows]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 class Adam:
@@ -131,7 +124,7 @@ def reinforce_iteration(weights, actor: ActorParams, critic: CriticParams,
     except NonFiniteError as exc:
         raise TrainingDivergedError(
             f"iteration aborted: {exc}",
-            snapshot={"weights": w.tolist(), "mean_gws": float("nan")}) from exc
+            snapshot={"weights": w.tolist()}) from exc
 
     return {
         "mean_gws": float(gws.mean()),
@@ -142,35 +135,31 @@ def reinforce_iteration(weights, actor: ActorParams, critic: CriticParams,
 
 def train_subproblem(weights, actor: ActorParams, critic: CriticParams,
                      cfg, epochs: int, rng: np.random.Generator,
-                     epoch_callback=None) -> TrainReport:
+                     metrics_path=None) -> list[IterationMetrics]:
     """`epochs` epochs of T = D/B iterations on one weight vector; mutates the params.
 
-    `epoch_callback(epoch, actor, critic, report)` runs after each epoch —
-    the hook for per-epoch metrics. Deterministic for a fixed rng state.
-    A `TrainingDivergedError` leaves with the failing `iteration` and the
-    `last_metrics` row before it (None on the first) in its snapshot.
+    Returns one `IterationMetrics` row per iteration. Given `metrics_path`,
+    writes the header there at once and all rows so far after each epoch.
+    Deterministic for a fixed rng state. A `TrainingDivergedError` leaves
+    with the failing `iteration` and the `last_metrics` row before it (None
+    on the first) in its snapshot.
     """
     actor_opt = Adam(actor.trainable(), cfg.lr_actor, cfg.beta1, cfg.beta2, cfg.eps)
     critic_opt = Adam(critic.trainable(), cfg.lr_critic, cfg.beta1, cfg.beta2, cfg.eps)
-    report = TrainReport()
-    iteration = 0
-    for epoch in range(1, epochs + 1):
+    rows: list[IterationMetrics] = []
+    if metrics_path is not None:
+        write_metrics(metrics_path, rows)
+    for _ in range(epochs):
         for _ in range(cfg.dataset_size // cfg.batch_size):
-            iteration += 1
             started = time.perf_counter()
             try:
                 metrics = reinforce_iteration(weights, actor, critic, cfg, rng, actor_opt, critic_opt)
             except TrainingDivergedError as exc:
-                exc.snapshot["iteration"] = iteration
-                exc.snapshot["last_metrics"] = asdict(report.rows[-1]) if report.rows else None
+                exc.snapshot["iteration"] = len(rows) + 1
+                exc.snapshot["last_metrics"] = asdict(rows[-1]) if rows else None
                 raise
-            report.rows.append(IterationMetrics(
-                iteration=iteration,
-                mean_gws=metrics["mean_gws"],
-                critic_loss=metrics["critic_loss"],
-                grad_norm=metrics["grad_norm"],
-                seconds=time.perf_counter() - started,
-            ))
-        if epoch_callback is not None:
-            epoch_callback(epoch, actor, critic, report)
-    return report
+            rows.append(IterationMetrics(iteration=len(rows) + 1, **metrics,
+                                         seconds=time.perf_counter() - started))
+        if metrics_path is not None:
+            write_metrics(metrics_path, rows)
+    return rows

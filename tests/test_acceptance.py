@@ -187,7 +187,7 @@ def test_training_improvement(capsys):
     cfg = RunConfig(n_nodes=10, **DESK_DIMS)
     rep = train_subproblem((0.5, 0.5), actor, critic, cfg, 8,
                            rng=np.random.default_rng(np.random.SeedSequence([0, 1])))
-    gws = [r.mean_gws for r in rep.rows]
+    gws = [r.mean_gws for r in rep]
     first, last = np.mean(gws[:50]), np.mean(gws[-50:])
     ok = last < 0.8 * first
     report(capsys, 5, "training improvement", ok,
@@ -212,9 +212,9 @@ def test_parameter_transfer(capsys, tmp_path, monkeypatch):
     starts = {}
     real = dec.train_subproblem
 
-    def spy(weights, actor, critic, cfg, epochs, rng=None, epoch_callback=None):
+    def spy(weights, actor, critic, cfg, epochs, rng=None, metrics_path=None):
         starts[len(starts) + 1] = dec.pack_models(actor, critic)
-        return real(weights, actor, critic, cfg, epochs, rng=rng, epoch_callback=epoch_callback)
+        return real(weights, actor, critic, cfg, epochs, rng=rng, metrics_path=metrics_path)
 
     monkeypatch.setattr(dec, "train_subproblem", spy)
     live = RunConfig(m_sub=3, epochs_first=1, epochs_rest=1, **tiny)

@@ -237,6 +237,27 @@ def test_train_missing_config_is_io_error(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 931. GiB for an array")
+
+
+@pytest.mark.parametrize("command", ["train", "solve"])
+def test_out_of_memory_exits_one_with_one_line(trained, tmp_path, monkeypatch, capsys, command):
+    """A model or instance too large to allocate exits 1 with one line. The
+    failure is faked: a host that overcommits memory would grant a real
+    request and kill the process later."""
+    monkeypatch.setattr("paretotsp.decomposition.run_schedule", _out_of_memory)
+    monkeypatch.setattr("paretotsp.evaluation.approximate_pf", _out_of_memory)
+    if command == "train":
+        argv = ["train", "--config", str(trained["config"]), "--out", str(tmp_path / "w")]
+    else:
+        save_native(MotspInstance(np.random.default_rng(0).random((4, 4))), tmp_path / "i.motsp")
+        argv = ["solve", "--ckpt", str(trained["ckpt"]), "--instance", str(tmp_path / "i.motsp"),
+                "--out", str(tmp_path / "pf.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "out of memory: Unable to allocate 931. GiB for an array\n"
+
+
 def test_legacy_manifest_with_ref_keys(trained, tmp_path, capsys):
     """A run whose manifest still records ref1/ref2 solves, reruns from the
     manifest, resumes, and keeps its config hash checked; new manifests lack
@@ -589,6 +610,18 @@ def test_eval_rejects_a_non_finite_ref(tmp_path, capsys, ref):
     assert main(["eval", "--pf", str(pf), "--ref", ref, "--out", str(tmp_path / "hv.csv")]) == 2
     err = capsys.readouterr().err
     assert "--ref" in err and "Traceback" not in err
+    assert not (tmp_path / "hv.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--no-normalize"], []], ids=["raw", "normalized"])
+def test_eval_rejects_a_ref_whose_area_overflows(tmp_path, capsys, flags):
+    pf = tmp_path / "front.csv"
+    write_front(pf, [((0, 1, 2), (0.0, 1e308)), ((1, 0, 2), (1e308, 0.0))])
+    with np.errstate(over="raise"):
+        assert main(["eval", "--pf", str(pf), *flags, "--ref", "1.7e308,1.7e308",
+                     "--out", str(tmp_path / "hv.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "1.7e+308" in err and "Traceback" not in err
     assert not (tmp_path / "hv.csv").exists()
 
 

@@ -310,6 +310,7 @@ def test_zero_rest_epochs_copies_checkpoints_bitwise(tmp_path):
     first = (tmp_path / checkpoint_name(1)).read_bytes()
     for i in (2, 3):
         assert (tmp_path / checkpoint_name(i)).read_bytes() == first
+        assert (tmp_path / metrics_name(i)).read_text() == "iteration,mean_gws,critic_loss,grad_norm,seconds\n"
 
 
 def metrics_rows(workdir, i):

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from paretotsp.errors import ContractError, DimensionError, ParseError
 from paretotsp.evaluation import (PF_CSV_HEADER, Front, approximate_pf,
                                   compute_hv_protocol, hypervolume_2d,
-                                  normalize, pareto_filter_indices,
-                                  read_pf_csv, union_bounds, write_hv_report,
-                                  write_pf_csv)
+                                  pareto_filter_indices, read_pf_csv,
+                                  write_hv_report, write_pf_csv)
 from paretotsp import decomposition as dec
 from paretotsp.cli import main
 from paretotsp.instances import evaluate_objectives, save_native
@@ -75,21 +74,6 @@ def test_pareto_filter_idempotent():
     once = pts[pareto_filter_indices(pts)]
     twice = once[pareto_filter_indices(once)]
     np.testing.assert_array_equal(once, twice)
-
-
-# ---------------------------------------------------------------------------
-# normalization
-
-
-def test_normalize_endpoints():
-    ideal, nadir = np.array([1.0, 2.0]), np.array([3.0, 6.0])
-    np.testing.assert_array_equal(normalize([ideal], ideal, nadir), [[0.0, 0.0]])
-    np.testing.assert_array_equal(normalize([nadir], ideal, nadir), [[1.0, 1.0]])
-
-
-def test_normalize_degenerate_bounds():
-    with pytest.raises(ContractError):
-        normalize([[1.0, 1.0]], np.array([0.0, 2.0]), np.array([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +327,11 @@ def test_protocol_one_point_fronts_score_the_ref_area():
     assert compute_hv_protocol([_front((1e20, 3.0))]) == pytest.approx([1.44], abs=1e-12)
 
 
-def test_union_bounds():
-    a = _front((1.0, 5.0))
-    b = _front((2.0, 3.0))
-    ideal, nadir = union_bounds([a, b])
-    np.testing.assert_array_equal(ideal, [1.0, 3.0])
-    np.testing.assert_array_equal(nadir, [2.0, 5.0])
+def test_protocol_normalizes_over_the_union():
+    # Union bounds map (1, 5) to (0, 1) and (2, 3) to (1, 0); each front's
+    # own bounds would make it a one-point front scoring 1.44.
+    hvs = compute_hv_protocol([_front((1.0, 5.0)), _front((2.0, 3.0))])
+    assert hvs == pytest.approx([0.24, 0.24], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

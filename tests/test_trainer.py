@@ -13,9 +13,9 @@ from paretotsp.errors import ContractError, TrainingDivergedError
 from paretotsp.instances import MotspInstance, evaluate_objectives
 from paretotsp.model import (ActorParams, CriticParams, ModelConfig, rollout,
                              rollout_batch)
-from paretotsp.trainer import (Adam, TrainReport, IterationMetrics, clip_gradients,
+from paretotsp.trainer import (Adam, IterationMetrics, clip_gradients,
                                reinforce_iteration, sample_batch,
-                               train_subproblem)
+                               train_subproblem, write_metrics)
 
 TINY = ModelConfig(d_h=8, n_heads=2, d_ff=16)
 
@@ -46,10 +46,10 @@ def test_config_iteration_count():
     """An epoch is dataset_size // batch_size iterations: 2500 by default."""
     assert RunConfig().dataset_size // RunConfig().batch_size == 2500
     actor, critic = fresh_pair(0)
-    report = train_subproblem((0.5, 0.5), actor, critic,
-                              tiny_run(n_nodes=4, batch_size=10, dataset_size=120), 1,
-                              np.random.default_rng(0))
-    assert len(report.rows) == 12
+    rows = train_subproblem((0.5, 0.5), actor, critic,
+                            tiny_run(n_nodes=4, batch_size=10, dataset_size=120), 1,
+                            np.random.default_rng(0))
+    assert len(rows) == 12
 
 
 # ---------------------------------------------------------------------------
@@ -296,36 +296,44 @@ def test_policy_learns_to_prefer_the_cheapest_tour(monkeypatch):
 # full subproblem runs
 
 
-def test_zero_epochs_changes_nothing():
+def test_zero_epochs_changes_nothing(tmp_path):
     actor, critic = fresh_pair(4)
     before = {k: v.data.copy() for k, v in actor.params.items()}
-    calls = []
     cfg = tiny_run(n_nodes=4, batch_size=4, dataset_size=8)
-    report = train_subproblem((0.5, 0.5), actor, critic, cfg, 0, np.random.default_rng(0),
-                              epoch_callback=lambda *a: calls.append(a))
-    assert report.rows == []
-    assert calls == []
+    rows = train_subproblem((0.5, 0.5), actor, critic, cfg, 0, np.random.default_rng(0),
+                            metrics_path=tmp_path / "metrics.csv")
+    assert rows == []
+    assert (tmp_path / "metrics.csv").read_text() == "iteration,mean_gws,critic_loss,grad_norm,seconds\n"
     for k, v in before.items():
         np.testing.assert_array_equal(actor.params[k].data, v)
 
 
-def test_epoch_callback_cadence():
+def test_metrics_file_rewritten_each_epoch(tmp_path, monkeypatch):
+    """The header is written at once, then every row so far after each epoch."""
     actor, critic = fresh_pair(5)
     cfg = tiny_run(n_nodes=4, batch_size=4, dataset_size=12)
+    path = tmp_path / "metrics.csv"
     seen = []
-    train_subproblem((0.5, 0.5), actor, critic, cfg, 2, np.random.default_rng(0),
-                     epoch_callback=lambda e, a, c, r: seen.append((e, len(r.rows))))
-    assert seen == [(1, 3), (2, 6)]
+
+    def spy(p, rows):
+        write_metrics(p, rows)
+        seen.append(len(path.read_text().splitlines()) - 1)
+
+    monkeypatch.setattr(trainer_mod, "write_metrics", spy)
+    rows = train_subproblem((0.5, 0.5), actor, critic, cfg, 2, np.random.default_rng(0),
+                            metrics_path=path)
+    assert seen == [0, 3, 6]
+    assert [r.iteration for r in rows] == [1, 2, 3, 4, 5, 6]
 
 
 def test_training_is_deterministic():
-    reports, finals = [], []
+    runs, finals = [], []
     for _ in range(2):
         actor, critic = fresh_pair(6)
         cfg = tiny_run(n_nodes=4, batch_size=8, dataset_size=80)
-        reports.append(train_subproblem((0.4, 0.6), actor, critic, cfg, 1, np.random.default_rng(9)))
+        runs.append(train_subproblem((0.4, 0.6), actor, critic, cfg, 1, np.random.default_rng(9)))
         finals.append({k: v.data.copy() for k, v in actor.params.items()})
-    for a, b in zip(reports[0].rows, reports[1].rows):
+    for a, b in zip(runs[0], runs[1]):
         assert (a.iteration, a.mean_gws, a.critic_loss, a.grad_norm) == \
             (b.iteration, b.mean_gws, b.critic_loss, b.grad_norm)
     for k in finals[0]:
@@ -336,9 +344,9 @@ def test_costs_improve_on_a_small_run():
     actor, critic = fresh_pair(7)
     cfg = tiny_run(n_nodes=8, batch_size=32, dataset_size=32 * 200,
                       lr_actor=3e-3, lr_critic=3e-3)
-    report = train_subproblem((0.5, 0.5), actor, critic, cfg, 1, np.random.default_rng(11))
-    gws = [r.mean_gws for r in report.rows]
-    losses = [r.critic_loss for r in report.rows]
+    rows = train_subproblem((0.5, 0.5), actor, critic, cfg, 1, np.random.default_rng(11))
+    gws = [r.mean_gws for r in rows]
+    losses = [r.critic_loss for r in rows]
     assert np.mean(gws[-20:]) < 0.95 * np.mean(gws[:20])
     assert np.mean(losses[-20:]) < 0.2 * np.mean(losses[:20])
 
@@ -348,16 +356,16 @@ def test_costs_improve_on_a_small_run():
 
 
 def test_report_round_trips_through_csv(tmp_path):
-    report = TrainReport(rows=[
+    rows = [
         IterationMetrics(1, 1.2345678901234567, 0.5, 2.0, 0.001),
         IterationMetrics(2, 1.0, 1.0 / 3.0, 0.125, 0.002),
-    ])
+    ]
     path = tmp_path / "metrics.csv"
-    report.write_csv(path)
+    write_metrics(path, rows)
     lines = path.read_text().splitlines()
     assert lines[0] == "iteration,mean_gws,critic_loss,grad_norm,seconds"
     assert len(lines) == 3
-    for row, line in zip(report.rows, lines[1:]):
+    for row, line in zip(rows, lines[1:]):
         cells = line.split(",")
         assert int(cells[0]) == row.iteration
         assert float(cells[1]) == row.mean_gws
