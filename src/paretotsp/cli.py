@@ -65,12 +65,15 @@ def cmd_gen(args) -> int:
     if args.seed < 0:
         raise ContractError(f"--seed must be >= 0, got {args.seed}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, k]))
         name = f"rand_n{args.n}_s{args.seed}_{k}"
-        inst = MotspInstance(rng.random((args.n, 4)), name=name)
-        save_native(inst, out / f"{name}.motsp")
+        try:
+            features = rng.random((args.n, 4))
+        except ValueError as exc:       # numpy refuses the shape before it allocates
+            raise ContractError(f"--n {args.n} is too large for an (n, 4) array: {exc}") from exc
+        out.mkdir(parents=True, exist_ok=True)
+        save_native(MotspInstance(features, name=name), out / f"{name}.motsp")
     print(f"wrote {args.count} instance file(s) under {out}")
     return 0
 

@@ -23,29 +23,25 @@ log = logging.getLogger(__name__)
 DEFAULT_REF_POINT = (1.2, 1.2)
 
 
-def pareto_filter_indices(points) -> np.ndarray:
-    """Indices of the nondominated points, in first-occurrence order.
+def _sweep(pts: np.ndarray) -> np.ndarray:
+    """Indices of the nondominated rows of (k, 2) points without NaN, by
+    ascending f1 (Kung et al.'s sweep): after a stable sort by f1 then f2, a
+    row is kept when its f2 is below every f2 before it, so exact duplicates
+    keep their first row."""
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    f2 = pts[order, 1]
+    keep = np.append(True, f2[1:] < np.minimum.accumulate(f2)[:-1])
+    return order[keep]
 
-    Exact duplicates keep only their first occurrence.
-    """
+
+def pareto_filter_indices(points) -> np.ndarray:
+    """Indices of the nondominated points of a nonempty, finite (k, 2)
+    array, in first-occurrence order. Exact duplicates (0 and -0 are equal)
+    keep only their first occurrence."""
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ContractError(f"need a nonempty (k, m) array of points, got shape {pts.shape}")
-    # le[i, j]: point i <= point j in every objective
-    le = np.all(pts[:, None, :] <= pts[None, :, :], axis=2)
-    lt = np.any(pts[:, None, :] < pts[None, :, :], axis=2)
-    dominated = np.any(le & lt, axis=0)
-    keep = []
-    seen = set()
-    for j in range(pts.shape[0]):
-        if dominated[j]:
-            continue
-        key = pts[j].tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        keep.append(j)
-    return np.asarray(keep, dtype=np.intp)
+    if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != 2 or not np.isfinite(pts).all():
+        raise ContractError(f"need a nonempty, finite (k, 2) array of points, got shape {pts.shape}")
+    return np.sort(_sweep(pts))
 
 
 def hypervolume_2d(points, ref=DEFAULT_REF_POINT) -> float:
@@ -67,10 +63,7 @@ def hypervolume_2d(points, ref=DEFAULT_REF_POINT) -> float:
     if pts.shape[0] == 0:
         log.warning("hypervolume_2d: no points inside the reference; HV = 0")
         return 0.0
-    front = pts[pareto_filter_indices(pts)]
-    order = np.argsort(front[:, 0], kind="stable")
-    xs = front[order, 0]
-    ys = front[order, 1]
+    xs, ys = pts[_sweep(pts)].T
     next_x = np.append(xs[1:], ref[0])
     with np.errstate(over="ignore"):
         area = float(np.sum((next_x - xs) * (ref[1] - ys)))
@@ -132,7 +125,10 @@ def compute_hv_protocol(fronts, ref=DEFAULT_REF_POINT) -> list[float]:
     if not len(pts):
         raise ContractError("no front points to take bounds over")
     ideal, nadir = pts.min(axis=0), pts.max(axis=0)
-    span = np.where(nadir > ideal, nadir - ideal, 1.0)
+    with np.errstate(over="ignore"):
+        span = np.where(nadir > ideal, nadir - ideal, 1.0)
+    if not np.isfinite(span).all():
+        raise ContractError(f"the objective span {span.tolist()} of the fronts overflows a float")
     return [hypervolume_2d((f.objectives - ideal) / span, ref) if len(f) else 0.0 for f in fronts]
 
 

@@ -36,7 +36,8 @@ differentiates (the sampling loop, and the whole of `greedy_tours`) runs on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -234,8 +235,7 @@ class CriticParams(_Params):
 # encoder
 
 
-@dataclass
-class EncodedBatch:
+class EncodedBatch(NamedTuple):
     """One rollout's fixed encoder outputs for B instances.
 
     `nodes2d` (B*n, d_h) and `graph` (B, d_h) are the node and graph
@@ -260,14 +260,9 @@ class EncodedBatch:
     def n(self) -> int:
         return self.nodes2d.shape[0] // self.batch
 
-    @classmethod
-    def stack(cls, encs: list["EncodedBatch"]) -> "EncodedBatch":
-        """One encoding whose batch rows are the rows of `encs`, in order."""
-        return cls(*(_stack_rows([getattr(e, f.name) for e in encs]) for f in fields(cls)))
-
     def untaped(self) -> "EncodedBatch":
         """The same encoding as ndarrays, views of the Arrays' data."""
-        return EncodedBatch(*(getattr(self, f.name).data for f in fields(self)))
+        return EncodedBatch(*(a.data for a in self))
 
 
 def _split_heads(x2d, batch: int, heads: int, axes, ops=ad):
@@ -334,7 +329,7 @@ def encode_batch(features: np.ndarray, actor: ActorParams, mode: str, ops=ad) ->
 # decoder
 
 
-def _stack_rows(parts: list[np.ndarray]) -> np.ndarray:
+def _stack_rows(parts: tuple[np.ndarray, ...]) -> np.ndarray:
     """Concatenate along the leading axis, packing the trailing axes in the
     first part's memory order (a transposed key block stays column-major), so
     a product against the stack makes the same BLAS call per row as against
@@ -441,8 +436,8 @@ def _decode(enc: EncodedBatch, cfg: ModelConfig, p, rng=None, forced_tours: np.n
     weights `p`, choosing as `rollout_batch` does; returns (tours, step probs).
     An encoding that holds a NaN or Inf raises NonFiniteError first, and a
     decode that places a node twice raises ContractError."""
-    for f in fields(enc):
-        plain.finite(getattr(enc, f.name), "encode_batch")
+    for a in enc:
+        plain.finite(a, "encode_batch")
     tours = np.empty((enc.batch, enc.n), dtype=np.intp)
     step_probs = []
     for t in range(enc.n):
@@ -551,7 +546,7 @@ def _decode_group(parts: list, cfg: ModelConfig) -> np.ndarray:
     actor, decoded as the batch rows of one stacked loop."""
     encs, weights = zip(*parts)
     stacked = {name: np.stack([w[name] for w in weights]) for name in weights[0]}
-    return _decode(EncodedBatch.stack(encs), cfg, stacked)[0]
+    return _decode(EncodedBatch(*map(_stack_rows, zip(*encs))), cfg, stacked)[0]
 
 
 def rollout(inst: MotspInstance, actor: ActorParams, seed: int | None = None) -> tuple[np.ndarray, float]:

@@ -171,6 +171,12 @@ def test_gen_writes_deterministic_instances(tmp_path, capsys):
 def test_gen_rejects_tiny_n(tmp_path, capsys):
     assert main(["gen", "--n", "1", "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+    # numpy refuses these shapes before it allocates anything
+    for n in (10**20, 2**60):
+        assert main(["gen", "--n", str(n), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "--n" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_gen_rejects_negative_seed(tmp_path, capsys):
@@ -622,6 +628,15 @@ def test_eval_rejects_a_ref_whose_area_overflows(tmp_path, capsys, flags):
                      "--out", str(tmp_path / "hv.csv")]) == 2
     err = capsys.readouterr().err
     assert "1.7e+308" in err and "Traceback" not in err
+    assert not (tmp_path / "hv.csv").exists()
+
+
+def test_eval_rejects_fronts_whose_objective_span_overflows(tmp_path, capsys):
+    pf = tmp_path / "front.csv"
+    write_front(pf, [((0, 1, 2), (-1e308, 1.0)), ((1, 0, 2), (1e308, 0.0))])
+    assert main(["eval", "--pf", str(pf), "--out", str(tmp_path / "hv.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "span" in err and "Traceback" not in err
     assert not (tmp_path / "hv.csv").exists()
 
 

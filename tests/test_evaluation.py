@@ -32,6 +32,7 @@ def test_dominates_basics():
     assert kept((2, 1), (1, 2)) == [0, 1]
     assert kept((1.5, 2.5), (1.5, 2.5)) == [0]      # equal: a duplicate, not dominated
     assert kept((1, 3), (1, 2)) == [1]              # better in one, equal in the other
+    assert kept((0.0, 1.0), (-0.0, 1.0)) == [0]     # 0 and -0 are one value: a duplicate
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +50,11 @@ def test_pareto_filter_single_point():
 
 
 def test_pareto_filter_empty_rejected():
-    with pytest.raises(ContractError):
-        pareto_filter_indices(np.empty((0, 2)))
+    """Only a nonempty, finite (k, 2) array is a front: a NaN would poison
+    the sweep's running minimum."""
+    for bad in (np.empty((0, 2)), np.zeros((3, 3)), [(1.0, 2.0), (np.nan, 0.5)]):
+        with pytest.raises(ContractError):
+            pareto_filter_indices(bad)
 
 
 def test_pareto_filter_dedup_keeps_first():
@@ -66,6 +70,8 @@ def test_pareto_filter_matches_brute_force(seed):
     if seed % 3 == 0:                       # inject duplicates sometimes
         pts[::7] = pts[0]
     np.testing.assert_array_equal(pareto_filter_indices(pts), pareto_brute(pts))
+    rounded = np.round(pts * 10) / 10       # ties in f1 and in f2
+    np.testing.assert_array_equal(pareto_filter_indices(rounded), pareto_brute(rounded))
 
 
 def test_pareto_filter_idempotent():
@@ -360,6 +366,8 @@ def test_pf_csv_round_trip(tmp_path):
     (lambda lines: [lines[0], "1,0,1,1.0,2.0,0-1-2-2"], 2),
     (lambda lines: [lines[0]], 1),
     (lambda lines: lines + ["1,0,1,2.0,1.0,0-1-2"], 3),
+    pytest.param(lambda lines: [lines[0], "1,0,1,0,2.0,0-1-2-3", "1,0,1,-0,2.0,1-0-2-3"], 3,
+                 id="signed-zero-duplicate"),       # -0 and 0 are one value
 ])
 def test_pf_csv_malformed(tmp_path, mutate, line_no):
     path = tmp_path / "pf.csv"
