@@ -4,12 +4,14 @@ Op results are never written once created. Only leaves are rebound: by
 Adam, by loading a checkpoint, and by batch norm's train mode, which moves
 its running statistics. Each op result that needs a gradient gets a node on
 the implicit tape (the creation-ordered graph of nodes), so `backward` on a
-scalar loss fills `.grad` on every reachable parameter. A node
-holds its parents' nodes, its backward closure and its creation id, but no
-data; a trainable leaf is its own node. A closure keeps only the ndarrays it
-reads (the inputs of `matmul`, `bmm`, `mul` and `log`, the outputs of `relu`,
-`tanh` and the softmaxes, `batch_norm`'s normalized input), so the tape frees
-an intermediate's data with its Array unless a closure reads it. There is no
+scalar loss fills `.grad` on every reachable parameter in one heap-ordered
+pass, newest node first; a training iteration sums its actor and critic
+losses and calls it once. A node holds its parents' nodes, its backward
+closure and its creation id, but no data; a trainable leaf is its own node.
+A closure keeps only the ndarrays it reads (the inputs of `matmul`, `bmm`,
+`mul` and `log`, the outputs of `relu`, `tanh` and the softmaxes,
+`batch_norm`'s normalized input), so the tape frees an intermediate's data
+with its Array unless a closure reads it. There is no
 implicit broadcasting: each op states the exact shapes it accepts and raises
 DimensionError otherwise. Each op computes its forward with the kernel of
 the same name in `plain`; a forward pass that nothing differentiates runs
@@ -20,6 +22,7 @@ and op results never.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -113,35 +116,24 @@ def backward(loss: Array) -> None:
     from `loss`. Repeated calls on fresh graphs accumulate; callers reset with
     zero_grad.
 
-    The sweep frees the graph as it goes: once a node's closure has run, the
-    node drops the closure and its parents, so the arrays they hold can be
-    released before the sweep ends. A second backward through a spent node
-    raises ContractError.
+    One pass over a max-heap of the nodes that hold a staged gradient, keyed
+    by creation id. Nodes are created in topological order, so a node is
+    popped only after every node that passes it a gradient, and each node's
+    contributions are summed newest first. The sweep frees the graph as it
+    goes: once a node's closure has run, the node drops the closure and its
+    parents, so the arrays they hold can be released before the sweep ends.
+    A second backward through a spent node raises ContractError.
     """
     if loss.shape != ():
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
-    reachable = []
-    seen = set()
     root = _link(loss)
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node is None or id(node) in seen:
-            continue
-        seen.add(id(node))
-        reachable.append(node)
-        if type(node) is _Node:
-            stack.extend(node._parents)
-    # Nodes are created in topological order, so popping the highest id first
-    # is a valid reverse-topological sweep of the reachable subgraph.
-    reachable.sort(key=lambda n: n._id)
-
-    staged = {id(root): np.ones((), dtype=loss.dtype)}
-    while reachable:
-        node = reachable.pop()
-        g = staged.pop(id(node), None)
-        if g is None:
-            continue
+    if root is None:
+        return
+    staged = {root._id: np.ones((), dtype=loss.dtype)}
+    heap = [(-root._id, root)]
+    while heap:
+        node_id, node = heapq.heappop(heap)
+        g = staged.pop(-node_id)
         if type(node) is Array:
             node.accumulate_grad(g)
             continue
@@ -151,11 +143,12 @@ def backward(loss: Array) -> None:
         for parent, pg in zip(parents, parent_grads):
             if pg is None or parent is None:
                 continue
-            key = id(parent)
+            key = parent._id
             if key in staged:
                 staged[key] = staged[key] + pg
             else:
                 staged[key] = pg
+                heapq.heappush(heap, (-key, parent))
 
 
 def _require_2d(x: Array, op: str) -> None:
@@ -198,9 +191,10 @@ def bmm(a: Array, b: Array) -> Array:
 def add(a: Array, b: Array) -> Array:
     if a.shape != b.shape:
         raise DimensionError(f"add shapes disagree: {a.shape} vs {b.shape}")
+    da, db = a.dtype, b.dtype
 
-    def back(g):
-        return g, g
+    def back(g):   # each input's gradient in its own dtype, as its own loss's would be
+        return g.astype(da, copy=False), g.astype(db, copy=False)
 
     return Array(plain.add(a.data, b.data), _parents=(a, b), _backward=back)
 

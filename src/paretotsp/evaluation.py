@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, ParseError, read_text
 from .instances import MotspInstance, evaluate_objectives
+from .model import greedy_tours
 
 log = logging.getLogger(__name__)
 
@@ -109,8 +110,6 @@ def approximate_pf(inst: MotspInstance, models) -> Front:
     Row i's subproblem is i + 1, matching the numbering of checkpoints. Call
     `.nondominated()` on the result for the approximate Pareto front.
     """
-    from .model import greedy_tours
-
     tours = greedy_tours(inst.features, models)
     return Front(tours, evaluate_objectives(inst.features, tours), np.arange(1, len(tours) + 1))
 

@@ -92,7 +92,7 @@ def save_native(inst: MotspInstance, path) -> None:
     lines = [f"{NATIVE_MAGIC} {NATIVE_VERSION} n={inst.n} m={inst.m} dx={inst.d_x}"]
     for row in inst.features:
         lines.append(" ".join(f"{v:.17g}" for v in row))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -108,6 +108,8 @@ def load_native(path) -> MotspInstance:
         n, m, dx = int(fields["n"]), int(fields["m"]), int(fields["dx"])
     except (ValueError, KeyError) as exc:
         raise ParseError(path, 1, f"bad header fields: {exc}") from exc
+    if min(n, m) < 1:
+        raise ParseError(path, 1, f"n={n} and m={m} must be positive")
     if dx != 2 * m:
         raise ParseError(path, 1, f"dx={dx} inconsistent with m={m}")
     if len(lines) < 1 + n:
@@ -115,17 +117,18 @@ def load_native(path) -> MotspInstance:
     trailing = [k for k, line in enumerate(lines[1 + n:], start=2 + n) if line.strip()]
     if trailing:
         raise ParseError(path, trailing[0], f"unexpected content after {n} feature lines")
-    feats = np.empty((n, dx))
-    for i in range(n):
-        parts = lines[1 + i].split()
+    rows = []   # each row's width is checked before the array is allocated
+    for line_no, line in enumerate(lines[1:1 + n], start=2):
+        parts = line.split()
         if len(parts) != dx:
-            raise ParseError(path, 2 + i, f"expected {dx} features, found {len(parts)}")
+            raise ParseError(path, line_no, f"expected {dx} features, found {len(parts)}")
         try:
-            feats[i] = [float(p) for p in parts]
+            rows.append([float(p) for p in parts])
         except ValueError as exc:
-            raise ParseError(path, 2 + i, f"bad feature value: {exc}") from exc
-        if not np.isfinite(feats[i]).all():
-            raise ParseError(path, 2 + i, "feature values must be finite")
+            raise ParseError(path, line_no, f"bad feature value: {exc}") from exc
+        if not np.isfinite(rows[-1]).all():
+            raise ParseError(path, line_no, "feature values must be finite")
+    feats = np.array(rows, dtype=np.float64)
     name = str(path).rsplit("/", 1)[-1]
     if name.endswith(".motsp"):
         name = name[:-6]

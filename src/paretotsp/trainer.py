@@ -110,15 +110,15 @@ def reinforce_iteration(weights, actor: ActorParams, critic: CriticParams,
 
         advantage = (gws - baseline.data).astype(actor.dtype)
         actor_loss = ad.mean_over_axis(ad.mul(logp, ad.constant(advantage)), 0)
-        actor.zero_grad()
-        ad.backward(actor_loss)
-        grad_norm = clip_gradients(actor.trainable(), cfg.clip_norm)
-        actor_opt.step()
-
         resid = ad.add(baseline, ad.constant(-gws, dtype=critic.dtype))
         critic_loss = ad.mean_over_axis(ad.mul(resid, resid), 0)
+        actor.zero_grad()
         critic.zero_grad()
-        ad.backward(critic_loss)
+        # The two graphs share no node (the advantage is a constant), so one
+        # sweep gives each side exactly the gradients of its own loss.
+        ad.backward(ad.add(actor_loss, critic_loss))
+        grad_norm = clip_gradients(actor.trainable(), cfg.clip_norm)
+        actor_opt.step()
         clip_gradients(critic.trainable(), cfg.clip_norm)
         critic_opt.step()
     except NonFiniteError as exc:

@@ -9,6 +9,9 @@ from paretotsp import autodiff as ad
 from paretotsp import plain
 from paretotsp.errors import (ContractError, DimensionError,
                               NonFiniteError)
+from paretotsp.instances import tour_costs_batch
+from paretotsp.model import (ActorParams, CriticParams, ModelConfig,
+                             critic_batch, rollout_batch)
 
 from oracles import check_gradients, relative_error, sequential_backward
 
@@ -272,6 +275,19 @@ def test_backward_requires_scalar():
         ad.backward(ad.relu(p))
 
 
+def test_backward_of_a_sum_of_losses_of_two_dtypes_matches_one_backward_each():
+    """add passes each input its gradient in that input's dtype, so a float32
+    loss added to a float64 one gets the float32 seed its own backward uses."""
+    x = np.array([0.1, 0.7, 1.3])
+    summed = [ad.param(x, dtype=np.float32), ad.param(x, dtype=np.float64)]
+    alone = [ad.param(x, dtype=np.float32), ad.param(x, dtype=np.float64)]
+    ad.backward(ad.add(to_scalar(ad.mul(summed[0], summed[0])),
+                       to_scalar(ad.mul(summed[1], summed[1]))))
+    for p in alone:
+        ad.backward(to_scalar(ad.mul(p, p)))
+    assert [p.grad.tobytes() for p in summed] == [p.grad.tobytes() for p in alone]
+
+
 def test_backward_accumulates_across_calls():
     p = ad.param(np.array([2.0, -1.0]))
     for _ in range(2):
@@ -297,7 +313,8 @@ def test_composite_matmul_relu_mean_gradient():
 @pytest.mark.parametrize("seed", range(5))
 def test_backward_matches_the_sequential_sweep_bitwise(seed):
     """The freeing sweep runs the same closures in the same order as a sweep
-    that keeps the graph, so every op's gradients agree to the byte."""
+    that keeps the graph, so every op's gradients agree to the byte, and so
+    do a training iteration's actor and critic gradients."""
     grads = []
     for sweep in (ad.backward, sequential_backward):
         grads.append([])
@@ -305,7 +322,29 @@ def test_backward_matches_the_sequential_sweep_bitwise(seed):
             leaves = [ad.param(x, dtype=np.float64) for x in inputs]
             sweep(build(leaves))
             grads[-1].append((name, [leaf.grad.tobytes() for leaf in leaves]))
+        for dtype in (np.float32, np.float64):
+            loss, leaves = _iteration_loss(np.random.default_rng(seed), dtype)
+            sweep(loss)
+            grads[-1].append((dtype.__name__, [leaf.grad.tobytes() for leaf in leaves]))
     assert grads[0] == grads[1]
+
+
+def _iteration_loss(rng, dtype):
+    """`reinforce_iteration`'s one loss and its leaves: a d_h=8, H=2 actor's
+    train-mode log-prob times a constant advantage, plus a critic's squared
+    residual. The encoder fans one node array out to every gather, and the
+    root joins two graphs that share no node."""
+    actor = ActorParams.init(ModelConfig(d_h=8, n_heads=2, d_ff=16), rng, dtype=dtype)
+    critic = CriticParams.init(rng, dtype=dtype)
+    feats = rng.random((4, 6, 4))
+    tours, logp, _ = rollout_batch(feats, actor, rng=rng, bn_mode="train")
+    gws = tour_costs_batch(feats, tours) @ np.array([0.3, 0.7])
+    baseline = critic_batch(feats, critic)
+    advantage = ad.constant((gws - baseline.data).astype(dtype))
+    resid = ad.add(baseline, ad.constant(-gws, dtype=dtype))
+    loss = ad.add(ad.mean_over_axis(ad.mul(logp, advantage), 0),
+                  ad.mean_over_axis(ad.mul(resid, resid), 0))
+    return loss, actor.trainable() + critic.trainable()
 
 
 def test_backward_frees_the_graph_and_refuses_a_second_sweep():

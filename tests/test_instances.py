@@ -122,6 +122,10 @@ def test_native_round_trip_exact(tmp_path):
     (lambda lines: [lines[0], lines[1], "a b c d"] + lines[3:], 3),
     (lambda lines: lines[:-1], 3),
     (lambda lines: lines + ["0.5 0.5 0.5 0.5"], 5),
+    pytest.param(lambda lines: ["MOTSP v1 n=3 m=-1 dx=-2"] + lines[1:], 1, id="negative-sizes"),
+    # 3 rows of 1e12 features would be 22 TiB; the first row's width is wrong
+    pytest.param(lambda lines: ["MOTSP v1 n=3 m=500000000000 dx=1000000000000"] + lines[1:], 2,
+                 id="huge-sizes"),
 ])
 def test_native_malformed_files(tmp_path, mutate, bad_line):
     inst = random_instance(3, seed=2)
