@@ -1,7 +1,7 @@
 """Interleaved in-process A/B of one training iteration between two source trees.
 
     python3 tools/ab.py --base /path/to/parent/src --change src --shape desk
-    python3 tools/ab.py --base /path/to/parent/src --change src --shape full --blocks 12
+    python3 tools/ab.py --base /path/to/parent/src --change src --shape full
 
 Each tree's `paretotsp` package is loaded under its own name, and each side
 builds the same actor, critic, Adam pair and rng. Blocks of
@@ -39,6 +39,7 @@ SHAPES = {
 }
 WEIGHTS = (0.5, 0.5)
 SEED = 0
+BLOCKS = 12
 
 
 def load_tree(src, name: str):
@@ -106,10 +107,9 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="the parent tree's src/ directory")
     parser.add_argument("--change", required=True, help="the changed tree's src/ directory")
     parser.add_argument("--shape", choices=sorted(SHAPES), default="desk")
-    parser.add_argument("--blocks", type=int, default=12)
     args = parser.parse_args(argv)
-    result = run_ab(args.base, args.change, SHAPES[args.shape], args.blocks)
-    print(json.dumps({"shape": args.shape, "blocks": args.blocks,
+    result = run_ab(args.base, args.change, SHAPES[args.shape], BLOCKS)
+    print(json.dumps({"shape": args.shape, "blocks": BLOCKS,
                       "iterations_per_block": SHAPES[args.shape]["iterations"], **result}))
     return 0
 
