@@ -14,10 +14,10 @@ A closure keeps only the ndarrays it reads (the inputs of `matmul`, `bmm`,
 with its Array unless a closure reads it. There is no
 implicit broadcasting: each op states the exact shapes it accepts and raises
 DimensionError otherwise. Each op computes its forward with the kernel of
-the same name in `plain`; a forward pass that nothing differentiates runs
-on those kernels directly and builds no Array. NaN and Inf follow the one
-policy that `plain`'s docstring lists: here, leaves are checked when built
-and op results never.
+the same name in `plain`, `transpose_last2` with `permute`'s; a forward
+pass that nothing differentiates runs on those kernels directly and builds
+no Array. NaN and Inf follow the one policy that `plain`'s docstring lists:
+here, leaves are checked when built and op results never.
 """
 
 from __future__ import annotations
@@ -160,32 +160,29 @@ def _require_2d(x: Array, op: str) -> None:
 # core ops
 
 
-def matmul(a: Array, b: Array) -> Array:
-    """2-D matrix product; dL/da = g @ b.T, dL/db = a.T @ g."""
-    _require_2d(a, "matmul")
-    _require_2d(b, "matmul")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
+def _product(a: Array, b: Array, ndim: int, op: str, kernel) -> Array:
+    """Matrix product of two ndim-D arrays over equal leading dims;
+    dL/da = g @ b^T, dL/db = a^T @ g, transposing the last two axes."""
+    if a.data.ndim != ndim or b.data.ndim != ndim:
+        raise DimensionError(f"{op} expects {ndim}-D arrays, got {a.shape} and {b.shape}")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"{op} shapes disagree: {a.shape} vs {b.shape}")
     x, y = a.data, b.data
 
     def back(g):
-        return g @ y.T, x.T @ g
+        return g @ np.swapaxes(y, -1, -2), np.swapaxes(x, -1, -2) @ g
 
-    return Array(plain.matmul(x, y), _parents=(a, b), _backward=back)
+    return Array(kernel(x, y), _parents=(a, b), _backward=back)
+
+
+def matmul(a: Array, b: Array) -> Array:
+    """2-D matrix product: (p,q)@(q,r)."""
+    return _product(a, b, 2, "matmul", plain.matmul)
 
 
 def bmm(a: Array, b: Array) -> Array:
     """Batched matrix product over matching leading batch dims: (B,p,q)@(B,q,r)."""
-    if a.data.ndim != 3 or b.data.ndim != 3:
-        raise DimensionError(f"bmm expects 3-D arrays, got {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise DimensionError(f"bmm shapes disagree: {a.shape} vs {b.shape}")
-    x, y = a.data, b.data
-
-    def back(g):
-        return g @ np.swapaxes(y, 1, 2), np.swapaxes(x, 1, 2) @ g
-
-    return Array(plain.bmm(x, y), _parents=(a, b), _backward=back)
+    return _product(a, b, 3, "bmm", plain.bmm)
 
 
 def add(a: Array, b: Array) -> Array:
@@ -300,13 +297,10 @@ def reshape(x: Array, shape) -> Array:
 
 
 def transpose_last2(x: Array) -> Array:
-    if x.data.ndim < 2:
+    nd = x.data.ndim
+    if nd < 2:
         raise DimensionError("transpose_last2 needs ndim >= 2")
-
-    def back(g):
-        return (np.swapaxes(g, -1, -2),)
-
-    return Array(plain.transpose_last2(x.data), _parents=(x,), _backward=back)
+    return permute(x, (*range(nd - 2), nd - 1, nd - 2))
 
 
 def permute(x: Array, axes) -> Array:
@@ -314,7 +308,7 @@ def permute(x: Array, axes) -> Array:
     axes = tuple(int(a) for a in axes)
     if sorted(axes) != list(range(x.data.ndim)):
         raise DimensionError(f"permute axes {axes} do not reorder the {x.data.ndim} axes of {x.shape}")
-    inverse = tuple(int(a) for a in np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def back(g):
         return (np.transpose(g, inverse),)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import decomposition as dec
 from . import evaluation as ev
-from .errors import ContractError, NonFiniteError, ParseError, TrainingDivergedError, read_text
+from .errors import ContractError, NonFiniteError, ParseError, TrainingDivergedError, read_text, write_file
 from .instances import (MotspInstance, evaluate_objectives, load_native,
                         load_tsplib_pair, save_native)
 
@@ -88,9 +88,7 @@ def _resolve_workdir(flag_value) -> Path:
 
 
 def cmd_train(args) -> int:
-    with open(args.config, "rb") as fh:
-        is_manifest = fh.read().lstrip().startswith(b"{")     # an earlier run's manifest.json
-    if is_manifest:
+    if read_text(args.config).lstrip().startswith("{"):     # an earlier run's manifest.json
         cfg, _ = dec.load_manifest(args.config)
     else:
         cfg = dec.RunConfig.from_mapping(parse_config_file(args.config))
@@ -164,11 +162,9 @@ def cmd_plot(args) -> int:
         blocks.append("\n".join(f"{ev.format_float(p[0])} {ev.format_float(p[1])}" for p in pts))
         legend.append(f"{k} {Path(path).stem}")
     out = Path(args.out)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("\n\n".join(blocks) + "\n")
+    write_file(out, ("\n\n".join(blocks) + "\n").encode("utf-8"))
     legend_path = out.with_name(out.name + ".legend")
-    with open(legend_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(legend) + "\n")
+    write_file(legend_path, ("\n".join(legend) + "\n").encode("utf-8"))
     print(f"wrote {len(blocks)} block(s) to {out} (legend: {legend_path})")
     return 0
 

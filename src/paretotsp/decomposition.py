@@ -17,13 +17,12 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ParseError, TrainingDivergedError, read_text
+from .errors import ContractError, ParseError, TrainingDivergedError, read_text, write_file
 from .instances import PRNG_NAME
 from .model import DEFAULT_CRITIC_CHANNELS, ActorParams, CriticParams, ModelConfig
 from .trainer import train_subproblem
@@ -100,6 +99,11 @@ class RunConfig:
         positive = (self.dataset_size, self.lr_actor, self.lr_critic, self.eps, self.clip_norm)
         if not all(0 < v < math.inf for v in positive) or not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ContractError(f"need positive finite sizes, rates, eps and clip_norm, betas in [0, 1): {self}")
+        # numpy refuses a float64 array of more than intp-max bytes before it allocates
+        for keys, dims in (("m_sub", (self.m_sub, 2)),
+                           ("batch_size and n_nodes", (self.batch_size, self.n_nodes, self.d_x))):
+            if math.prod(dims) * 8 > np.iinfo(np.intp).max:
+                raise ContractError(f"{keys} too large: numpy cannot shape a float64 array of {dims}")
         self.schedule()
 
     def model_config(self) -> ModelConfig:
@@ -146,7 +150,7 @@ class RunConfig:
 def config_hash(mapping: dict[str, str]) -> str:
     """sha256 of the sorted key=value lines; stable under key reordering."""
     text = "\n".join(f"{k}={v}" for k, v in sorted(mapping.items()))
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +159,6 @@ def config_hash(mapping: dict[str, str]) -> str:
 
 def write_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
     """Named arrays as float32 little-endian blocks behind a text header."""
-    path = Path(path)
     chunks = [f"{CKPT_MAGIC} {CKPT_VERSION}\n".encode("ascii"),
               f"count={len(arrays)}\n".encode("ascii")]
     for name, arr in arrays.items():
@@ -163,10 +166,7 @@ def write_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
         dims = " ".join(str(d) for d in a.shape)
         chunks.append(f"{name} {dims}\n".encode("ascii") if dims else f"{name}\n".encode("ascii"))
         chunks.append(a.tobytes())
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(chunks))
-    os.replace(tmp, path)
+    write_file(path, b"".join(chunks))
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
@@ -281,12 +281,7 @@ def write_manifest(workdir, cfg: RunConfig, completed: list[int]) -> None:
         "epochs": list(sched.epochs),
         "completed": sorted(completed),
     }
-    path = Path(workdir) / MANIFEST_NAME
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_file(Path(workdir) / MANIFEST_NAME, (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode("ascii"))
 
 
 def load_manifest(path) -> tuple[RunConfig, list[int]]:

@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the text reader whose
-decode errors are `ParseError`s."""
+"""Exception types shared across the package, and its two file primitives:
+`read_text`, whose decode errors are `ParseError`s, and `write_file`, which
+replaces a file's bytes atomically."""
+
+import os
 
 
 class ContractError(ValueError):
@@ -45,3 +48,16 @@ def read_text(path) -> str:
     except UnicodeDecodeError as exc:
         raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
                          f"not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}") from exc
+
+
+def write_file(path, data: bytes) -> None:
+    """Replace the bytes of `path`, or of a symlink's target, with `data`
+    through a sibling `<path>.tmp` and an atomic rename, so it holds all the
+    old bytes or all the new; a target that is not a regular file is refused."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise ContractError(f"{path} exists and is not a regular file")
+    tmp = target + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, target)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ParseError, read_text
+from .errors import ContractError, DimensionError, ParseError, read_text, write_file
 from .instances import MotspInstance, evaluate_objectives
 from .model import greedy_tours
 
@@ -150,8 +150,7 @@ def write_pf_csv(path, front: Front, weights) -> None:
         lam = weights[sub - 1]
         lines.append(",".join([str(sub), format_float(lam[0]), format_float(lam[1]),
                                format_float(f1), format_float(f2), "-".join(map(str, tour.tolist()))]))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def write_hv_report(path, rows) -> None:
@@ -165,8 +164,7 @@ def write_hv_report(path, rows) -> None:
                 raise ContractError(f"report field {text!r} holds a comma, a double quote, "
                                     "a line break or a non-ASCII character")
         lines.append(f"{instance},{method},{format_float(hv)},{int(n_points)}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_pf_csv(path) -> Front:
@@ -193,6 +191,8 @@ def read_pf_csv(path) -> Front:
             raise ParseError(path, line_no, str(exc)) from exc
         if not np.isfinite([f1, f2]).all():
             raise ParseError(path, line_no, "objective values must be finite")
+        if not np.iinfo(np.intp).min <= subproblem <= np.iinfo(np.intp).max:
+            raise ParseError(path, line_no, f"subproblem {subproblem} does not fit a {np.dtype(np.intp)}")
         if sorted(tour) != list(range(len(tour))):
             raise ParseError(path, line_no, f"bad tour column: not a permutation of 0..{len(tour) - 1}")
         if tours and len(tour) != len(tours[0]):

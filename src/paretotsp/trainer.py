@@ -20,7 +20,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NonFiniteError, TrainingDivergedError
+from .errors import NonFiniteError, TrainingDivergedError, write_file
 from .instances import tour_costs_batch
 from .model import ActorParams, CriticParams, critic_batch, rollout_batch
 
@@ -41,8 +41,7 @@ def write_metrics(path, rows: list[IterationMetrics]) -> None:
     floats print with 17 significant digits."""
     lines = [",".join(f.name for f in fields(IterationMetrics))]
     lines += [",".join(format(v, ".17g") for v in astuple(r)) for r in rows]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 class Adam:

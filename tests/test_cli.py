@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from paretotsp import evaluation as ev
 from paretotsp.cli import CKPT_ROOT_ENV, main, parse_config_file
 from paretotsp.decomposition import (MANIFEST_NAME, RunConfig, TrainedActors,
-                                     checkpoint_name, config_hash,
+                                     checkpoint_name, config_hash, metrics_name,
                                      read_checkpoint, save_models,
                                      write_checkpoint, write_manifest)
 from paretotsp.errors import ContractError, ParseError
@@ -296,13 +297,14 @@ def test_legacy_manifest_with_ref_keys(trained, tmp_path, capsys):
     assert not {"ref1", "ref2"} & set(resumed["config"])
     capsys.readouterr()
 
-    for edit in ({"ref1": "1.5"}, {"seed": "4"}):
-        edited = tmp_path / f"edited_{next(iter(edit))}"
+    for k, edit in enumerate(({"ref1": "1.5"}, {"ref1": "\u00e9"}, {"seed": "4"})):
+        edited = tmp_path / f"edited_{k}"
         shutil.copytree(trained["ckpt"], edited)
         write_legacy_manifest(edited, edit)
         assert main(["solve", "--ckpt", str(edited), "--instance", instance,
                      "--out", str(tmp_path / "edited.csv")]) == 2
-        assert "hash" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {edited / MANIFEST_NAME}: "
+                                           "manifest config hash does not match its config\n")
 
 
 @pytest.mark.parametrize("breakage", [
@@ -362,6 +364,22 @@ def test_train_config_rejects_a_tampered_manifest(trained, tmp_path, capsys, edi
     manifest.write_text(json.dumps(dict(json.loads((trained["ckpt"] / MANIFEST_NAME).read_text()), **edit)))
     assert main(["train", "--config", str(manifest), "--out", str(tmp_path / "run")]) == 2
     assert str(manifest) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("sizes,shape", [
+    (dict(batch_size=10**20, dataset_size=10**20), "(100000000000000000000, 4, 4)"),
+    (dict(n_nodes=10**20), "(4, 100000000000000000000, 4)"),
+], ids=["batch_size", "n_nodes"])
+def test_train_sizes_numpy_cannot_shape_exit_2_before_the_work_directory(tmp_path, capsys, sizes, shape):
+    text = TINY_CONFIG
+    for key, value in sizes.items():
+        text = text.replace(f"\n{key} = ", f"\n#{key} = ") + f"{key} = {value}\n"
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == ("error: batch_size and n_nodes too large: "
+                                       f"numpy cannot shape a float64 array of {shape}\n")
     assert not (tmp_path / "run").exists()
 
 
@@ -832,6 +850,89 @@ def test_mutated_inputs_exit_0_or_2(mutation_inputs, kind):
                 assert main(argv) in (0, 2), (case, target.read_bytes())
     finally:
         target.write_bytes(original)
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+
+def _writer_case(kind, root):
+    """The argv of a command that writes the output `kind` under a new
+    directory `root`, and that output's path. The inputs are seeded, so every
+    root gets the same output bytes."""
+    root.mkdir()
+    if kind in ("checkpoint", "manifest", "metrics"):
+        (root / "run.conf").write_text(TINY_CONFIG)
+        name = {"checkpoint": checkpoint_name(1), "manifest": MANIFEST_NAME, "metrics": metrics_name(1)}[kind]
+        return ["train", "--config", str(root / "run.conf"), "--out", str(root / "run")], root / "run" / name
+    if kind == "instance":
+        return ["gen", "--n", "4", "--out", str(root)], root / "rand_n4_s0_0.motsp"
+    if kind == "front":
+        untrained_run(root / "run", 2, seed=0)
+        save_native(MotspInstance(np.random.default_rng(0).random((4, 4))), root / "i.motsp")
+        return (["solve", "--ckpt", str(root / "run"), "--instance", str(root / "i.motsp"),
+                 "--out", str(root / "pf.csv")], root / "pf.csv")
+    write_front(root / "pf.csv", [((0, 1, 2), (1.0, 5.0)), ((1, 0, 2), (3.0, 3.0))])
+    if kind == "report":
+        return ["eval", "--pf", str(root / "pf.csv"), "--out", str(root / "hv.csv")], root / "hv.csv"
+    return (["plot", "--pf", str(root / "pf.csv"), "--out", str(root / "plot.dat")],
+            root / ("plot.dat" if kind == "plot" else "plot.dat.legend"))
+
+
+def _without_seconds(kind, data: bytes) -> bytes:
+    """A metrics file without its wall-clock last column; other outputs as they are."""
+    if kind != "metrics":
+        return data
+    return b"\n".join(line.rpartition(b",")[0] for line in data.split(b"\n"))
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "manifest", "metrics", "front", "report",
+                                  "instance", "plot", "legend"])
+def test_every_output_file_holds_its_old_or_all_its_new_bytes(tmp_path, capsys, monkeypatch, kind):
+    """Each writer replaces its file whole and leaves no .tmp; a failed rename
+    keeps the old bytes and exits 1; a symlink is written through and stays."""
+    argv, target = _writer_case(kind, tmp_path / "reference")
+    assert main(argv) == 0
+    expected = _without_seconds(kind, target.read_bytes())
+
+    argv, target = _writer_case(kind, tmp_path / "out")
+    target.parent.mkdir(exist_ok=True)
+    target.write_bytes(b"old\n")
+    replace = os.replace
+
+    def refuse_target(src, dst):
+        if dst == os.path.realpath(target):
+            raise OSError("rename refused")
+        replace(src, dst)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("paretotsp.errors.os.replace", refuse_target)
+        assert main(argv) == 1
+    assert capsys.readouterr().err == "i/o error: rename refused\n"
+    assert target.read_bytes() == b"old\n"
+
+    assert main(argv) == 0
+    assert _without_seconds(kind, target.read_bytes()) == expected
+    assert not list(target.parent.glob("*.tmp"))
+
+    real = tmp_path / "real"
+    real.write_bytes(b"old\n")
+    target.unlink()
+    target.symlink_to(real)
+    assert main(argv) == 0
+    assert target.is_symlink() and target.readlink() == real
+    assert _without_seconds(kind, real.read_bytes()) == expected
+    assert not list(target.parent.glob("*.tmp")) + list(tmp_path.glob("*.tmp"))
+
+
+def test_eval_refuses_an_out_that_is_a_directory(tmp_path, capsys):
+    write_front(tmp_path / "pf.csv", [((0, 1, 2), (1.0, 5.0))])
+    out = tmp_path / "report"
+    out.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["eval", "--pf", str(tmp_path / "pf.csv"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out} exists and is not a regular file\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # ---------------------------------------------------------------------------

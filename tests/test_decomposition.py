@@ -52,6 +52,11 @@ def test_schedule_validation():
             RunConfig(**dict(TINY, **bad))
 
 
+def test_schedule_rejects_an_m_sub_numpy_cannot_shape():
+    with pytest.raises(ContractError, match=r"m_sub too large: .* \(100000000000000000000, 2\)"):
+        RunConfig(**dict(TINY, m_sub=10**20))
+
+
 def test_schedule_budgets_and_direction():
     sched = RunConfig(m_sub=4, epochs_first=5, epochs_rest=1).schedule()
     assert sched.epochs == (5, 1, 1, 1)

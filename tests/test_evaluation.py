@@ -368,6 +368,8 @@ def test_pf_csv_round_trip(tmp_path):
     (lambda lines: lines + ["1,0,1,2.0,1.0,0-1-2"], 3),
     pytest.param(lambda lines: [lines[0], "1,0,1,0,2.0,0-1-2-3", "1,0,1,-0,2.0,1-0-2-3"], 3,
                  id="signed-zero-duplicate"),       # -0 and 0 are one value
+    pytest.param(lambda lines: [lines[0], "100000000000000000000,0,1,1.0,2.0,0-1-2"], 2,
+                 id="subproblem-overflows-intp"),
 ])
 def test_pf_csv_malformed(tmp_path, mutate, line_no):
     path = tmp_path / "pf.csv"
