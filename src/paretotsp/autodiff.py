@@ -1,8 +1,8 @@
 """Minimal reverse-mode differentiation over dense numpy arrays.
 
 Op results are never written once created. Only leaves are rebound: by
-Adam, by loading a checkpoint, and by batch norm's train mode, which moves
-its running statistics. Each op result that needs a gradient gets a node on
+Adam, and by batch norm's train mode, which moves its running statistics.
+Each op result that needs a gradient gets a node on
 the implicit tape (the creation-ordered graph of nodes), so `backward` on a
 scalar loss fills `.grad` on every reachable parameter in one heap-ordered
 pass, newest node first; a training iteration sums its actor and critic

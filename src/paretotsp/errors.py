@@ -52,12 +52,18 @@ def read_text(path) -> str:
 
 def write_file(path, data: bytes) -> None:
     """Replace the bytes of `path`, or of a symlink's target, with `data`
-    through a sibling `<path>.tmp` and an atomic rename, so it holds all the
-    old bytes or all the new; a target that is not a regular file is refused."""
+    through a sibling `<path>.tmp`, removed if anything fails, and an atomic
+    rename, so it holds all the old bytes or all the new; a target that is not
+    a regular file is refused."""
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         raise ContractError(f"{path} exists and is not a regular file")
     tmp = target + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, target)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise

@@ -35,6 +35,7 @@ differentiates (the sampling loop, and the whole of `greedy_tours`) runs on
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -83,17 +84,19 @@ def _linear(x, w, b=None, ops=ad):
     return ops.add_bias(h, b) if b is not None else h
 
 
-# The axis along which a fused projection stacks its H per-head blocks.
-_FUSED_AXIS = {"Wq": 0, "Wk": 0, "Wv": 0, "Wo": 1}
-
-
 class _Params:
-    """Named arrays in checkpoint order: the trainable weights, then any batch
-    norms' running statistics as leaves outside the gradient path."""
+    """A model: its key (an actor's config, a critic's channels) and its named
+    arrays in checkpoint order, the trainable weights then any batch norms'
+    running statistics (leaves outside the gradient path). The constructor is
+    the one way in, from `init`'s draws, `from_state`'s loaded arrays or
+    `copy`'s copies; like every leaf, each array is checked for NaN and Inf."""
 
-    def __init__(self, dtype):
+    def __init__(self, key, arrays: dict[str, np.ndarray], dtype):
+        self._key = key
         self.dtype = np.dtype(dtype)
-        self.params: dict[str, ad.Array] = {}
+        self.params: dict[str, ad.Array] = {
+            name: ad.constant(a, self.dtype) if name.endswith((".running_mean", ".running_var"))
+            else ad.param(a, self.dtype) for name, a in arrays.items()}
 
     def trainable(self) -> list[ad.Array]:
         return [p for p in self.params.values() if p.requires_grad]
@@ -108,127 +111,96 @@ class _Params:
 
     @classmethod
     def from_state(cls, key, arrays: dict[str, np.ndarray], dtype=np.float32):
-        """A `cls` built on `key` (an actor's config, a critic's channels) that
-        holds `arrays`, whose names and shapes must be those of its
-        `state_arrays`. Their values are not checked here: `read_checkpoint`
-        rejects a NaN or Inf it reads, and every op checks what it reads."""
-        self = cls.zeros(key, dtype)
-        expected = self.state_arrays()
-        if set(arrays) != set(expected):
-            missing = set(expected) - set(arrays)
-            extra = set(arrays) - set(expected)
-            raise ContractError(f"{cls.__name__} state mismatch: "
-                                f"missing={sorted(missing)} extra={sorted(extra)}")
-        state = {}
-        for name, blank in expected.items():
-            state[name] = np.asarray(arrays[name], dtype=self.dtype)
-            if state[name].shape != blank.shape:
-                raise DimensionError(f"{name}: shape {state[name].shape} != {blank.shape}")
-        for name, p in self.params.items():
-            p.data = state[name]
-        return self
+        """The `cls` on `key` that holds `arrays`, whose names and shapes must
+        be those that `init` lays out."""
+        shapes = _shapes(cls, key)
+        if arrays.keys() != shapes.keys():
+            missing, extra = sorted(shapes.keys() - arrays.keys()), sorted(arrays.keys() - shapes.keys())
+            raise ContractError(f"{cls.__name__} state mismatch: missing={missing} extra={extra}")
+        for name, shape in shapes.items():
+            if np.shape(arrays[name]) != shape:
+                raise DimensionError(f"{name}: shape {np.shape(arrays[name])} != {shape}")
+        return cls(key, {name: arrays[name] for name in shapes}, dtype)
 
     def copy(self):
-        return type(self).from_state(self._key, {k: v.copy() for k, v in self.state_arrays().items()},
-                                     self.dtype)
+        return type(self)(self._key, {k: v.copy() for k, v in self.state_arrays().items()}, self.dtype)
+
+
+@functools.cache
+def _shapes(cls, key) -> dict[str, tuple]:
+    """The names and shapes of `cls`'s arrays on `key`, in layout order."""
+    return {name: a.shape for name, a in cls._layout(key).items()}
 
 
 class ActorParams(_Params):
     """All arrays of one encoder+decoder, keyed by layer names."""
 
-    def __init__(self, cfg: ModelConfig, dtype=np.float32):
-        super().__init__(dtype)
-        self.cfg = cfg
-        self._key = cfg
-
-    def _add(self, name: str, arr: np.ndarray, leaf=ad.param) -> None:
-        self.params[name] = leaf(arr, dtype=self.dtype)
-
-    def _add_bn(self, name: str) -> None:
-        self._add(f"{name}.scale", np.ones(self.cfg.d_h))
-        self._add(f"{name}.shift", np.zeros(self.cfg.d_h))
+    cfg = property(lambda self: self._key)
 
     @classmethod
     def init(cls, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> "ActorParams":
-        bound = 1.0 / math.sqrt(cfg.d_h)
-        return cls._build(cfg, dtype, lambda *shape: rng.uniform(-bound, bound, shape))
+        return cls(cfg, cls._layout(cfg, rng, dtype), dtype)
 
-    @classmethod
-    def zeros(cls, cfg: ModelConfig, dtype=np.float32) -> "ActorParams":
-        """Every array at its shape, zero-filled, drawing no random numbers."""
-        return cls._build(cfg, dtype, lambda *shape: np.zeros(shape, dtype))
+    @staticmethod
+    def _layout(cfg: ModelConfig, rng: np.random.Generator | None = None, dtype=np.float32) -> dict:
+        """The named arrays in checkpoint order, the weights drawn from `rng`
+        (zero-filled without one) and cast to `dtype` as each is drawn. Each
+        attention sublayer's per-head blocks are drawn head by head, Wq, Wk,
+        Wv, Wo within a head, and stacked in head order into the fused
+        matrices, so `init` draws the same numbers as a per-head actor would."""
+        d_h, d_k, d_ff, bound = cfg.d_h, cfg.d_k, cfg.d_ff, 1.0 / math.sqrt(cfg.d_h)
+        out = {}
 
-    @classmethod
-    def _build(cls, cfg: ModelConfig, dtype, u) -> "ActorParams":
-        """Arrays filled by `u(*shape)`, called in a fixed order.
-
-        The per-head blocks of each attention sublayer are drawn head by head,
-        Wq, Wk, Wv, Wo within a head, and stacked in head order into the fused
-        matrices, so `init` draws the same numbers as a per-head actor would.
-        """
-        self = cls(cfg, dtype)
-        d_h, d_k, d_ff = cfg.d_h, cfg.d_k, cfg.d_ff
+        def u(*shape):
+            return np.zeros(shape, dtype) if rng is None else rng.uniform(-bound, bound, shape).astype(dtype)
 
         def attention(layer: str, d_q: int) -> None:
-            blocks = {"Wq": [], "Wk": [], "Wv": [], "Wo": []}
-            for _ in range(cfg.n_heads):
-                blocks["Wq"].append(u(d_k, d_q))
-                blocks["Wk"].append(u(d_k, d_h))
-                blocks["Wv"].append(u(d_k, d_h))
-                blocks["Wo"].append(u(d_h, d_k))
-            for proj, parts in blocks.items():
-                self._add(f"{layer}.{proj}", np.concatenate(parts, axis=_FUSED_AXIS[proj]))
+            wq, wk, wv, wo = zip(*[(u(d_k, d_q), u(d_k, d_h), u(d_k, d_h), u(d_h, d_k))
+                                   for _ in range(cfg.n_heads)])
+            out.update({f"{layer}.Wq": np.concatenate(wq), f"{layer}.Wk": np.concatenate(wk),
+                        f"{layer}.Wv": np.concatenate(wv), f"{layer}.Wo": np.concatenate(wo, axis=1)})
 
-        self._add("enc.init.W", u(d_h, cfg.d_x))
-        self._add("enc.init.b", u(d_h))
+        out["enc.init.W"] = u(d_h, cfg.d_x)
+        out["enc.init.b"] = u(d_h)
         for l in range(1, cfg.n_layers + 1):
             attention(f"enc.l{l}", d_h)
-            self._add_bn(f"enc.l{l}.bn1")
-            self._add(f"enc.l{l}.ff.W0", u(d_ff, d_h))
-            self._add(f"enc.l{l}.ff.b0", u(d_ff))
-            self._add(f"enc.l{l}.ff.W1", u(d_h, d_ff))
-            self._add(f"enc.l{l}.ff.b1", u(d_h))
-            self._add_bn(f"enc.l{l}.bn2")
-        self._add("dec.v1", u(d_h))
-        self._add("dec.vf", u(d_h))
+            out[f"enc.l{l}.bn1.scale"], out[f"enc.l{l}.bn1.shift"] = np.ones(d_h, dtype), np.zeros(d_h, dtype)
+            out[f"enc.l{l}.ff.W0"] = u(d_ff, d_h)
+            out[f"enc.l{l}.ff.b0"] = u(d_ff)
+            out[f"enc.l{l}.ff.W1"] = u(d_h, d_ff)
+            out[f"enc.l{l}.ff.b1"] = u(d_h)
+            out[f"enc.l{l}.bn2.scale"], out[f"enc.l{l}.bn2.shift"] = np.ones(d_h, dtype), np.zeros(d_h, dtype)
+        out["dec.v1"] = u(d_h)
+        out["dec.vf"] = u(d_h)
         attention("dec", 3 * d_h)
-        self._add("dec.final.Wq", u(d_h, d_h))
-        self._add("dec.final.Wk", u(d_h, d_h))
+        out["dec.final.Wq"] = u(d_h, d_h)
+        out["dec.final.Wk"] = u(d_h, d_h)
         # The batch norms' running statistics come last, as checkpoints store them.
-        for l in range(1, cfg.n_layers + 1):
-            for bn in ("bn1", "bn2"):
-                self._add(f"enc.l{l}.{bn}.running_mean", np.zeros(d_h), ad.constant)
-                self._add(f"enc.l{l}.{bn}.running_var", np.ones(d_h), ad.constant)
-        return self
+        for norm in (f"enc.l{l}.{bn}" for l in range(1, cfg.n_layers + 1) for bn in ("bn1", "bn2")):
+            out[f"{norm}.running_mean"], out[f"{norm}.running_var"] = np.zeros(d_h, dtype), np.ones(d_h, dtype)
+        return out
 
 
 class CriticParams(_Params):
     """Kernel-1 convolution stages (out,in) weight + bias per stage."""
 
-    def __init__(self, channels=DEFAULT_CRITIC_CHANNELS, dtype=np.float32):
-        super().__init__(dtype)
-        self.channels = tuple((int(i), int(o)) for i, o in channels)
-        self._key = self.channels
+    channels = property(lambda self: tuple((int(i), int(o)) for i, o in self._key))
 
     @classmethod
-    def init(cls, rng: np.random.Generator, dtype=np.float32,
-             channels=DEFAULT_CRITIC_CHANNELS) -> "CriticParams":
-        return cls._build(channels, dtype, lambda bound, shape: rng.uniform(-bound, bound, shape))
+    def init(cls, rng: np.random.Generator, dtype=np.float32, channels=DEFAULT_CRITIC_CHANNELS) -> "CriticParams":
+        return cls(channels, cls._layout(channels, rng, dtype), dtype)
 
-    @classmethod
-    def zeros(cls, channels=DEFAULT_CRITIC_CHANNELS, dtype=np.float32) -> "CriticParams":
-        """Every array at its shape, zero-filled."""
-        return cls._build(channels, dtype, lambda bound, shape: np.zeros(shape, dtype))
-
-    @classmethod
-    def _build(cls, channels, dtype, u) -> "CriticParams":
-        """Arrays filled by `u(bound, shape)`, called in a fixed order."""
-        self = cls(channels, dtype)
-        for k, (c_in, c_out) in enumerate(self.channels, start=1):
+    @staticmethod
+    def _layout(channels, rng: np.random.Generator | None = None, dtype=np.float32) -> dict:
+        """Each stage's weight and bias, drawn from `rng` within 1/sqrt(c_in)
+        (zero-filled without one), each cast to `dtype` as it is drawn."""
+        out = {}
+        for k, (c_in, c_out) in enumerate(channels, start=1):
             bound = 1.0 / math.sqrt(c_in)
-            self.params[f"conv{k}.W"] = ad.param(u(bound, (c_out, c_in)), dtype=dtype)
-            self.params[f"conv{k}.b"] = ad.param(u(bound, c_out), dtype=dtype)
-        return self
+            for name, shape in ((f"conv{k}.W", (c_out, c_in)), (f"conv{k}.b", (c_out,))):
+                out[name] = (np.zeros(shape, dtype) if rng is None
+                             else rng.uniform(-bound, bound, shape).astype(dtype))
+        return out
 
 
 # ---------------------------------------------------------------------------

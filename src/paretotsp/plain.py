@@ -8,7 +8,7 @@ same order and gives the same bits, but builds no Array and records no tape.
 
 Nothing here checks shapes. Both paths follow one NaN/Inf policy, and no op
 result is checked. What is checked, and where:
-- leaves, when `autodiff` builds them;
+- leaves, when `autodiff` builds them (a loaded model's arrays are leaves);
 - the inputs of the ops that can map a non-finite input to a finite output:
   `relu` (max(-inf, 0) = 0), `tanh` (tanh(±inf) = ±1) and the softmaxes;
 - an encoding, once, in `model._decode`, for the sampling loop and the solve;

@@ -910,6 +910,7 @@ def test_every_output_file_holds_its_old_or_all_its_new_bytes(tmp_path, capsys, 
         assert main(argv) == 1
     assert capsys.readouterr().err == "i/o error: rename refused\n"
     assert target.read_bytes() == b"old\n"
+    assert not list(target.parent.glob("*.tmp"))
 
     assert main(argv) == 0
     assert _without_seconds(kind, target.read_bytes()) == expected

@@ -517,12 +517,12 @@ def test_critic_permutation_invariant():
 
 
 def test_critic_hand_computation_reduced_network():
-    critic = CriticParams(channels=((4, 1), (1, 1), (1, 1), (1, 1)), dtype=np.float64)
     w = {"conv1.W": [[1.0, -1.0, 0.5, 2.0]], "conv1.b": [0.25],
          "conv2.W": [[-2.0]], "conv2.b": [1.0],
          "conv3.W": [[0.5]], "conv3.b": [-0.1],
          "conv4.W": [[3.0]], "conv4.b": [0.2]}
-    critic.params = {k: ad.param(np.array(v), dtype=np.float64) for k, v in w.items()}
+    critic = CriticParams.from_state(((4, 1), (1, 1), (1, 1), (1, 1)),
+                                     {k: np.array(v) for k, v in w.items()}, np.float64)
     feats = np.array([[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]])
 
     per_node = []
@@ -678,15 +678,37 @@ def test_train_mode_on_a_copy_leaves_the_original_statistics():
         assert moved == name.endswith(STATS), name
 
 
-def test_zeros_constructors_lay_out_like_init():
+def test_from_state_takes_exactly_inits_names_and_shapes_and_keeps_the_bytes():
     rng = np.random.default_rng(45)
-    cfg = ModelConfig(d_h=16, n_heads=2, d_ff=64)
-    for empty, drawn in [(ActorParams.zeros(cfg), ActorParams.init(cfg, rng)),
-                         (CriticParams.zeros(), CriticParams.init(rng))]:
-        got, want = empty.state_arrays(), drawn.state_arrays()
-        assert list(got) == list(want)
+    cfg = ModelConfig(d_h=16, n_heads=2, d_ff=64, n_layers=2)
+    channels = ((4, 8), (8, 3), (3, 1))
+    for cls, key, drawn in [(ActorParams, cfg, ActorParams.init(cfg, rng)),
+                            (CriticParams, channels, CriticParams.init(rng, channels=channels))]:
+        want = drawn.state_arrays()
+        # Reversed, so the order the loaded arrays come in does not decide the store's.
+        loaded = cls.from_state(key, dict(reversed([(k, v.copy()) for k, v in want.items()])))
+        assert loaded.dtype == drawn.dtype and list(loaded.state_arrays()) == list(want)
         for name, arr in want.items():
-            assert got[name].shape == arr.shape and got[name].dtype == arr.dtype
+            got = loaded.state_arrays()[name]
+            assert got.dtype == arr.dtype and got.shape == arr.shape and got.tobytes() == arr.tobytes(), name
+        assert [p.requires_grad for p in loaded.params.values()] == [p.requires_grad for p in drawn.params.values()]
+        for name, arr in want.items():
+            with pytest.raises(ContractError, match=rf"missing=\['{name}'\] extra=\[\]"):
+                cls.from_state(key, {k: v for k, v in want.items() if k != name})
+            with pytest.raises(DimensionError, match=name):
+                cls.from_state(key, {**want, name: np.zeros(arr.shape + (1,))})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_from_state_refuses_an_array_that_holds_nan_or_inf(bad):
+    actor_state = {k: v.copy() for k, v in tiny_actor(49).state_arrays().items()}
+    actor_state["enc.l1.bn2.running_var"][3] = bad
+    with pytest.raises(NonFiniteError):
+        ActorParams.from_state(TINY, actor_state, np.float64)
+    critic_state = {k: v.copy() for k, v in CriticParams.init(np.random.default_rng(49)).state_arrays().items()}
+    critic_state["conv2.W"][0, 0] = bad
+    with pytest.raises(NonFiniteError):
+        CriticParams.from_state(DEFAULT_CRITIC_CHANNELS, critic_state)
 
 
 # ---------------------------------------------------------------------------

@@ -18,3 +18,12 @@ def test_ab_of_a_tree_against_itself_ends_byte_identical():
     assert result["identical"] is True
     assert 0 <= result["change_won"] <= 2
     assert result["base_ms"] > 0 and result["change_ms"] > 0
+
+
+def test_ab_solve_of_a_tree_against_itself_is_byte_identical():
+    ab = _load_ab()
+    shape = dict(m_sub=3, n_nodes=5, d_h=8, n_heads=2, d_ff=16, iterations=1)
+    result = ab.run_ab(REPO / "src", REPO / "src", shape, blocks=2)
+    assert result["identical"] is True
+    assert 0 <= result["change_won"] <= 2
+    assert result["base_ms"] > 0 and result["change_ms"] > 0
