@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -172,64 +173,61 @@ def write_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
 def read_checkpoint(path) -> dict[str, np.ndarray]:
     """The named arrays of a checkpoint file.
 
-    Malformed files, files of another version, and arrays holding NaN or Inf
-    raise ParseError naming the file.
+    The header lines are read one at a time, and each array's bytes straight
+    into its own array once its declared size is known to fit in the file, so
+    the file is never held whole. Malformed files, files of another version,
+    and arrays holding NaN or Inf raise ParseError naming the file.
     """
     path = Path(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
 
     def fail(msg: str):
         raise ParseError(path, None, msg)
 
-    pos = 0
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
 
-    def read_line() -> str:
-        nonlocal pos
-        end = data.find(b"\n", pos)
-        if end < 0:
-            fail("truncated header line")
-        line = data[pos:end]
-        pos = end + 1
+        def read_line() -> str:
+            line = fh.readline()
+            if not line.endswith(b"\n"):
+                fail("truncated header line")
+            try:
+                return line[:-1].decode("ascii")
+            except UnicodeDecodeError:
+                fail("non-ascii header line")
+
+        header = read_line()
+        if header != f"{CKPT_MAGIC} {CKPT_VERSION}":
+            fail(f"bad checkpoint header {header!r}")
+        count_line = read_line()
+        if not count_line.startswith("count="):
+            fail(f"expected count=<k>, got {count_line!r}")
         try:
-            return line.decode("ascii")
-        except UnicodeDecodeError:
-            fail("non-ascii header line")
-
-    header = read_line()
-    if header != f"{CKPT_MAGIC} {CKPT_VERSION}":
-        fail(f"bad checkpoint header {header!r}")
-    count_line = read_line()
-    if not count_line.startswith("count="):
-        fail(f"expected count=<k>, got {count_line!r}")
-    try:
-        count = int(count_line[len("count="):])
-    except ValueError:
-        fail(f"bad array count in {count_line!r}")
-    if count < 0:
-        fail("negative array count")
-
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        tokens = read_line().split(" ")
-        name = tokens[0]
-        if not name or name in arrays:
-            fail(f"bad or duplicate array name {name!r}")
-        try:
-            dims = tuple(int(t) for t in tokens[1:])
+            count = int(count_line[len("count="):])
         except ValueError:
-            fail(f"bad dimensions for array {name!r}")
-        if any(d < 0 for d in dims):
-            fail(f"negative dimension for array {name!r}")
-        nbytes = 4 * math.prod(dims)     # Python ints: a huge shape cannot wrap to a small size
-        if pos + nbytes > len(data):
-            fail(f"truncated data for array {name!r}")
-        arrays[name] = np.frombuffer(data[pos:pos + nbytes], dtype="<f4").reshape(dims).copy()
-        if not np.isfinite(arrays[name]).all():
-            fail(f"array {name!r} holds NaN or Inf")
-        pos += nbytes
-    if pos != len(data):
-        fail(f"{len(data) - pos} trailing bytes after the last array")
+            fail(f"bad array count in {count_line!r}")
+        if count < 0:
+            fail("negative array count")
+
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            tokens = read_line().split(" ")
+            name = tokens[0]
+            if not name or name in arrays:
+                fail(f"bad or duplicate array name {name!r}")
+            try:
+                dims = tuple(int(t) for t in tokens[1:])
+            except ValueError:
+                fail(f"bad dimensions for array {name!r}")
+            if any(d < 0 for d in dims):
+                fail(f"negative dimension for array {name!r}")
+            if fh.tell() + 4 * math.prod(dims) > size:     # Python ints: a huge shape cannot wrap
+                fail(f"truncated data for array {name!r}")
+            arrays[name] = np.empty(dims, dtype="<f4")
+            fh.readinto(arrays[name].reshape(-1).view(np.uint8))
+            if not np.isfinite(arrays[name]).all():
+                fail(f"array {name!r} holds NaN or Inf")
+        if fh.tell() != size:
+            fail(f"{size - fh.tell()} trailing bytes after the last array")
     return arrays
 
 
@@ -254,7 +252,10 @@ def save_models(path, actor: ActorParams, critic: CriticParams) -> None:
 
 
 def load_models(path, cfg: RunConfig) -> tuple[ActorParams, CriticParams]:
-    return unpack_models(read_checkpoint(path), cfg)
+    try:
+        return unpack_models(read_checkpoint(path), cfg)
+    except ContractError as exc:     # arrays that do not fit cfg's model
+        raise ContractError(f"{path}: {exc}") from exc
 
 
 def checkpoint_name(i: int) -> str:

@@ -22,9 +22,10 @@ uses per-instance (B, n, ...) views. The decoder keeps no state between
 steps: a decode step is a function of the encoding and the tour prefix. A
 training rollout chooses its tours step by step without a tape, then scores
 all n steps of them in one teacher-forced decoder pass on the tape.
-`greedy_tours` decodes one instance under many actors, a group at a time: a
-group's decoder inputs are stacked on a leading model axis, so its actors are
-the batch rows of a single decode.
+`greedy_tours` decodes one instance under many actors, a group at a time:
+each actor's decoder inputs are written into its slot on the leading model
+axis of one set of group buffers, reused by every group, so a group's actors
+are the batch rows of a single decode.
 
 The encoder, the decode step and the glimpse and pointer take their ops from
 a namespace, `ops`: `autodiff` records the tape, and `plain` runs the same
@@ -301,22 +302,6 @@ def encode_batch(features: np.ndarray, actor: ActorParams, mode: str, ops=ad) ->
 # decoder
 
 
-def _stack_rows(parts: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Concatenate along the leading axis, packing the trailing axes in the
-    first part's memory order (a transposed key block stays column-major), so
-    a product against the stack makes the same BLAS call per row as against
-    one part. `np.concatenate` alone would interleave the parts along their
-    outermost memory axis.
-    """
-    first = parts[0]
-    inner = sorted(range(1, first.ndim), key=lambda ax: -first.strides[ax])   # outermost first
-    packed = np.empty((sum(p.shape[0] for p in parts),) + tuple(first.shape[ax] for ax in inner),
-                      dtype=first.dtype)
-    out = np.transpose(packed, (0,) + tuple(int(ax) + 1 for ax in np.argsort(inner)))
-    np.concatenate(parts, out=out)
-    return out
-
-
 def _decode_step_batch(enc: EncodedBatch, placed: np.ndarray, cfg: ModelConfig, p, ops=ad):
     """The probabilities (B, n) of each row's next node after its tour prefix
     `placed` (B, t), for the encoding `enc` under the weights `p`: an actor's,
@@ -471,54 +456,65 @@ def _score_tours(enc: EncodedBatch, actor: ActorParams, tours: np.ndarray) -> ad
     return ad.reshape(summed, (batch,))
 
 
-# Actors per stacked decode. Only one group's parts are held, so the solve's
-# memory grows with the group, not with M, and a step streams one group's
-# decoder weights and projections (about 0.5 MB per model at full width) instead
-# of all M models'. Groups of 16-20 decode faster than one stack of 100;
-# smaller groups pay each step's fixed Python cost too often.
+# Actors per stacked decode. Only one group's buffers are held, reused by every
+# group, so the solve's memory grows with the group, not with M, and a step
+# streams one group's decoder weights and projections (about 0.5 MB per model at
+# full width) instead of all M models'. Groups of 16-20 decode faster than one
+# stack of 100; smaller groups pay each step's fixed Python cost too often.
 _GROUP = 20
+
+
+def _slots(part: np.ndarray) -> np.ndarray:
+    """Room for `_GROUP` copies of `part` on its leading axis, the trailing axes
+    packed in `part`'s memory order (a transposed key block stays column-major),
+    so a product against any leading run of slots makes the same BLAS call per
+    row as against one part."""
+    inner = sorted(range(1, part.ndim), key=lambda ax: -part.strides[ax])   # outermost first
+    packed = np.empty((_GROUP * part.shape[0],) + tuple(part.shape[ax] for ax in inner), dtype=part.dtype)
+    return np.transpose(packed, (0,) + tuple(int(ax) + 1 for ax in np.argsort(inner)))
 
 
 def greedy_tours(features: np.ndarray, actors) -> np.ndarray:
     """(M, n) greedy tours of one instance, row i under the i-th of `actors`.
 
     `actors` is any iterable of actors sharing one config and dtype. Each is
-    encoded on `plain` ops as soon as it is drawn; only its encoding and the
-    decoder weights that the encoding has not already applied are kept. The
-    actors decode in groups of `_GROUP`: a group's encodings and weights are
-    stacked on a leading model axis, so its actors are the batch rows of one
-    n-step decode, and the parts are released before the next actor is
-    drawn. Row i equals the tour of
-    `rollout_batch(features[None], actor_i)`.
+    encoded on `plain` ops as soon as it is drawn; its encoding and the
+    decoder weights that the encoding has not already applied are written
+    into its slot of one set of group buffers, allocated from the first actor
+    and reused by every group, and the rest is released before the next actor
+    is drawn. A full group's actors are the batch rows of one n-step decode;
+    a last, partial group decodes through views of its filled slots. Row i
+    equals the tour of `rollout_batch(features[None], actor_i)`.
     """
     feats = np.asarray(features)[None, :, :]
-    cfg = dtype = None
-    parts, tours = [], []
-    for actor in actors:
-        if cfg is None:
-            cfg, dtype = actor.cfg, actor.dtype
-        elif (actor.cfg, actor.dtype) != (cfg, dtype):
+    cfg = dtype = encs = weights = None
+    tours = []
+
+    def decode(count: int) -> np.ndarray:
+        return _decode(EncodedBatch(*(b[:count * len(b) // _GROUP] for b in encs)), cfg,
+                       {name: w[:count] for name, w in weights.items()})[0]
+
+    for i, actor in enumerate(actors):
+        if cfg is not None and (actor.cfg, actor.dtype) != (cfg, dtype):
             raise ContractError("greedy_tours needs actors of one model config and dtype")
-        # The key/value projections are in the encoding; the rest is read per step.
-        parts.append((encode_batch(feats, actor, "infer", plain),
-                      {name: p.data for name, p in actor.params.items()
-                       if name.startswith("dec.") and not name.endswith(("Wk", "Wv"))}))
-        if len(parts) == _GROUP:
-            tours.append(_decode_group(parts, cfg))
-            parts = []
+        cfg, dtype, slot = actor.cfg, actor.dtype, i % _GROUP
+        enc = encode_batch(feats, actor, "infer", plain)
+        if encs is None:
+            # The key/value projections are in the encoding; the rest is read per step.
+            encs = EncodedBatch(*map(_slots, enc))
+            weights = {name: np.empty((_GROUP,) + p.shape, dtype) for name, p in actor.params.items()
+                       if name.startswith("dec.") and not name.endswith(("Wk", "Wv"))}
+        for buf, part in zip(encs, enc):
+            buf[slot * len(part):(slot + 1) * len(part)] = part
+        for name, w in weights.items():
+            w[slot] = actor.params[name].data
+        if slot == _GROUP - 1:
+            tours.append(decode(_GROUP))
     if cfg is None:
         raise ContractError("greedy_tours needs at least one actor")
-    if parts:
-        tours.append(_decode_group(parts, cfg))
+    if slot < _GROUP - 1:
+        tours.append(decode(slot + 1))
     return np.concatenate(tours)
-
-
-def _decode_group(parts: list, cfg: ModelConfig) -> np.ndarray:
-    """Greedy tours of the (encoding, decoder weights) `parts`, one row per
-    actor, decoded as the batch rows of one stacked loop."""
-    encs, weights = zip(*parts)
-    stacked = {name: np.stack([w[name] for w in weights]) for name in weights[0]}
-    return _decode(EncodedBatch(*map(_stack_rows, zip(*encs))), cfg, stacked)[0]
 
 
 def rollout(inst: MotspInstance, actor: ActorParams, seed: int | None = None) -> tuple[np.ndarray, float]:

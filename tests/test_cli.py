@@ -10,7 +10,7 @@ from paretotsp import evaluation as ev
 from paretotsp.cli import CKPT_ROOT_ENV, main, parse_config_file
 from paretotsp.decomposition import (MANIFEST_NAME, RunConfig, TrainedActors,
                                      checkpoint_name, config_hash, metrics_name,
-                                     read_checkpoint, save_models,
+                                     pack_models, read_checkpoint, save_models,
                                      write_checkpoint, write_manifest)
 from paretotsp.errors import ContractError, ParseError
 from paretotsp.instances import (MotspInstance, evaluate_objectives,
@@ -481,6 +481,25 @@ def test_solve_checks_instance_before_reading_checkpoints(tmp_path, capsys):
     assert main(["solve", "--ckpt", str(tmp_path), "--instance", str(tmp_path / "wide.motsp"),
                  "--out", str(tmp_path / "pf.csv")]) == 2
     assert "d_x=6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d_h,shown", [(16, "shape (16, 4) != (8, 4)"), (8, "missing=['dec.v1']")],
+                         ids=["wider", "missing-array"])
+def test_solve_names_a_checkpoint_that_does_not_fit_the_run(tmp_path, capsys, d_h, shown):
+    """A wider model_2.ckpt, or one without `actor.dec.v1`, exits 2 naming it."""
+    run = untrained_run(tmp_path / "run", 3, seed=0)
+    cfg = RunConfig(d_h=d_h, n_heads=2, d_ff=16, n_nodes=6, m_sub=3)
+    rng = np.random.default_rng(1)
+    arrays = pack_models(ActorParams.init(cfg.model_config(), rng), CriticParams.init(rng))
+    if d_h == 8:
+        del arrays["actor.dec.v1"]
+    write_checkpoint(run / checkpoint_name(2), arrays)
+    save_native(MotspInstance(np.random.default_rng(0).random((6, 4))), tmp_path / "i.motsp")
+    assert main(["solve", "--ckpt", str(run), "--instance", str(tmp_path / "i.motsp"),
+                 "--out", str(tmp_path / "pf.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run / checkpoint_name(2)}: "), err
+    assert shown in err
 
 
 def test_solve_rejects_non_finite_checkpoint(trained, tmp_path, capsys):

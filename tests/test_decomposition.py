@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -225,8 +226,20 @@ def test_load_models_rejects_wrong_width(tmp_path):
     path = tmp_path / "pair.ckpt"
     save_models(path, ActorParams.init(cfg.model_config(), rng), CriticParams.init(rng))
     wider = RunConfig(**dict(TINY, d_h=16))
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match=f"^{re.escape(str(path))}: enc.init.W: shape"):
         load_models(path, wider)
+
+
+def test_load_models_names_the_file_missing_an_array(tmp_path):
+    cfg = RunConfig(**TINY)
+    rng = np.random.default_rng(3)
+    arrays = pack_models(ActorParams.init(cfg.model_config(), rng), CriticParams.init(rng))
+    del arrays["actor.dec.v1"]
+    path = tmp_path / "pair.ckpt"
+    write_checkpoint(path, arrays)
+    shown = r": ActorParams state mismatch: missing=\['dec.v1'\]"
+    with pytest.raises(ContractError, match=f"^{re.escape(str(path))}{shown}"):
+        load_models(path, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -386,6 +386,27 @@ def test_greedy_tours_memory_does_not_grow_with_the_actor_count():
     assert three <= 1.25 * one, (one, three)
 
 
+def test_greedy_tours_holds_one_group_once():
+    """Each actor's encoding and kept decoder weights are written straight
+    into its slot of the group buffers, not kept apart and then stacked:
+    decoding G full-width actors at n=100, each built as it is drawn, peaks
+    at most 1.5x as high as G actors' encodings and kept weights."""
+    feats = np.random.default_rng(5).random((100, 4))
+    rng = np.random.default_rng(6)
+    first = ActorParams.init(ModelConfig(), rng)
+    kept = sum(a.nbytes for a in encode_batch(feats[None], first, "infer", plain))
+    kept += sum(p.data.nbytes for name, p in first.params.items()
+                if name.startswith("dec.") and not name.endswith(("Wk", "Wv")))
+    actors = (ActorParams.init(ModelConfig(), rng) for _ in range(_GROUP))
+    tracemalloc.start()
+    try:
+        greedy_tours(feats, actors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * _GROUP * kept, (peak / (_GROUP * kept), kept)
+
+
 # ---------------------------------------------------------------------------
 # the plain forward path against the tape
 
