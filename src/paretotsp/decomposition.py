@@ -222,7 +222,10 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
                 fail(f"negative dimension for array {name!r}")
             if fh.tell() + 4 * math.prod(dims) > size:     # Python ints: a huge shape cannot wrap
                 fail(f"truncated data for array {name!r}")
-            arrays[name] = np.empty(dims, dtype="<f4")
+            try:
+                arrays[name] = np.empty(dims, dtype="<f4")
+            except ValueError:                               # numpy refuses the shape itself
+                fail(f"bad dimensions for array {name!r}")
             fh.readinto(arrays[name].reshape(-1).view(np.uint8))
             if not np.isfinite(arrays[name]).all():
                 fail(f"array {name!r} holds NaN or Inf")
@@ -314,6 +317,8 @@ def load_manifest(path) -> tuple[RunConfig, list[int]]:
     completed = sorted(completed)
     if completed != list(range(1, len(completed) + 1)):
         raise ContractError(f"completed subproblems must be contiguous from 1, got {completed}")
+    if len(completed) > cfg.m_sub:
+        raise ContractError(f"{path}: manifest completes {len(completed)} subproblems of m_sub={cfg.m_sub}")
     return cfg, completed
 
 

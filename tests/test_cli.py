@@ -312,7 +312,9 @@ def test_legacy_manifest_with_ref_keys(trained, tmp_path, capsys):
     lambda doc: dict(doc, config=sorted(doc["config"].items())),
     lambda doc: [doc],
     lambda doc: dict(doc, completed=[1, "two"]),
-], ids=["no-config", "config-not-object", "document-not-object", "completed-not-integer"])
+    lambda doc: dict(doc, completed=list(range(1, int(doc["config"]["m_sub"]) + 2))),
+], ids=["no-config", "config-not-object", "document-not-object", "completed-not-integer",
+        "completed-beyond-m_sub"])
 def test_malformed_manifest_exits_2_naming_the_file(trained, tmp_path, capsys, breakage):
     run = tmp_path / "run"
     shutil.copytree(trained["ckpt"], run)
@@ -515,20 +517,28 @@ def test_solve_rejects_non_finite_checkpoint(trained, tmp_path, capsys):
     assert "model_2.ckpt" in err and "actor.dec.Wq" in err
 
 
-def test_solve_rejects_a_checkpoint_shape_whose_size_overflows_int64(trained, tmp_path, capsys):
+@pytest.mark.parametrize("dims,fragment", [
+    (b" 4294967296 4294967296", "truncated data"),
+    (b" 0 100000000000000000000", "bad dimensions"),
+    (b" 0" * 65, "bad dimensions"),
+    (b" 0 9223372036854775807 2", "bad dimensions"),
+], ids=["wraps-int64", "over-numpy-dimension", "65-dimensions", "over-numpy-size"])
+def test_solve_rejects_a_checkpoint_shape_whose_size_overflows_int64(trained, tmp_path, capsys,
+                                                                    dims, fragment):
     """2**32 x 2**32 elements wrap to 0 in int64; the reader must still see
-    that the file is far too short for them."""
+    that the file is far too short for them. Zero-element shapes that numpy
+    itself refuses fit in any file, and must fail as bad dimensions."""
     ckpt = tmp_path / "ckpt"
     shutil.copytree(trained["ckpt"], ckpt)
     path = ckpt / checkpoint_name(2)
     magic, count, first, rest = path.read_bytes().split(b"\n", 3)
     name = first.split(b" ")[0]
-    path.write_bytes(b"\n".join([magic, count, name + b" 4294967296 4294967296", rest]))
+    path.write_bytes(b"\n".join([magic, count, name + dims, rest]))
     assert main(["gen", "--n", "4", "--seed", "0", "--out", str(tmp_path)]) == 0
     assert main(["solve", "--ckpt", str(ckpt), "--instance", str(tmp_path / "rand_n4_s0_0.motsp"),
                  "--out", str(tmp_path / "pf.csv")]) == 2
     err = capsys.readouterr().err
-    assert "model_2.ckpt" in err and "truncated data" in err and name.decode() in err
+    assert "model_2.ckpt" in err and fragment in err and name.decode() in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -134,6 +134,9 @@ def test_checkpoint_empty(tmp_path):
     (lambda b: b.replace(b"count=1", b"count=x"), "count"),
     (lambda b: b[:-2], "truncated"),
     (lambda b: b + b"\x00\x00", "trailing"),
+    (lambda b: b"paretotsp-ckpt v2\ncount=1\nactor.x 0 100000000000000000000\n", "bad dimensions"),
+    (lambda b: b"paretotsp-ckpt v2\ncount=1\nactor.x" + b" 0" * 65 + b"\n", "bad dimensions"),
+    (lambda b: b"paretotsp-ckpt v2\ncount=1\nactor.x 0 9223372036854775807 2\n", "bad dimensions"),
 ])
 def test_checkpoint_malformations(tmp_path, mutate, fragment):
     path = tmp_path / "m.ckpt"
