@@ -101,10 +101,7 @@ def param(data, dtype=np.float64) -> Array:
 
 def constant(data, dtype=None) -> Array:
     """Leaf array outside the gradient path."""
-    arr = np.asarray(data)
-    if dtype is not None:
-        arr = arr.astype(dtype)
-    return Array(arr, requires_grad=False)
+    return Array(plain.constant(data, dtype))
 
 
 def _spent(g):

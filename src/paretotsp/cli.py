@@ -21,7 +21,8 @@ import numpy as np
 
 from . import decomposition as dec
 from . import evaluation as ev
-from .errors import ContractError, NonFiniteError, ParseError, TrainingDivergedError, read_text, write_file
+from .errors import (ContractError, NonFiniteError, ParseError, TrainingDivergedError, format_float,
+                     read_text, write_file)
 from .instances import (MotspInstance, evaluate_objectives, load_native,
                         load_tsplib_pair, save_native)
 
@@ -89,9 +90,12 @@ def _resolve_workdir(flag_value) -> Path:
 
 def cmd_train(args) -> int:
     if read_text(args.config).lstrip().startswith("{"):     # an earlier run's manifest.json
-        cfg, _ = dec.load_manifest(args.config)
+        cfg, _ = dec.load_manifest(args.config)             # whose faults name it already
     else:
-        cfg = dec.RunConfig.from_mapping(parse_config_file(args.config))
+        try:
+            cfg = dec.RunConfig.from_mapping(parse_config_file(args.config))
+        except ContractError as exc:
+            raise ContractError(f"{args.config}: {exc}") from exc
     workdir = _resolve_workdir(args.out)
     started = time.perf_counter()
 
@@ -159,7 +163,7 @@ def cmd_plot(args) -> int:
     legend = []
     for k, path in enumerate(args.pf):
         pts = ev.read_pf_csv(path).objectives
-        blocks.append("\n".join(f"{ev.format_float(p[0])} {ev.format_float(p[1])}" for p in pts))
+        blocks.append("\n".join(f"{format_float(p[0])} {format_float(p[1])}" for p in pts))
         legend.append(f"{k} {Path(path).stem}")
     out = Path(args.out)
     write_file(out, ("\n\n".join(blocks) + "\n").encode("utf-8"))

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ParseError, TrainingDivergedError, read_text, write_file
+from .errors import ContractError, ParseError, TrainingDivergedError, format_float, read_text, write_file
 from .instances import PRNG_NAME
 from .model import DEFAULT_CRITIC_CHANNELS, ActorParams, CriticParams, ModelConfig
 from .trainer import train_subproblem
@@ -120,30 +120,21 @@ class RunConfig:
         return SubproblemSchedule(weights, (self.epochs_first,) + (self.epochs_rest,) * (self.m_sub - 1))
 
     def to_mapping(self) -> dict[str, str]:
-        out = {}
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = format(v, ".17g") if isinstance(v, float) else str(v)
-        return out
+        return {k: format_float(v) if isinstance(v, float) else str(v) for k, v in dataclasses.asdict(self).items()}
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "RunConfig":
-        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        """`mapping`'s values, each converted by the type of its field's default."""
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, raw in mapping.items():
             if key in RETIRED_KEYS:
                 continue
-            if key not in fields:
+            if key not in defaults:
                 raise ContractError(f"unknown config key {key!r}")
-            typ = fields[key]
             try:
-                if typ == "int":
-                    kwargs[key] = int(raw)
-                elif typ == "float":
-                    kwargs[key] = float(raw)
-                else:
-                    kwargs[key] = raw
-            except (TypeError, ValueError) as exc:
+                kwargs[key] = type(defaults[key])(raw)
+            except (TypeError, ValueError, OverflowError) as exc:     # int() of a JSON Infinity overflows
                 raise ContractError(f"config key {key!r}: {exc}") from exc
         return cls(**kwargs)
 
@@ -240,23 +231,21 @@ def pack_models(actor: ActorParams, critic: CriticParams) -> dict[str, np.ndarra
     return out
 
 
-def unpack_models(arrays: dict[str, np.ndarray], cfg: RunConfig) -> tuple[ActorParams, CriticParams]:
-    actor_arrays = {k[len("actor."):]: v for k, v in arrays.items() if k.startswith("actor.")}
-    critic_arrays = {k[len("critic."):]: v for k, v in arrays.items() if k.startswith("critic.")}
-    if len(actor_arrays) + len(critic_arrays) != len(arrays):
-        extra = [k for k in arrays if not k.startswith(("actor.", "critic."))]
-        raise ContractError(f"checkpoint holds arrays outside actor./critic.: {extra}")
-    return (ActorParams.from_state(cfg.model_config(), actor_arrays),
-            CriticParams.from_state(DEFAULT_CRITIC_CHANNELS, critic_arrays))
-
-
 def save_models(path, actor: ActorParams, critic: CriticParams) -> None:
     write_checkpoint(path, pack_models(actor, critic))
 
 
 def load_models(path, cfg: RunConfig) -> tuple[ActorParams, CriticParams]:
+    """The actor and critic of a checkpoint that holds cfg's models and nothing else."""
+    arrays = read_checkpoint(path)
+    actor = {k[len("actor."):]: v for k, v in arrays.items() if k.startswith("actor.")}
+    critic = {k[len("critic."):]: v for k, v in arrays.items() if k.startswith("critic.")}
     try:
-        return unpack_models(read_checkpoint(path), cfg)
+        if len(actor) + len(critic) != len(arrays):
+            extra = [k for k in arrays if not k.startswith(("actor.", "critic."))]
+            raise ContractError(f"checkpoint holds arrays outside actor./critic.: {extra}")
+        return (ActorParams.from_state(cfg.model_config(), actor),
+                CriticParams.from_state(DEFAULT_CRITIC_CHANNELS, critic))
     except ContractError as exc:     # arrays that do not fit cfg's model
         raise ContractError(f"{path}: {exc}") from exc
 
@@ -274,15 +263,13 @@ def metrics_name(i: int) -> str:
 
 
 def write_manifest(workdir, cfg: RunConfig, completed: list[int]) -> None:
-    sched = cfg.schedule()
+    """Only the keys that `load_manifest` reads; `cfg.schedule()` gives each λ and epoch budget."""
     mapping = cfg.to_mapping()
     doc = {
         "format": MANIFEST_FORMAT,
         "prng": PRNG_NAME,
         "config": mapping,
         "config_hash": config_hash(mapping),
-        "weights": sched.weights.tolist(),
-        "epochs": list(sched.epochs),
         "completed": sorted(completed),
     }
     write_file(Path(workdir) / MANIFEST_NAME, (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode("ascii"))
@@ -302,23 +289,26 @@ def load_manifest(path) -> tuple[RunConfig, list[int]]:
         raise ParseError(path, None, "manifest is not a JSON object")
     if doc.get("format") != MANIFEST_FORMAT:
         raise ParseError(path, None, f"unsupported manifest format {doc.get('format')!r}")
-    if doc.get("prng") != PRNG_NAME:
-        raise ContractError(f"{path}: manifest prng {doc.get('prng')!r} != {PRNG_NAME!r}")
-    config = doc.get("config")
-    if not isinstance(config, dict):
-        raise ParseError(path, None, f"manifest config must be a JSON object, got {type(config).__name__}")
-    cfg = RunConfig.from_mapping(config)
-    retired = {k: str(v) for k, v in config.items() if k in RETIRED_KEYS}
-    if config_hash({**cfg.to_mapping(), **retired}) != doc.get("config_hash"):
-        raise ContractError(f"{path}: manifest config hash does not match its config")
-    completed = doc.get("completed", [])
-    if not isinstance(completed, list) or not all(type(i) is int for i in completed):
-        raise ParseError(path, None, f"manifest completed must be a list of integers, got {completed!r}")
-    completed = sorted(completed)
-    if completed != list(range(1, len(completed) + 1)):
-        raise ContractError(f"completed subproblems must be contiguous from 1, got {completed}")
-    if len(completed) > cfg.m_sub:
-        raise ContractError(f"{path}: manifest completes {len(completed)} subproblems of m_sub={cfg.m_sub}")
+    try:    # a ParseError names the file itself; a ContractError gets it in front here
+        if doc.get("prng") != PRNG_NAME:
+            raise ContractError(f"manifest prng {doc.get('prng')!r} != {PRNG_NAME!r}")
+        config = doc.get("config")
+        if not isinstance(config, dict):
+            raise ParseError(path, None, f"manifest config must be a JSON object, got {type(config).__name__}")
+        cfg = RunConfig.from_mapping(config)
+        retired = {k: str(v) for k, v in config.items() if k in RETIRED_KEYS}
+        if config_hash({**cfg.to_mapping(), **retired}) != doc.get("config_hash"):
+            raise ContractError("manifest config hash does not match its config")
+        completed = doc.get("completed", [])
+        if not isinstance(completed, list) or not all(type(i) is int for i in completed):
+            raise ParseError(path, None, f"manifest completed must be a list of integers, got {completed!r}")
+        completed = sorted(completed)
+        if completed != list(range(1, len(completed) + 1)):
+            raise ContractError(f"completed subproblems must be contiguous from 1, got {completed}")
+        if len(completed) > cfg.m_sub:
+            raise ContractError(f"manifest completes {len(completed)} subproblems of m_sub={cfg.m_sub}")
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from exc
     return cfg, completed
 
 
@@ -377,10 +367,10 @@ def run_schedule(cfg: RunConfig, workdir, resume: bool = False,
     if resume and (workdir / MANIFEST_NAME).exists():
         prev_cfg, completed = load_manifest(workdir)
         if config_hash(prev_cfg.to_mapping()) != config_hash(cfg.to_mapping()):
-            raise ContractError("resume config does not match the manifest in the work directory")
+            raise ContractError(f"{workdir / MANIFEST_NAME}: resume config does not match the manifest")
         for i in completed:
-            if not (workdir / checkpoint_name(i)).exists():
-                raise ContractError(f"manifest lists subproblem {i} complete but {checkpoint_name(i)} is missing")
+            if not (ckpt := workdir / checkpoint_name(i)).exists():
+                raise ContractError(f"manifest lists subproblem {i} complete but {ckpt} is missing")
     write_manifest(workdir, cfg, completed)
 
     if completed:

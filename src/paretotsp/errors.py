@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and its two file primitives:
-`read_text`, whose decode errors are `ParseError`s, and `write_file`, which
-replaces a file's bytes atomically."""
+"""Exception types shared across the package, and its file primitives:
+`read_text`, whose decode errors are `ParseError`s, `write_file`, which
+replaces a file's bytes atomically, and `format_float`, the one way a float
+becomes text in an output file."""
 
 import os
 
@@ -48,6 +49,11 @@ def read_text(path) -> str:
     except UnicodeDecodeError as exc:
         raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
                          f"not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}") from exc
+
+
+def format_float(x) -> str:
+    """`x` as text with 17 significant digits, enough to read back the same float64."""
+    return format(float(x), ".17g")
 
 
 def write_file(path, data: bytes) -> None:

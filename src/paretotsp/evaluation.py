@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ParseError, read_text, write_file
+from .errors import ContractError, DimensionError, ParseError, format_float, read_text, write_file
 from .instances import MotspInstance, evaluate_objectives
 from .model import greedy_tours
 
@@ -133,10 +133,6 @@ def compute_hv_protocol(fronts, ref=DEFAULT_REF_POINT) -> list[float]:
 
 # ---------------------------------------------------------------------------
 # exports
-
-
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 PF_CSV_HEADER = "subproblem,lambda1,lambda2,f1,f2,tour"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParseError, read_text, write_file
+from .errors import ContractError, ParseError, format_float, read_text, write_file
 
 PRNG_NAME = "numpy-pcg64"  # np.random.default_rng; recorded in manifests
 
@@ -91,7 +91,7 @@ def evaluate_objectives(coords: np.ndarray, tours) -> np.ndarray:
 def save_native(inst: MotspInstance, path) -> None:
     lines = [f"{NATIVE_MAGIC} {NATIVE_VERSION} n={inst.n} m={inst.m} dx={inst.d_x}"]
     for row in inst.features:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
+        lines.append(" ".join(map(format_float, row)))
     write_file(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NonFiniteError, TrainingDivergedError, write_file
+from .errors import NonFiniteError, TrainingDivergedError, format_float, write_file
 from .instances import tour_costs_batch
 from .model import ActorParams, CriticParams, critic_batch, rollout_batch
 
@@ -40,7 +40,7 @@ def write_metrics(path, rows: list[IterationMetrics]) -> None:
     """The rows as CSV under a header of `IterationMetrics`' field names;
     floats print with 17 significant digits."""
     lines = [",".join(f.name for f in fields(IterationMetrics))]
-    lines += [",".join(format(v, ".17g") for v in astuple(r)) for r in rows]
+    lines += [",".join(map(format_float, astuple(r))) for r in rows]
     write_file(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 

@@ -307,14 +307,46 @@ def test_legacy_manifest_with_ref_keys(trained, tmp_path, capsys):
                                            "manifest config hash does not match its config\n")
 
 
+def test_manifest_with_weights_and_epochs(trained, tmp_path):
+    """A manifest that still holds the weight schedule and epoch budgets, as
+    older versions wrote them, loads, reruns and resumes; new manifests hold
+    only the keys that loading reads."""
+    old = tmp_path / "old"
+    shutil.copytree(trained["ckpt"], old)
+    manifest = old / MANIFEST_NAME
+    doc = json.loads(manifest.read_text())
+    assert set(doc) == {"format", "prng", "config", "config_hash", "completed"}
+    sched = RunConfig.from_mapping(doc["config"]).schedule()
+    doc.update(weights=sched.weights.tolist(), epochs=list(sched.epochs))
+    manifest.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    assert len(TrainedActors(old)) == 2
+
+    redo = tmp_path / "redo"
+    assert main(["train", "--config", str(manifest), "--out", str(redo)]) == 0
+    for i in (1, 2):
+        assert (redo / checkpoint_name(i)).read_bytes() == (old / checkpoint_name(i)).read_bytes()
+
+    # interrupted after subproblem 1
+    manifest.write_text(json.dumps(dict(doc, completed=[1])))
+    (old / checkpoint_name(2)).unlink()
+    assert main(["train", "--config", str(trained["config"]), "--out", str(old), "--resume"]) == 0
+    assert (old / checkpoint_name(2)).read_bytes() == (trained["ckpt"] / checkpoint_name(2)).read_bytes()
+    assert manifest.read_bytes() == (trained["ckpt"] / MANIFEST_NAME).read_bytes()
+
+
 @pytest.mark.parametrize("breakage", [
     lambda doc: {k: v for k, v in doc.items() if k != "config"},
     lambda doc: dict(doc, config=sorted(doc["config"].items())),
     lambda doc: [doc],
     lambda doc: dict(doc, completed=[1, "two"]),
     lambda doc: dict(doc, completed=list(range(1, int(doc["config"]["m_sub"]) + 2))),
+    lambda doc: dict(doc, completed=[2]),
+    lambda doc: dict(doc, config=dict(doc["config"], bogus="3")),
+    lambda doc: dict(doc, config=dict(doc["config"], n_heads="3")),     # d_h=8
+    lambda doc: dict(doc, config=dict(doc["config"], seed=float("inf"))),
 ], ids=["no-config", "config-not-object", "document-not-object", "completed-not-integer",
-        "completed-beyond-m_sub"])
+        "completed-beyond-m_sub", "completed-not-contiguous", "unknown-config-key", "n_heads-not-dividing-d_h",
+        "int-config-value-infinite"])
 def test_malformed_manifest_exits_2_naming_the_file(trained, tmp_path, capsys, breakage):
     run = tmp_path / "run"
     shutil.copytree(trained["ckpt"], run)
@@ -352,7 +384,9 @@ def test_train_bad_config_value_exits_2_before_the_work_directory(tmp_path, caps
     config = tmp_path / "run.conf"
     config.write_text(TINY_CONFIG.replace(f"\n{key} = ", f"\n#{key} = ") + f"{key} = {value}\n")
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
-    assert shown in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ")
+    assert shown in err
     assert not (tmp_path / "run").exists()
 
 
@@ -380,7 +414,7 @@ def test_train_sizes_numpy_cannot_shape_exit_2_before_the_work_directory(tmp_pat
     config = tmp_path / "run.conf"
     config.write_text(text)
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
-    assert capsys.readouterr().err == ("error: batch_size and n_nodes too large: "
+    assert capsys.readouterr().err == (f"error: {config}: batch_size and n_nodes too large: "
                                        f"numpy cannot shape a float64 array of {shape}\n")
     assert not (tmp_path / "run").exists()
 
@@ -389,7 +423,7 @@ def test_train_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_text(TINY_CONFIG + "momentum = 0.9\n")
     assert main(["train", "--config", str(config), "--out", str(tmp_path)]) == 2
-    assert "momentum" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {config}: unknown config key 'momentum'\n"
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ from paretotsp.decomposition import (MANIFEST_NAME, RunConfig,
                                      make_weights,
                                      metrics_name, pack_models,
                                      read_checkpoint, run_schedule,
-                                     save_models, unpack_models,
-                                     write_checkpoint, write_manifest)
+                                     save_models, write_checkpoint, write_manifest)
 from paretotsp.errors import ContractError, ParseError, TrainingDivergedError
 from paretotsp.instances import MotspInstance
 from paretotsp.model import ActorParams, CriticParams, rollout, rollout_batch
@@ -213,14 +212,17 @@ def test_models_round_trip_bitwise(tmp_path):
         np.testing.assert_array_equal(critic2.state_arrays()[k], v)
 
 
-def test_unpack_rejects_foreign_arrays():
+def test_load_models_rejects_foreign_arrays(tmp_path):
     cfg = RunConfig(**TINY)
     rng = np.random.default_rng(3)
     arrays = pack_models(ActorParams.init(cfg.model_config(), rng),
                          CriticParams.init(rng))
     arrays["optimizer.m0"] = np.zeros(2, dtype=np.float32)
-    with pytest.raises(ContractError):
-        unpack_models(arrays, cfg)
+    path = tmp_path / "pair.ckpt"
+    write_checkpoint(path, arrays)
+    shown = r": checkpoint holds arrays outside actor\./critic\.: \['optimizer.m0'\]"
+    with pytest.raises(ContractError, match=f"^{re.escape(str(path))}{shown}"):
+        load_models(path, cfg)
 
 
 def test_load_models_rejects_wrong_width(tmp_path):
@@ -401,7 +403,7 @@ def test_crash_between_checkpoint_and_manifest_resumes_to_identical_results(tmp_
 
 def test_resume_rejects_config_drift(tmp_path):
     run_schedule(RunConfig(**TINY), tmp_path)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match=f"^{re.escape(str(tmp_path / MANIFEST_NAME))}: resume config"):
         run_schedule(RunConfig(**dict(TINY, seed=6)), tmp_path, resume=True)
 
 
@@ -409,7 +411,7 @@ def test_resume_rejects_missing_listed_checkpoint(tmp_path):
     cfg = RunConfig(**TINY)
     run_schedule(cfg, tmp_path)
     (tmp_path / checkpoint_name(2)).unlink()
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match=f"{re.escape(str(tmp_path / checkpoint_name(2)))} is missing"):
         run_schedule(cfg, tmp_path, resume=True)
 
 
