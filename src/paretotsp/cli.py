@@ -23,8 +23,7 @@ from . import decomposition as dec
 from . import evaluation as ev
 from .errors import (ContractError, NonFiniteError, ParseError, TrainingDivergedError, format_float,
                      read_text, write_file)
-from .instances import (MotspInstance, evaluate_objectives, load_native,
-                        load_tsplib_pair, save_native)
+from .instances import D_X, MotspInstance, evaluate_objectives, load_native, load_tsplib_pair, save_native
 
 CKPT_ROOT_ENV = "PARETOTSP_CKPT_ROOT"
 
@@ -70,9 +69,9 @@ def cmd_gen(args) -> int:
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, k]))
         name = f"rand_n{args.n}_s{args.seed}_{k}"
         try:
-            features = rng.random((args.n, 4))
+            features = rng.random((args.n, D_X))
         except ValueError as exc:       # numpy refuses the shape before it allocates
-            raise ContractError(f"--n {args.n} is too large for an (n, 4) array: {exc}") from exc
+            raise ContractError(f"--n {args.n} is too large for an (n, {D_X}) array: {exc}") from exc
         out.mkdir(parents=True, exist_ok=True)
         save_native(MotspInstance(features, name=name), out / f"{name}.motsp")
     print(f"wrote {args.count} instance file(s) under {out}")
@@ -112,15 +111,11 @@ def cmd_train(args) -> int:
 def cmd_solve(args) -> int:
     if bool(args.instance) == bool(args.tsplib):
         raise ContractError("give exactly one of --instance or --tsplib A B")
-    workdir = _resolve_workdir(args.ckpt)
-    actors = dec.TrainedActors(workdir)
-    cfg = actors.cfg
     if args.instance:
         inst = load_native(args.instance)
     else:
         inst = load_tsplib_pair(args.tsplib[0], args.tsplib[1])
-    if inst.d_x != cfg.d_x:
-        raise ContractError(f"instance d_x={inst.d_x} incompatible with checkpoint d_x={cfg.d_x}")
+    actors = dec.TrainedActors(_resolve_workdir(args.ckpt))
     started = time.perf_counter()
     try:
         with np.errstate(over="ignore", invalid="ignore"):   # reported as the error below
@@ -128,10 +123,10 @@ def cmd_solve(args) -> int:
     except NonFiniteError as exc:
         # Finite features can still overflow the actors' float arithmetic.
         source = args.instance or " and ".join(args.tsplib)
-        raise ContractError(f"{source} is out of range for the models in {workdir}: {exc}") from exc
+        raise ContractError(f"{source} is out of range for the models in {actors.workdir}: {exc}") from exc
     front = candidates.nondominated()
     elapsed = time.perf_counter() - started
-    weights = cfg.schedule().weights
+    weights = actors.cfg.schedule().weights
     ev.write_pf_csv(args.out, front, weights)
     if inst.raw_coords is not None:
         # Min-max scaling stretches the two axes of a file differently, so a
@@ -194,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("solve", help="approximate the Pareto front of one instance")
-    p.add_argument("--ckpt", help=f"checkpoint directory (default ${CKPT_ROOT_ENV})")
+    p.add_argument("--ckpt", help=f"checkpoint directory or its manifest.json (default ${CKPT_ROOT_ENV})")
     p.add_argument("--instance", help="native .motsp instance file")
     p.add_argument("--tsplib", nargs=2, metavar=("A", "B"),
                    help="two TSPLIB EUC_2D files forming the two objectives")

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, ParseError, TrainingDivergedError, format_float, read_text, write_file
-from .instances import PRNG_NAME
+from .instances import D_X, PRNG_NAME
 from .model import DEFAULT_CRITIC_CHANNELS, ActorParams, CriticParams, ModelConfig
 from .trainer import train_subproblem
 
@@ -32,9 +32,10 @@ CKPT_MAGIC = "paretotsp-ckpt"
 CKPT_VERSION = "v2"
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "paretotsp-manifest v1"
-# Config keys of older manifests that nothing read. They are accepted and
-# ignored on input; an older manifest's hash still covers them.
-RETIRED_KEYS = ("ref1", "ref2")
+# Config keys of older manifests that nothing reads, each with the one value
+# it may hold (None: any). They are ignored on input; an older manifest's hash
+# still covers them.
+RETIRED_KEYS = {"ref1": None, "ref2": None, "d_x": str(D_X)}
 
 
 def make_weights(m_sub: int) -> np.ndarray:
@@ -47,7 +48,7 @@ def make_weights(m_sub: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubproblemSchedule:
-    weights: np.ndarray          # (M, m), consecutive rows nearest neighbors
+    weights: np.ndarray          # (M, 2), consecutive rows nearest neighbors
     epochs: tuple[int, ...]      # per-subproblem epoch budget
 
 
@@ -59,7 +60,6 @@ class SubproblemSchedule:
 class RunConfig:
     """Flat, hashable view of everything a training run depends on; checked on construction."""
 
-    d_x: int = 4
     d_h: int = 128
     n_layers: int = 1
     n_heads: int = 8
@@ -83,9 +83,6 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ContractError(f"seed must be >= 0, got {self.seed}")
-        if self.d_x != DEFAULT_CRITIC_CHANNELS[0][0]:
-            raise ContractError(f"d_x must be {DEFAULT_CRITIC_CHANNELS[0][0]}, the critic's input width, "
-                                f"got {self.d_x}")
         self.model_config()
         if self.batch_size < 2:
             raise ContractError(f"batch_size must be >= 2 for batch norm, got {self.batch_size}")
@@ -102,14 +99,14 @@ class RunConfig:
             raise ContractError(f"need positive finite sizes, rates, eps and clip_norm, betas in [0, 1): {self}")
         # numpy refuses a float64 array of more than intp-max bytes before it allocates
         for keys, dims in (("m_sub", (self.m_sub, 2)),
-                           ("batch_size and n_nodes", (self.batch_size, self.n_nodes, self.d_x))):
+                           ("batch_size and n_nodes", (self.batch_size, self.n_nodes, D_X))):
             if math.prod(dims) * 8 > np.iinfo(np.intp).max:
                 raise ContractError(f"{keys} too large: numpy cannot shape a float64 array of {dims}")
         self.schedule()
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(d_x=self.d_x, d_h=self.d_h, n_layers=self.n_layers,
-                           n_heads=self.n_heads, d_ff=self.d_ff, clip=self.clip_logits)
+        return ModelConfig(d_h=self.d_h, n_layers=self.n_layers, n_heads=self.n_heads, d_ff=self.d_ff,
+                           clip=self.clip_logits)
 
     def schedule(self) -> SubproblemSchedule:
         if self.direction not in ("asc", "desc"):
@@ -129,6 +126,9 @@ class RunConfig:
         kwargs = {}
         for key, raw in mapping.items():
             if key in RETIRED_KEYS:
+                if RETIRED_KEYS[key] not in (None, str(raw)):
+                    raise ContractError(f"config key {key!r} is retired and may only be {RETIRED_KEYS[key]}, "
+                                        f"got {raw}")
                 continue
             if key not in defaults:
                 raise ContractError(f"unknown config key {key!r}")
@@ -258,6 +258,13 @@ def metrics_name(i: int) -> str:
     return f"metrics_{i}.csv"
 
 
+def require_checkpoints(workdir: Path, completed: list[int]) -> None:
+    """Fail unless every completed subproblem's checkpoint is in `workdir`."""
+    for i in completed:
+        if not (ckpt := workdir / checkpoint_name(i)).exists():
+            raise ContractError(f"manifest lists subproblem {i} complete but {ckpt} is missing")
+
+
 # ---------------------------------------------------------------------------
 # manifest
 
@@ -315,19 +322,22 @@ def load_manifest(path) -> tuple[RunConfig, list[int]]:
 class TrainedActors:
     """The M final actors of a finished run directory, in subproblem order.
 
-    Construction reads only the manifest and fails unless all M subproblems
-    are complete. Iterating reads each `model_<i>.ckpt` only when it reaches
-    it, so a consumer that keeps only part of each actor never holds all M
-    at once. Every new iteration reads the files again.
+    `workdir` is the run directory or its manifest. Construction reads only
+    the manifest and fails unless all M subproblems are complete and their
+    checkpoints exist. Iterating reads each `model_<i>.ckpt` only when it
+    reaches it, so a consumer that keeps only part of each actor never holds
+    all M at once. Every new iteration reads the files again.
     """
 
     def __init__(self, workdir):
-        self.workdir = Path(workdir)
-        self.cfg, completed = load_manifest(self.workdir)
+        path = Path(workdir)
+        self.workdir = path.parent if path.is_file() else path
+        self.cfg, completed = load_manifest(path)
         if len(completed) != self.cfg.m_sub:
             raise ContractError(
                 f"checkpoint directory {self.workdir} holds {len(completed)}/{self.cfg.m_sub} "
                 "subproblems; finish training (or --resume) first")
+        require_checkpoints(self.workdir, completed)
 
     def __len__(self) -> int:
         return self.cfg.m_sub
@@ -368,9 +378,7 @@ def run_schedule(cfg: RunConfig, workdir, resume: bool = False,
         prev_cfg, completed = load_manifest(workdir)
         if config_hash(prev_cfg.to_mapping()) != config_hash(cfg.to_mapping()):
             raise ContractError(f"{workdir / MANIFEST_NAME}: resume config does not match the manifest")
-        for i in completed:
-            if not (ckpt := workdir / checkpoint_name(i)).exists():
-                raise ContractError(f"manifest lists subproblem {i} complete but {ckpt} is missing")
+        require_checkpoints(workdir, completed)
     write_manifest(workdir, cfg, completed)
 
     if completed:

@@ -1,6 +1,6 @@
 """Bi-objective Euclidean TSP instances: generation, file formats, objectives.
 
-A node carries a 4-dim feature vector; objective j is the closed-tour length
+A node carries D_X = 4 features; objective j is the closed-tour length
 under Euclidean distance on feature dims (2j, 2j+1). Generated instances draw
 features uniformly from the unit square per slice; TSPLIB pairs take objective
 1 from file A and objective 2 from file B, with coordinates min-max scaled to
@@ -19,23 +19,22 @@ PRNG_NAME = "numpy-pcg64"  # np.random.default_rng; recorded in manifests
 
 NATIVE_MAGIC = "MOTSP"
 NATIVE_VERSION = "v1"
+D_X = 4     # features per node: one (x, y) slice for each of the two objectives
 
 
 @dataclass(frozen=True)
 class MotspInstance:
-    """n nodes with d_x = 2m features; costs are Euclidean per feature slice."""
+    """n nodes with D_X features; costs are Euclidean per feature slice."""
 
-    features: np.ndarray  # (n, d_x), read-only
+    features: np.ndarray  # (n, D_X), read-only
     name: str = "instance"
     # present only for TSPLIB-backed instances
-    raw_coords: np.ndarray | None = None          # (n, d_x) unscaled coordinates
+    raw_coords: np.ndarray | None = None          # (n, D_X) unscaled coordinates
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] < 2:
-            raise ContractError(f"instance needs a (n>=2, d_x) feature matrix, got {feats.shape}")
-        if feats.shape[1] % 2 != 0:
-            raise ContractError("feature dimension must be 2 per objective")
+        if feats.ndim != 2 or feats.shape[0] < 2 or feats.shape[1] != D_X:
+            raise ContractError(f"instance needs a (n>=2, {D_X}) feature matrix, got {feats.shape}")
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
         if self.raw_coords is not None:
@@ -47,25 +46,16 @@ class MotspInstance:
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def d_x(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.d_x // 2
-
 
 def tour_costs_batch(features: np.ndarray, tours: np.ndarray) -> np.ndarray:
     """Closed-tour cost per objective, including the return edge, for a batch:
-    features (B,n,d_x), tours (B,n) -> (B,m)."""
-    b, n, d_x = features.shape
+    features (B,n,D_X), tours (B,n) -> (B,2)."""
+    b = features.shape[0]
     rows = np.arange(b)[:, None]
-    ordered = features[rows, tours]            # (B, n, d_x)
+    ordered = features[rows, tours]            # (B, n, D_X)
     nxt = np.roll(ordered, -1, axis=1)
-    m = d_x // 2
-    out = np.empty((b, m))
-    for j in range(m):
+    out = np.empty((b, 2))
+    for j in range(2):
         seg = ordered[:, :, 2 * j:2 * j + 2] - nxt[:, :, 2 * j:2 * j + 2]
         out[:, j] = np.sqrt((seg ** 2).sum(axis=-1)).sum(axis=1)
     return out
@@ -73,7 +63,7 @@ def tour_costs_batch(features: np.ndarray, tours: np.ndarray) -> np.ndarray:
 
 def evaluate_objectives(coords: np.ndarray, tours) -> np.ndarray:
     """Closed-tour cost per objective of k tours on one instance:
-    coords (n, d_x), tours (k, n) permutations of 0..n-1 -> (k, m)."""
+    coords (n, D_X), tours (k, n) permutations of 0..n-1 -> (k, 2)."""
     coords = np.asarray(coords, dtype=np.float64)
     tours = np.asarray(tours, dtype=np.intp)
     n = coords.shape[0]
@@ -89,7 +79,7 @@ def evaluate_objectives(coords: np.ndarray, tours) -> np.ndarray:
 
 
 def save_native(inst: MotspInstance, path) -> None:
-    lines = [f"{NATIVE_MAGIC} {NATIVE_VERSION} n={inst.n} m={inst.m} dx={inst.d_x}"]
+    lines = [f"{NATIVE_MAGIC} {NATIVE_VERSION} n={inst.n} m=2 dx={D_X}"]
     for row in inst.features:
         lines.append(" ".join(map(format_float, row)))
     write_file(path, ("\n".join(lines) + "\n").encode("ascii"))
@@ -101,16 +91,14 @@ def load_native(path) -> MotspInstance:
         raise ParseError(path, 1, "empty file")
     head = lines[0].split()
     if len(head) != 5 or head[0] != NATIVE_MAGIC or head[1] != NATIVE_VERSION:
-        raise ParseError(path, 1, f"expected '{NATIVE_MAGIC} {NATIVE_VERSION} n=<n> m=<m> dx=<dx>' header")
+        raise ParseError(path, 1, f"expected '{NATIVE_MAGIC} {NATIVE_VERSION} n=<n> m=2 dx={D_X}' header")
     try:
         fields = dict(kv.split("=") for kv in head[2:])
         n, m, dx = int(fields["n"]), int(fields["m"]), int(fields["dx"])
     except (ValueError, KeyError) as exc:
         raise ParseError(path, 1, f"bad header fields: {exc}") from exc
-    if min(n, m) < 1:
-        raise ParseError(path, 1, f"n={n} and m={m} must be positive")
-    if dx != 2 * m:
-        raise ParseError(path, 1, f"dx={dx} inconsistent with m={m}")
+    if n < 1 or (m, dx) != (2, D_X):
+        raise ParseError(path, 1, f"n={n} m={m} dx={dx}: need n >= 1 and two objectives, m=2 dx={D_X}")
     if len(lines) < 1 + n:
         raise ParseError(path, len(lines), f"expected {n} feature lines, found {len(lines) - 1}")
     trailing = [k for k, line in enumerate(lines[1 + n:], start=2 + n) if line.strip()]
@@ -119,8 +107,8 @@ def load_native(path) -> MotspInstance:
     rows = []   # each row's width is checked before the array is allocated
     for line_no, line in enumerate(lines[1:1 + n], start=2):
         parts = line.split()
-        if len(parts) != dx:
-            raise ParseError(path, line_no, f"expected {dx} features, found {len(parts)}")
+        if len(parts) != D_X:
+            raise ParseError(path, line_no, f"expected {D_X} features, found {len(parts)}")
         try:
             rows.append([float(p) for p in parts])
         except ValueError as exc:

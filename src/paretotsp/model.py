@@ -46,14 +46,13 @@ import numpy as np
 from . import autodiff as ad
 from . import plain
 from .errors import ContractError, DimensionError
-from .instances import MotspInstance
+from .instances import D_X, MotspInstance
 
-DEFAULT_CRITIC_CHANNELS = ((4, 128), (128, 20), (20, 20), (20, 1))
+DEFAULT_CRITIC_CHANNELS = ((D_X, 128), (128, 20), (20, 20), (20, 1))
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    d_x: int = 4
     d_h: int = 128
     n_layers: int = 1
     n_heads: int = 8
@@ -61,7 +60,7 @@ class ModelConfig:
     clip: float = 10.0
 
     def __post_init__(self):
-        if min(self.d_x, self.d_h, self.n_layers, self.n_heads, self.d_ff) < 1 or not 0 < self.clip < math.inf:
+        if min(self.d_h, self.n_layers, self.n_heads, self.d_ff) < 1 or not 0 < self.clip < math.inf:
             raise ContractError(f"model sizes must be >= 1 and clip positive and finite: {self}")
         if self.d_h % self.n_heads != 0:
             raise ContractError(f"n_heads={self.n_heads} must divide d_h={self.d_h}")
@@ -161,7 +160,7 @@ class ActorParams(_Params):
             out.update({f"{layer}.Wq": np.concatenate(wq), f"{layer}.Wk": np.concatenate(wk),
                         f"{layer}.Wv": np.concatenate(wv), f"{layer}.Wo": np.concatenate(wo, axis=1)})
 
-        out["enc.init.W"] = u(d_h, cfg.d_x)
+        out["enc.init.W"] = u(d_h, D_X)
         out["enc.init.b"] = u(d_h)
         for l in range(1, cfg.n_layers + 1):
             attention(f"enc.l{l}", d_h)
@@ -259,15 +258,15 @@ def _merge_heads(blocks, batch: int, ops=ad):
 
 
 def encode_batch(features: np.ndarray, actor: ActorParams, mode: str, ops=ad) -> EncodedBatch:
-    """The encoding of B instances' features (B, n, d_x); batch norm in `mode`.
+    """The encoding of B instances' features (B, n, D_X); batch norm in `mode`.
 
     With `ops=plain` it is built from ndarrays without a tape, in infer mode.
     `_decode` checks the five arrays for NaN and Inf, once per decode.
     """
     cfg = actor.cfg
     feats = np.asarray(features)
-    if feats.ndim != 3 or feats.shape[2] != cfg.d_x:
-        raise DimensionError(f"expected features (B, n, {cfg.d_x}), got {feats.shape}")
+    if feats.ndim != 3 or feats.shape[2] != D_X:
+        raise DimensionError(f"expected features (B, n, {D_X}), got {feats.shape}")
     batch, n = feats.shape[0], feats.shape[1]
     if n < 2:
         raise ContractError("encoder needs n >= 2 nodes")
@@ -278,7 +277,7 @@ def encode_batch(features: np.ndarray, actor: ActorParams, mode: str, ops=ad) ->
     def bn(name):
         return [p[f"{name}.{k}"] for k in ("scale", "shift", "running_mean", "running_var")]
 
-    x = ops.constant(feats.reshape(batch * n, cfg.d_x), dtype=actor.dtype)
+    x = ops.constant(feats.reshape(batch * n, D_X), dtype=actor.dtype)
     h = _linear(x, p["enc.init.W"], p["enc.init.b"], ops=ops)
     for l in range(1, cfg.n_layers + 1):
         q = _split_heads(_linear(h, p[f"enc.l{l}.Wq"], ops=ops), batch, heads, (0, 2, 1, 3), ops)
@@ -520,8 +519,6 @@ def greedy_tours(features: np.ndarray, actors) -> np.ndarray:
 def rollout(inst: MotspInstance, actor: ActorParams, seed: int | None = None) -> tuple[np.ndarray, float]:
     """`rollout_batch` on a batch of one, sampling from `seed` if given and
     greedy if not; returns the (n,) tour and its log-probability."""
-    if inst.d_x != actor.cfg.d_x:
-        raise DimensionError(f"instance d_x={inst.d_x} != model d_x={actor.cfg.d_x}")
     rng = None if seed is None else np.random.default_rng(seed)
     tours, logp, _ = rollout_batch(inst.features[None, :, :], actor, rng)
     return tours[0], float(logp.data[0])

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import NonFiniteError, TrainingDivergedError, format_float, write_file
-from .instances import tour_costs_batch
+from .instances import D_X, tour_costs_batch
 from .model import ActorParams, CriticParams, critic_batch, rollout_batch
 
 
@@ -90,9 +90,9 @@ def clip_gradients(params: list[ad.Array], max_norm: float) -> float:
     return norm
 
 
-def sample_batch(cfg, rng: np.random.Generator, d_x: int) -> np.ndarray:
+def sample_batch(cfg, rng: np.random.Generator) -> np.ndarray:
     """B fresh instances with features uniform on [0, 1)."""
-    return rng.random((cfg.batch_size, cfg.n_nodes, d_x))
+    return rng.random((cfg.batch_size, cfg.n_nodes, D_X))
 
 
 def reinforce_iteration(weights, actor: ActorParams, critic: CriticParams,
@@ -100,10 +100,10 @@ def reinforce_iteration(weights, actor: ActorParams, critic: CriticParams,
                         actor_opt: Adam, critic_opt: Adam) -> dict:
     """One Adam update of actor and critic from a fresh sampled batch."""
     w = np.asarray(weights, dtype=np.float64)
-    feats = sample_batch(cfg, rng, actor.cfg.d_x)
+    feats = sample_batch(cfg, rng)
     try:
         tours, logp, _ = rollout_batch(feats, actor, rng=rng, bn_mode="train")
-        costs = tour_costs_batch(feats, tours)          # (B, m)
+        costs = tour_costs_batch(feats, tours)          # (B, 2)
         gws = costs @ w                                 # (B,) constants
         baseline = critic_batch(feats, critic)          # (B,) on the tape
 

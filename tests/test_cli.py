@@ -165,7 +165,7 @@ def test_gen_writes_deterministic_instances(tmp_path, capsys):
     for name in files:
         assert (a / name).read_bytes() == (b / name).read_bytes()
     inst = load_native(a / files[0])
-    assert inst.n == 6 and inst.d_x == 4
+    assert inst.features.shape == (6, 4)
     assert "wrote 3 instance file(s)" in capsys.readouterr().out
 
 
@@ -307,17 +307,15 @@ def test_legacy_manifest_with_ref_keys(trained, tmp_path, capsys):
                                            "manifest config hash does not match its config\n")
 
 
-def test_manifest_with_weights_and_epochs(trained, tmp_path):
-    """A manifest that still holds the weight schedule and epoch budgets, as
-    older versions wrote them, loads, reruns and resumes; new manifests hold
-    only the keys that loading reads."""
+def older_manifest_loads_reruns_and_resumes(trained, tmp_path, older):
+    """A manifest that `older` rewrote as older versions wrote it loads, reruns
+    and resumes; new manifests hold only the keys that loading reads."""
     old = tmp_path / "old"
     shutil.copytree(trained["ckpt"], old)
     manifest = old / MANIFEST_NAME
     doc = json.loads(manifest.read_text())
     assert set(doc) == {"format", "prng", "config", "config_hash", "completed"}
-    sched = RunConfig.from_mapping(doc["config"]).schedule()
-    doc.update(weights=sched.weights.tolist(), epochs=list(sched.epochs))
+    older(doc)
     manifest.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     assert len(TrainedActors(old)) == 2
 
@@ -325,6 +323,7 @@ def test_manifest_with_weights_and_epochs(trained, tmp_path):
     assert main(["train", "--config", str(manifest), "--out", str(redo)]) == 0
     for i in (1, 2):
         assert (redo / checkpoint_name(i)).read_bytes() == (old / checkpoint_name(i)).read_bytes()
+    assert (redo / MANIFEST_NAME).read_bytes() == (trained["ckpt"] / MANIFEST_NAME).read_bytes()
 
     # interrupted after subproblem 1
     manifest.write_text(json.dumps(dict(doc, completed=[1])))
@@ -332,6 +331,22 @@ def test_manifest_with_weights_and_epochs(trained, tmp_path):
     assert main(["train", "--config", str(trained["config"]), "--out", str(old), "--resume"]) == 0
     assert (old / checkpoint_name(2)).read_bytes() == (trained["ckpt"] / checkpoint_name(2)).read_bytes()
     assert manifest.read_bytes() == (trained["ckpt"] / MANIFEST_NAME).read_bytes()
+
+
+def test_manifest_with_weights_and_epochs(trained, tmp_path):
+    """The weight schedule and epoch budgets, as older versions wrote them."""
+    def older(doc):
+        sched = RunConfig.from_mapping(doc["config"]).schedule()
+        doc.update(weights=sched.weights.tolist(), epochs=list(sched.epochs))
+    older_manifest_loads_reruns_and_resumes(trained, tmp_path, older)
+
+
+def test_manifest_with_retired_d_x(trained, tmp_path):
+    """The feature width, as older versions wrote it in the config and its hash."""
+    def older(doc):
+        doc["config"]["d_x"] = "4"
+        doc["config_hash"] = config_hash(doc["config"])
+    older_manifest_loads_reruns_and_resumes(trained, tmp_path, older)
 
 
 @pytest.mark.parametrize("breakage", [
@@ -344,9 +359,10 @@ def test_manifest_with_weights_and_epochs(trained, tmp_path):
     lambda doc: dict(doc, config=dict(doc["config"], bogus="3")),
     lambda doc: dict(doc, config=dict(doc["config"], n_heads="3")),     # d_h=8
     lambda doc: dict(doc, config=dict(doc["config"], seed=float("inf"))),
+    lambda doc: dict(doc, config=dict(doc["config"], d_x="6")),
 ], ids=["no-config", "config-not-object", "document-not-object", "completed-not-integer",
         "completed-beyond-m_sub", "completed-not-contiguous", "unknown-config-key", "n_heads-not-dividing-d_h",
-        "int-config-value-infinite"])
+        "int-config-value-infinite", "retired-d_x-not-4"])
 def test_malformed_manifest_exits_2_naming_the_file(trained, tmp_path, capsys, breakage):
     run = tmp_path / "run"
     shutil.copytree(trained["ckpt"], run)
@@ -498,6 +514,28 @@ def test_solve_rejects_unfinished_checkpoints(tmp_path, capsys):
     assert "0/2" in capsys.readouterr().err
 
 
+def test_solve_rejects_a_missing_listed_checkpoint(trained, tmp_path, capsys):
+    """A finished run without model_2.ckpt exits 2 before any checkpoint is
+    read, with `train --resume`'s message, and writes no front."""
+    run = tmp_path / "run"
+    shutil.copytree(trained["ckpt"], run)
+    (run / checkpoint_name(2)).unlink()
+    assert main(["gen", "--n", "4", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert main(["solve", "--ckpt", str(run), "--instance", str(tmp_path / "rand_n4_s0_0.motsp"),
+                 "--out", str(tmp_path / "pf.csv")]) == 2
+    assert capsys.readouterr().err == (f"error: manifest lists subproblem 2 complete but "
+                                       f"{run / checkpoint_name(2)} is missing\n")
+    assert not (tmp_path / "pf.csv").exists()
+
+
+def test_solve_takes_a_run_directory_or_its_manifest(trained, tmp_path):
+    assert main(["gen", "--n", "5", "--seed", "1", "--out", str(tmp_path)]) == 0
+    instance = str(tmp_path / "rand_n5_s1_0.motsp")
+    for name, ckpt in (("dir.csv", trained["ckpt"]), ("manifest.csv", trained["ckpt"] / MANIFEST_NAME)):
+        assert main(["solve", "--ckpt", str(ckpt), "--instance", instance, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "manifest.csv").read_bytes() == (tmp_path / "dir.csv").read_bytes()
+
+
 def test_solve_names_a_missing_manifest_once(tmp_path, capsys):
     missing = tmp_path / "nowhere"
     assert main(["gen", "--n", "4", "--seed", "0", "--out", str(tmp_path)]) == 0
@@ -513,10 +551,11 @@ def test_solve_checks_instance_before_reading_checkpoints(tmp_path, capsys):
                     dataset_size=8, m_sub=2, seed=3)
     # a complete manifest whose checkpoint files do not exist
     write_manifest(tmp_path, cfg, [1, 2])
-    save_native(MotspInstance(np.random.default_rng(0).random((4, 6))), tmp_path / "wide.motsp")
-    assert main(["solve", "--ckpt", str(tmp_path), "--instance", str(tmp_path / "wide.motsp"),
+    wide = tmp_path / "wide.motsp"
+    wide.write_text("MOTSP v1 n=4 m=3 dx=6\n" + "0.1 0.2 0.3 0.4 0.5 0.6\n" * 4)
+    assert main(["solve", "--ckpt", str(tmp_path), "--instance", str(wide),
                  "--out", str(tmp_path / "pf.csv")]) == 2
-    assert "d_x=6" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {wide}:1: n=4 m=3 dx=6: need n >= 1 and two objectives")
 
 
 @pytest.mark.parametrize("d_h,shown", [(16, "shape (16, 4) != (8, 4)"), (8, "missing=['dec.v1']")],

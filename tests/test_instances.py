@@ -76,6 +76,12 @@ def test_invalid_tours_rejected():
             evaluate_objectives(inst.features, [bad])
 
 
+def test_instance_refuses_six_wide_features():
+    """Two objectives over one (x, y) slice each: an instance is 4 features wide."""
+    with pytest.raises(ContractError, match=r"\(n>=2, 4\) feature matrix, got \(4, 6\)"):
+        MotspInstance(np.random.default_rng(0).random((4, 6)))
+
+
 def test_tour_costs_batch_matches_single():
     rng = np.random.default_rng(8)
     feats = rng.random((6, 9, 4))
@@ -110,7 +116,7 @@ def test_native_round_trip_exact(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "MOTSP v1 n=5 m=2 dx=4"
     again = load_native(path)
-    assert again.n == 5 and again.m == 2
+    assert again.features.shape == (5, 4)
     np.testing.assert_array_equal(again.features, inst.features)
     assert again.name == "five"
 
@@ -123,9 +129,11 @@ def test_native_round_trip_exact(tmp_path):
     (lambda lines: lines[:-1], 3),
     (lambda lines: lines + ["0.5 0.5 0.5 0.5"], 5),
     pytest.param(lambda lines: ["MOTSP v1 n=3 m=-1 dx=-2"] + lines[1:], 1, id="negative-sizes"),
-    # 3 rows of 1e12 features would be 22 TiB; the first row's width is wrong
-    pytest.param(lambda lines: ["MOTSP v1 n=3 m=500000000000 dx=1000000000000"] + lines[1:], 2,
+    # 3 rows of 1e12 features would be 22 TiB; only m=2 dx=4 is read
+    pytest.param(lambda lines: ["MOTSP v1 n=3 m=500000000000 dx=1000000000000"] + lines[1:], 1,
                  id="huge-sizes"),
+    pytest.param(lambda lines: ["MOTSP v1 n=3 m=3 dx=6"] + [line + " 0.5 0.5" for line in lines[1:]], 1,
+                 id="three-objectives"),
 ])
 def test_native_malformed_files(tmp_path, mutate, bad_line):
     inst = random_instance(3, seed=2)
@@ -177,7 +185,7 @@ def _write_pair(tmp_path, a=TSPLIB_A, b=TSPLIB_B):
 def test_tsplib_pair_loads(tmp_path):
     pa, pb = _write_pair(tmp_path)
     inst = load_tsplib_pair(pa, pb)
-    assert inst.n == 3 and inst.d_x == 4 and inst.m == 2
+    assert inst.features.shape == (3, 4)
     assert inst.features.min() >= 0.0 and inst.features.max() <= 1.0
     # min-max scaling puts extreme coordinates at exactly 0 and 1
     np.testing.assert_array_equal(inst.features[0, :2], [0.0, 0.0])
@@ -257,7 +265,7 @@ def test_kroab100_pair_when_available():
     if not (os.path.exists(pa) and os.path.exists(pb)):
         pytest.skip("kroA100.tsp / kroB100.tsp not found")
     inst = load_tsplib_pair(pa, pb)
-    assert inst.n == 100 and inst.d_x == 4 and inst.m == 2
+    assert inst.features.shape == (100, 4)
     assert inst.features.min() == 0.0 and inst.features.max() == 1.0
     raw = tour_costs_batch(inst.raw_coords[None], np.arange(100)[None])[0]
     # no closed tour can beat the published optimum of kroA100 (21282)

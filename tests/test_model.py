@@ -27,7 +27,7 @@ def tiny_actor(seed=0, cfg=TINY, dtype=np.float64):
 
 
 def encode_one(feats, actor):
-    """The encoding of the one instance `feats` (n, d_x)."""
+    """The encoding of the one instance `feats` (n, 4)."""
     return encode_batch(feats[None], actor, "infer")
 
 
@@ -102,7 +102,7 @@ def test_encode_batch_matches_single_instance():
 
 def test_encoder_matches_hand_computation():
     """Single head, d_h=4, n=3: step-by-step re-derivation with plain numpy."""
-    cfg = ModelConfig(d_x=4, d_h=4, n_layers=1, n_heads=1, d_ff=6)
+    cfg = ModelConfig(d_h=4, n_layers=1, n_heads=1, d_ff=6)
     rng = np.random.default_rng(99)
     actor = ActorParams.init(cfg, rng, dtype=np.float64)
     # freeze hand-set inference statistics
@@ -237,12 +237,6 @@ def test_rollout_greedy_ties_take_lowest_index():
     inst = MotspInstance(feats)
     tour, _ = rollout(inst, tiny_actor(9))
     assert tour.tolist() == [0, 1, 2, 3, 4]
-
-
-def test_rollout_dx_mismatch():
-    feats = np.random.default_rng(0).random((4, 2))
-    with pytest.raises(DimensionError):
-        rollout(MotspInstance(feats), tiny_actor())
 
 
 def test_rollout_chain_rule_consistency():

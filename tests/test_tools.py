@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -109,3 +110,26 @@ def test_ab_refuses_a_base_that_holds_no_package(tmp_path, capsys, mode):
         ab.main(["--base", str(tmp_path), "--change", str(REPO), *mode])
     assert exited.value.code == 2
     assert f"{tmp_path.resolve()} holds no src/paretotsp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [["--shape", "desk"], ["--workload", "train-desk", "--seed", "1"]],
+                         ids=["shape", "workload"])
+def test_ab_reports_each_trees_src_line_count(tmp_path, capsys, monkeypatch, mode):
+    """The last line counts each tree's `src/paretotsp/*.py` lines as `wc -l`
+    does: newlines, a last line without one not counted, other files skipped."""
+    ab = _load_ab()
+    files = {"base": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3", "notes.txt": "1\n2\n"},
+             "change": {"a.py": "x = 1\n\ny = 2\n"}}
+    for side, canned in files.items():
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("")
+        (tmp_path / side / "src" / "paretotsp").mkdir(parents=True)
+        for name, text in canned.items():
+            (tmp_path / side / "src" / "paretotsp" / name).write_text(text)
+    canned_runs = ({side: [({}, 0)] for side in files}, {side: ["same"] for side in files})
+    monkeypatch.setattr(ab, "in_process", lambda *args: canned_runs)
+    monkeypatch.setattr(ab, "alternate", lambda *args: canned_runs)
+    assert ab.main(["--base", str(tmp_path / "base"), "--change", str(tmp_path / "change"), *mode]) == 0
+    tail = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert tail["identical"] is True
+    assert tail["src_lines"] == {"base": 2, "change": 3}

@@ -152,8 +152,8 @@ def test_clip_rejects_nonfinite():
 
 def test_sample_batch_shape_range_determinism():
     cfg = tiny_run(n_nodes=6, batch_size=4, dataset_size=8)
-    a = sample_batch(cfg, np.random.default_rng(5), 4)
-    b = sample_batch(cfg, np.random.default_rng(5), 4)
+    a = sample_batch(cfg, np.random.default_rng(5))
+    b = sample_batch(cfg, np.random.default_rng(5))
     assert a.shape == (4, 6, 4)
     assert np.all((a >= 0.0) & (a < 1.0))
     np.testing.assert_array_equal(a, b)
@@ -163,9 +163,9 @@ def test_sample_batch_shape_range_determinism():
 # one REINFORCE iteration
 
 
-def degenerate_batch(cfg, rng, d_x):
+def degenerate_batch(cfg, rng):
     # every node at the same point: all tours cost exactly zero
-    return np.full((cfg.batch_size, cfg.n_nodes, d_x), 0.5)
+    return np.full((cfg.batch_size, cfg.n_nodes, 4), 0.5)
 
 
 def test_zero_signal_is_a_fixed_point(monkeypatch):
@@ -276,7 +276,7 @@ def test_policy_learns_to_prefer_the_cheapest_tour(monkeypatch):
     best = (objs @ w).min()
 
     monkeypatch.setattr(trainer_mod, "sample_batch",
-                        lambda cfg, rng, d_x: np.broadcast_to(feats, (16, 4, 4)).copy())
+                        lambda cfg, rng: np.broadcast_to(feats, (16, 4, 4)).copy())
     actor, critic = fresh_pair(8)
     cfg = tiny_run(n_nodes=4, batch_size=16, dataset_size=32,
                       lr_actor=3e-3, lr_critic=3e-3)

@@ -12,7 +12,8 @@ run of the tree's own `bench/run.py --trace 0` for BENCHMARK.json's
 block. One JSON line per metric gives each side's values, median, quartiles,
 the blocks the change won and the ties; a last line, the failed operations
 per block (None for a run that printed no result), each side's output
-digests, and whether they are all identical. Uses numpy and the stdlib only.
+digests, whether they are all identical, and each tree's `src/` line count.
+Uses numpy and the stdlib only.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ def load_tree(tree: Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def src_lines(tree: Path) -> int:
+    """The line count of the tree's package, as `wc -l src/paretotsp/*.py` totals it."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "paretotsp").glob("*.py"))
 
 
 def digest(named) -> str:
@@ -241,6 +247,7 @@ def main(argv=None) -> int:
         sides = {side: Bench(tree, args.workload, args.seed, spec["run_seconds"]) for side, tree in trees.items()}
         header = {"workload": args.workload, "seed": args.seed}
         lines = summarize(header, spec["end_to_end"], *alternate(sides, PAIRS))
+    lines[-1]["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
     for line in lines:
         print(json.dumps(line))
     return 0
