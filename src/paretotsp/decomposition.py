@@ -25,17 +25,19 @@ import numpy as np
 
 from .errors import ContractError, ParseError, TrainingDivergedError, format_float, read_text, write_file
 from .instances import D_X, PRNG_NAME
-from .model import DEFAULT_CRITIC_CHANNELS, ActorParams, CriticParams, ModelConfig
-from .trainer import train_subproblem
+from .model import CLIP, DEFAULT_CRITIC_CHANNELS, ActorParams, CriticParams, ModelConfig
+from .trainer import BETA1, BETA2, CLIP_NORM, EPS, train_subproblem
 
 CKPT_MAGIC = "paretotsp-ckpt"
 CKPT_VERSION = "v2"
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "paretotsp-manifest v1"
 # Config keys of older manifests that nothing reads, each with the one value
-# it may hold (None: any). They are ignored on input; an older manifest's hash
-# still covers them.
-RETIRED_KEYS = {"ref1": None, "ref2": None, "d_x": str(D_X)}
+# it may hold (None: any); a held value must convert to that value's type and
+# equal it. They are ignored on input; an older manifest's hash still covers
+# their raw texts.
+RETIRED_KEYS = {"ref1": None, "ref2": None, "d_x": D_X, "beta1": BETA1, "beta2": BETA2, "eps": EPS,
+                "clip_norm": CLIP_NORM, "clip_logits": CLIP}
 
 
 def make_weights(m_sub: int) -> np.ndarray:
@@ -64,16 +66,11 @@ class RunConfig:
     n_layers: int = 1
     n_heads: int = 8
     d_ff: int = 512
-    clip_logits: float = 10.0
     n_nodes: int = 20
     batch_size: int = 200
     dataset_size: int = 500_000
     lr_actor: float = 1e-4
     lr_critic: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 2.0
     m_sub: int = 100
     epochs_first: int = 5
     epochs_rest: int = 1
@@ -94,9 +91,8 @@ class RunConfig:
         if min(self.epochs_first, self.epochs_rest) < 0:
             raise ContractError(f"epochs_first and epochs_rest must be >= 0, "
                                 f"got {self.epochs_first} and {self.epochs_rest}")
-        positive = (self.dataset_size, self.lr_actor, self.lr_critic, self.eps, self.clip_norm)
-        if not all(0 < v < math.inf for v in positive) or not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ContractError(f"need positive finite sizes, rates, eps and clip_norm, betas in [0, 1): {self}")
+        if not all(0 < v < math.inf for v in (self.dataset_size, self.lr_actor, self.lr_critic)):
+            raise ContractError(f"need positive finite sizes and rates: {self}")
         # numpy refuses a float64 array of more than intp-max bytes before it allocates
         for keys, dims in (("m_sub", (self.m_sub, 2)),
                            ("batch_size and n_nodes", (self.batch_size, self.n_nodes, D_X))):
@@ -105,8 +101,7 @@ class RunConfig:
         self.schedule()
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(d_h=self.d_h, n_layers=self.n_layers, n_heads=self.n_heads, d_ff=self.d_ff,
-                           clip=self.clip_logits)
+        return ModelConfig(d_h=self.d_h, n_layers=self.n_layers, n_heads=self.n_heads, d_ff=self.d_ff)
 
     def schedule(self) -> SubproblemSchedule:
         if self.direction not in ("asc", "desc"):
@@ -121,21 +116,23 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "RunConfig":
-        """`mapping`'s values, each converted by the type of its field's default."""
-        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        """`mapping`'s values, each converted by the type of its field's
+        default, or of its retired key's one value, which it must then equal."""
+        typed = {**RETIRED_KEYS, **{f.name: f.default for f in dataclasses.fields(cls)}}
         kwargs = {}
         for key, raw in mapping.items():
-            if key in RETIRED_KEYS:
-                if RETIRED_KEYS[key] not in (None, str(raw)):
-                    raise ContractError(f"config key {key!r} is retired and may only be {RETIRED_KEYS[key]}, "
-                                        f"got {raw}")
-                continue
-            if key not in defaults:
+            if key not in typed:
                 raise ContractError(f"unknown config key {key!r}")
+            if typed[key] is None:
+                continue
             try:
-                kwargs[key] = type(defaults[key])(raw)
+                value = type(typed[key])(raw)
             except (TypeError, ValueError, OverflowError) as exc:     # int() of a JSON Infinity overflows
                 raise ContractError(f"config key {key!r}: {exc}") from exc
+            if key not in RETIRED_KEYS:
+                kwargs[key] = value
+            elif value != typed[key]:
+                raise ContractError(f"config key {key!r} is retired and may only be {typed[key]}, got {raw}")
         return cls(**kwargs)
 
 

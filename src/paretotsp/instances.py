@@ -97,8 +97,8 @@ def load_native(path) -> MotspInstance:
         n, m, dx = int(fields["n"]), int(fields["m"]), int(fields["dx"])
     except (ValueError, KeyError) as exc:
         raise ParseError(path, 1, f"bad header fields: {exc}") from exc
-    if n < 1 or (m, dx) != (2, D_X):
-        raise ParseError(path, 1, f"n={n} m={m} dx={dx}: need n >= 1 and two objectives, m=2 dx={D_X}")
+    if n < 2 or (m, dx) != (2, D_X):
+        raise ParseError(path, 1, f"n={n} m={m} dx={dx}: need n >= 2 and two objectives, m=2 dx={D_X}")
     if len(lines) < 1 + n:
         raise ParseError(path, len(lines), f"expected {n} feature lines, found {len(lines) - 1}")
     trailing = [k for k, line in enumerate(lines[1 + n:], start=2 + n) if line.strip()]

@@ -49,6 +49,7 @@ from .errors import ContractError, DimensionError
 from .instances import D_X, MotspInstance
 
 DEFAULT_CRITIC_CHANNELS = ((D_X, 128), (128, 20), (20, 20), (20, 1))
+CLIP = 10.0     # the pointer's logits are CLIP * tanh(...), as in Kool et al. (2019)
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,10 @@ class ModelConfig:
     n_layers: int = 1
     n_heads: int = 8
     d_ff: int = 512
-    clip: float = 10.0
 
     def __post_init__(self):
-        if min(self.d_h, self.n_layers, self.n_heads, self.d_ff) < 1 or not 0 < self.clip < math.inf:
-            raise ContractError(f"model sizes must be >= 1 and clip positive and finite: {self}")
+        if min(self.d_h, self.n_layers, self.n_heads, self.d_ff) < 1:
+            raise ContractError(f"model sizes must be >= 1: {self}")
         if self.d_h % self.n_heads != 0:
             raise ContractError(f"n_heads={self.n_heads} must divide d_h={self.d_h}")
 
@@ -346,7 +346,7 @@ def _attend(q, visited: np.ndarray, enc: EncodedBatch, cfg: ModelConfig, p, ops=
     glimpse = _linear(_merge_heads(mixed, batch, ops), p["dec.Wo"], ops=ops)
 
     q_final = ops.reshape(_linear(glimpse, p["dec.final.Wq"], ops=ops), (batch, steps, cfg.d_h))
-    logits = ops.scale(ops.tanh(ops.bmm(q_final, enc.final_keys_t)), cfg.clip)
+    logits = ops.scale(ops.tanh(ops.bmm(q_final, enc.final_keys_t)), CLIP)
     return ops.masked_softmax(logits, visited)
 
 

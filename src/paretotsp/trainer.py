@@ -7,8 +7,9 @@ with the advantage held constant, and the critic regresses its baseline onto
 the observed costs by mean squared error. A subproblem run is E epochs of
 T = D / B such iterations.
 
-Sizes and optimizer settings are read by attribute from the run's checked
-`RunConfig`; `decomposition`, which defines it, imports this module.
+Sizes and learning rates are read by attribute from the run's checked
+`RunConfig`; `decomposition`, which defines it, imports this module. Adam's
+constants and the gradient-norm bound are the fixed values below.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from . import autodiff as ad
 from .errors import NonFiniteError, TrainingDivergedError, format_float, write_file
 from .instances import D_X, tour_costs_batch
 from .model import ActorParams, CriticParams, critic_batch, rollout_batch
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8    # Adam's moment decays and denominator floor
+CLIP_NORM = 2.0                         # bound on each side's global gradient norm
 
 
 @dataclass(frozen=True)
@@ -47,31 +51,26 @@ def write_metrics(path, rows: list[IterationMetrics]) -> None:
 class Adam:
     """Adam over a fixed parameter list, with bias correction."""
 
-    def __init__(self, params: list[ad.Array], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[ad.Array], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1 ** self.t
-        bias2 = 1.0 - b2 ** self.t
+        bias1 = 1.0 - BETA1 ** self.t
+        bias2 = 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p.data = p.data - (self.lr / bias1) * m / (np.sqrt(v / bias2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data = p.data - (self.lr / bias1) * m / (np.sqrt(v / bias2) + EPS)
 
 
 def clip_gradients(params: list[ad.Array], max_norm: float) -> float:
@@ -116,9 +115,9 @@ def reinforce_iteration(weights, actor: ActorParams, critic: CriticParams,
         # The two graphs share no node (the advantage is a constant), so one
         # sweep gives each side exactly the gradients of its own loss.
         ad.backward(ad.add(actor_loss, critic_loss))
-        grad_norm = clip_gradients(actor.trainable(), cfg.clip_norm)
+        grad_norm = clip_gradients(actor.trainable(), CLIP_NORM)
         actor_opt.step()
-        clip_gradients(critic.trainable(), cfg.clip_norm)
+        clip_gradients(critic.trainable(), CLIP_NORM)
         critic_opt.step()
     except NonFiniteError as exc:
         raise TrainingDivergedError(
@@ -143,8 +142,8 @@ def train_subproblem(weights, actor: ActorParams, critic: CriticParams,
     with the failing `iteration` and the `last_metrics` row before it (None
     on the first) in its snapshot.
     """
-    actor_opt = Adam(actor.trainable(), cfg.lr_actor, cfg.beta1, cfg.beta2, cfg.eps)
-    critic_opt = Adam(critic.trainable(), cfg.lr_critic, cfg.beta1, cfg.beta2, cfg.eps)
+    actor_opt = Adam(actor.trainable(), cfg.lr_actor)
+    critic_opt = Adam(critic.trainable(), cfg.lr_critic)
     rows: list[IterationMetrics] = []
     if metrics_path is not None:
         write_metrics(metrics_path, rows)

@@ -349,6 +349,24 @@ def test_manifest_with_retired_d_x(trained, tmp_path):
     older_manifest_loads_reruns_and_resumes(trained, tmp_path, older)
 
 
+def test_manifest_with_retired_training_settings(trained, tmp_path):
+    """Adam's constants and the two clip bounds, as older versions wrote them
+    in the config and its hash."""
+    def older(doc):
+        doc["config"].update(beta1="0.90000000000000002", beta2="0.999", eps="1e-08",
+                             clip_norm="2", clip_logits="10")
+        doc["config_hash"] = config_hash(doc["config"])
+    older_manifest_loads_reruns_and_resumes(trained, tmp_path, older)
+
+
+def test_train_config_file_with_retired_keys_at_their_values(trained, tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text(TINY_CONFIG + "beta1 = 0.9\nclip_logits = 10\n")
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    for name in (checkpoint_name(1), checkpoint_name(2), MANIFEST_NAME):
+        assert (tmp_path / "run" / name).read_bytes() == (trained["ckpt"] / name).read_bytes()
+
+
 @pytest.mark.parametrize("breakage", [
     lambda doc: {k: v for k, v in doc.items() if k != "config"},
     lambda doc: dict(doc, config=sorted(doc["config"].items())),
@@ -360,9 +378,10 @@ def test_manifest_with_retired_d_x(trained, tmp_path):
     lambda doc: dict(doc, config=dict(doc["config"], n_heads="3")),     # d_h=8
     lambda doc: dict(doc, config=dict(doc["config"], seed=float("inf"))),
     lambda doc: dict(doc, config=dict(doc["config"], d_x="6")),
+    lambda doc: dict(doc, config=dict(doc["config"], beta1="0.95")),
 ], ids=["no-config", "config-not-object", "document-not-object", "completed-not-integer",
         "completed-beyond-m_sub", "completed-not-contiguous", "unknown-config-key", "n_heads-not-dividing-d_h",
-        "int-config-value-infinite", "retired-d_x-not-4"])
+        "int-config-value-infinite", "retired-d_x-not-4", "retired-beta1-not-0.9"])
 def test_malformed_manifest_exits_2_naming_the_file(trained, tmp_path, capsys, breakage):
     run = tmp_path / "run"
     shutil.copytree(trained["ckpt"], run)
@@ -389,9 +408,9 @@ def test_train_config_from_manifest_needs_a_config_object(trained, tmp_path, cap
 
 @pytest.mark.parametrize("key,value,shown", [
     ("n_heads", "0", "n_heads=0"), ("d_h", "0", "d_h=0"), ("seed", "-1", "seed must be >= 0, got -1"),
-    ("d_x", "3", "got 3"), ("n_layers", "-1", "n_layers=-1"), ("clip_logits", "0", "clip=0.0"),
+    ("d_x", "3", "got 3"), ("n_layers", "-1", "n_layers=-1"), ("clip_logits", "0", "got 0"),
     ("dataset_size", "0", "dataset_size=0"), ("lr_actor", "nan", "lr_actor=nan"),
-    ("clip_norm", "-1", "clip_norm=-1.0"), ("beta1", "1", "beta1=1.0"),
+    ("clip_norm", "-1", "got -1"), ("beta1", "1", "got 1"),
     ("batch_size", "1", "batch_size must be >= 2"), ("n_nodes", "1", "n_nodes must be >= 2"),
     ("dataset_size", "10", "dataset_size 10 must be divisible by batch_size 4"),
     ("epochs_rest", "-1", "epochs_rest must be >= 0"),
@@ -555,7 +574,7 @@ def test_solve_checks_instance_before_reading_checkpoints(tmp_path, capsys):
     wide.write_text("MOTSP v1 n=4 m=3 dx=6\n" + "0.1 0.2 0.3 0.4 0.5 0.6\n" * 4)
     assert main(["solve", "--ckpt", str(tmp_path), "--instance", str(wide),
                  "--out", str(tmp_path / "pf.csv")]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {wide}:1: n=4 m=3 dx=6: need n >= 1 and two objectives")
+    assert capsys.readouterr().err.startswith(f"error: {wide}:1: n=4 m=3 dx=6: need n >= 2 and two objectives")
 
 
 @pytest.mark.parametrize("d_h,shown", [(16, "shape (16, 4) != (8, 4)"), (8, "missing=['dec.v1']")],

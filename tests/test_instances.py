@@ -134,6 +134,7 @@ def test_native_round_trip_exact(tmp_path):
                  id="huge-sizes"),
     pytest.param(lambda lines: ["MOTSP v1 n=3 m=3 dx=6"] + [line + " 0.5 0.5" for line in lines[1:]], 1,
                  id="three-objectives"),
+    pytest.param(lambda lines: ["MOTSP v1 n=1 m=2 dx=4"] + lines[1:2], 1, id="one-node"),
 ])
 def test_native_malformed_files(tmp_path, mutate, bad_line):
     inst = random_instance(3, seed=2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from paretotsp import autodiff as ad
-from paretotsp import plain
+from paretotsp import model, plain
 from paretotsp.decomposition import RunConfig
 from paretotsp.errors import ContractError, DimensionError, NonFiniteError
 from paretotsp.instances import MotspInstance
@@ -183,7 +183,7 @@ def test_decode_logits_clipped_to_ten():
         for b in range(4):
             # logits in [-clip, clip] bound the ratio of any two open nodes' probabilities
             p = probs[b][~np.isin(np.arange(10), placed[b])]
-            assert np.log(p.max() / p.min()) <= 2 * actor.cfg.clip
+            assert np.log(p.max() / p.min()) <= 2 * model.CLIP
 
 
 def test_decode_visit_twice_rejected():

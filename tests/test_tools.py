@@ -29,6 +29,11 @@ def test_ab_of_a_tree_against_itself_ends_byte_identical():
     _a_a_in_process(dict(n_nodes=5, d_h=8, n_heads=2, d_ff=16, batch_size=4, iterations=2))
 
 
+def test_ab_counts_the_tape_nodes_of_one_training_iteration():
+    ab = _load_ab()
+    assert ab.tape_nodes(REPO, dict(n_nodes=5, d_h=8, n_heads=2, d_ff=16, batch_size=4, iterations=2)) == 126
+
+
 def test_ab_solve_of_a_tree_against_itself_is_byte_identical():
     _a_a_in_process(dict(m_sub=3, n_nodes=5, d_h=8, n_heads=2, d_ff=16, iterations=1))
 
@@ -129,7 +134,11 @@ def test_ab_reports_each_trees_src_line_count(tmp_path, capsys, monkeypatch, mod
     canned_runs = ({side: [({}, 0)] for side in files}, {side: ["same"] for side in files})
     monkeypatch.setattr(ab, "in_process", lambda *args: canned_runs)
     monkeypatch.setattr(ab, "alternate", lambda *args: canned_runs)
+    nodes = {"base": 125, "change": 126}
+    monkeypatch.setattr(ab, "tape_nodes", lambda tree, shape: nodes[tree.name])
     assert ab.main(["--base", str(tmp_path / "base"), "--change", str(tmp_path / "change"), *mode]) == 0
     tail = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert tail["identical"] is True
     assert tail["src_lines"] == {"base": 2, "change": 3}
+    # a training shape also reports each tree's tape nodes; a workload does not
+    assert tail.get("tape_nodes") == (nodes if "--shape" in mode else None)

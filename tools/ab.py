@@ -12,8 +12,9 @@ run of the tree's own `bench/run.py --trace 0` for BENCHMARK.json's
 block. One JSON line per metric gives each side's values, median, quartiles,
 the blocks the change won and the ties; a last line, the failed operations
 per block (None for a run that printed no result), each side's output
-digests, whether they are all identical, and each tree's `src/` line count.
-Uses numpy and the stdlib only.
+digests, whether they are all identical, each tree's `src/` line count and,
+for a training shape, each tree's tape nodes per iteration. Uses numpy and
+the stdlib only.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class Train(InProcess):
         init_rng = np.random.default_rng(np.random.SeedSequence([SEED, 0]))
         self.actor = pkg.ActorParams.init(self.cfg.model_config(), init_rng)
         self.critic = pkg.CriticParams.init(init_rng)
-        self.opts = [pkg.Adam(params.trainable(), lr, self.cfg.beta1, self.cfg.beta2, self.cfg.eps)
+        self.opts = [pkg.Adam(params.trainable(), lr)
                      for params, lr in ((self.actor, self.cfg.lr_actor), (self.critic, self.cfg.lr_critic))]
         self.rng = np.random.default_rng(np.random.SeedSequence([SEED, 1]))
         self.step = partial(pkg.trainer.reinforce_iteration, WEIGHTS, self.actor, self.critic,
@@ -124,6 +125,24 @@ class Train(InProcess):
 
     def outputs(self) -> list[str]:
         return [digest([*self.actor.state_arrays().items(), *self.critic.state_arrays().items()])]
+
+
+def tape_nodes(tree: Path, shape: dict) -> int:
+    """The Arrays that get a tape node during one training iteration of the
+    tree's package, from a fresh copy of a `Train` side's starting state.
+    The package is loaded for this count alone, so its counting `Array` never
+    reaches a timed side."""
+    pkg = load_tree(tree, "ab_tape_paretotsp")
+    side = Train(pkg, shape)
+    nodes, init = [], pkg.autodiff.Array.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        nodes.append(self._node is not None)
+
+    pkg.autodiff.Array.__init__ = counting_init
+    side.step()
+    return sum(nodes)
 
 
 def write_fixture(pkg, shape: dict, directory: Path) -> None:
@@ -240,8 +259,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if args.shape:
-        header = {"shape": args.shape, "iterations_per_block": SHAPES[args.shape]["iterations"]}
-        lines = summarize(header, PER_CALL, *in_process(trees, SHAPES[args.shape], BLOCKS))
+        shape = SHAPES[args.shape]
+        header = {"shape": args.shape, "iterations_per_block": shape["iterations"]}
+        lines = summarize(header, PER_CALL, *in_process(trees, shape, BLOCKS))
+        if "m_sub" not in shape:
+            lines[-1]["tape_nodes"] = {side: tape_nodes(tree, shape) for side, tree in trees.items()}
     else:
         spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
         sides = {side: Bench(tree, args.workload, args.seed, spec["run_seconds"]) for side, tree in trees.items()}
